@@ -8,6 +8,7 @@ from .corpus import (
     Token,
     build_path_index,
     extract_paths,
+    iter_conll,
     load_index,
     parse_conll,
     path_from_text,
@@ -69,6 +70,7 @@ __all__ = [
     "confusion",
     "examples_from_records",
     "extract_paths",
+    "iter_conll",
     "lexical_split",
     "load_combiner",
     "load_index",

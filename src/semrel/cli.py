@@ -19,7 +19,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .baselines import tune_cosine_threshold
-from .corpus import DEFAULT_MAX_EDGES, build_path_index, load_index, parse_conll, save_index
+from .corpus import DEFAULT_MAX_EDGES, build_path_index, iter_conll, load_index, save_index
 from .embeddings import load_table
 from .errors import DataError
 from .evaluation import report_tsv, scores
@@ -211,12 +211,20 @@ def _relatedness_records(records: list[PairRecord], context: str) -> list[PairRe
 
 
 def _cmd_extract_paths(args) -> int:
-    with open(args.corpus, encoding="utf-8") as fh:
-        sentences = parse_conll(fh)
     records = read_pairs(args.pairs, require_label=False)
-    index = build_path_index(sentences, [(r.x, r.y) for r in records], args.max_edges)
+    n_sentences = 0
+
+    def counted(sentences):
+        nonlocal n_sentences
+        for sentence in sentences:
+            n_sentences += 1
+            yield sentence
+
+    with open(args.corpus, encoding="utf-8") as fh:
+        index = build_path_index(counted(iter_conll(fh)), [(r.x, r.y) for r in records],
+                                 args.max_edges)
     save_index(index, args.output)
-    print(f"indexed {len(sentences)} sentences; paths found for {len(index)} of {len(records)} pairs")
+    print(f"indexed {n_sentences} sentences; paths found for {len(index)} of {len(records)} pairs")
     return 0
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
 
 from ._io import open_lines, write_text
@@ -65,8 +66,15 @@ class SentenceGraph:
 
     def lemma_positions(self, lemma: str) -> list[int]:
         """Indices of tokens whose lemma matches, case-insensitively."""
-        needle = lemma.lower()
-        return [t.index for t in self.tokens if t.lemma.lower() == needle]
+        return list(self._positions.get(lemma.lower(), ()))
+
+    @cached_property
+    def _positions(self) -> dict[str, list[int]]:
+        """Lowercased lemma -> token indices, built once on first use."""
+        positions: dict[str, list[int]] = {}
+        for t in self.tokens:
+            positions.setdefault(t.lemma.lower(), []).append(t.index)
+        return positions
 
 
 @dataclass(frozen=True)
@@ -96,15 +104,16 @@ class DependencyPath:
         return len(self.edges) - 1
 
 
-def parse_conll(stream) -> list[SentenceGraph]:
-    """Parse blank-line-separated CoNLL-style blocks into sentence graphs.
+def iter_conll(stream) -> Iterator[SentenceGraph]:
+    """Yield the sentence graphs of blank-line-separated CoNLL-style blocks.
 
-    Accepts a string, an open file, or any iterable of lines. Raises
-    ParseError, naming the offending line, for short rows, non-numeric ID or
-    HEAD fields, or head links that do not form a single-rooted tree.
+    Accepts a string, an open file, or any iterable of lines, and reads it
+    one block at a time, so only the current sentence is held in memory.
+    Raises ParseError, naming the offending line, for short rows, non-numeric
+    ID or HEAD fields, or head links that do not form a single-rooted tree;
+    the sentences before the bad one have been yielded by then.
     """
     lines = stream.splitlines() if isinstance(stream, str) else stream
-    sentences = []
     block: list[tuple[int, list[str]]] = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -112,7 +121,7 @@ def parse_conll(stream) -> list[SentenceGraph]:
             continue
         if not line.strip():
             if block:
-                sentences.append(_build_sentence(block))
+                yield _build_sentence(block)
                 block = []
             continue
         cols = line.split("\t")
@@ -122,13 +131,16 @@ def parse_conll(stream) -> list[SentenceGraph]:
             )
         block.append((line_no, cols))
     if block:
-        sentences.append(_build_sentence(block))
-    return sentences
+        yield _build_sentence(block)
+
+
+def parse_conll(stream) -> list[SentenceGraph]:
+    """All sentence graphs of a corpus, as a list; see ``iter_conll``."""
+    return list(iter_conll(stream))
 
 
 def _build_sentence(block: list[tuple[int, list[str]]]) -> SentenceGraph:
     tokens = []
-    line_of = {}
     for position, (line_no, cols) in enumerate(block, start=1):
         try:
             idx = int(cols[0])
@@ -141,29 +153,31 @@ def _build_sentence(block: list[tuple[int, list[str]]]) -> SentenceGraph:
         except ValueError:
             raise ParseError(f"non-numeric HEAD {cols[6]!r} at line {line_no}") from None
         tokens.append(Token(idx, cols[1], cols[2], cols[3], head, cols[7]))
-        line_of[idx] = line_no
 
+    # The token with ID i sits on line_of[i]; heads[i] is its head, heads[0] a sentinel.
+    line_of = [0] + [line_no for line_no, _ in block]
+    heads = [0] + [tok.head for tok in tokens]
     n = len(tokens)
-    for tok in tokens:
-        if tok.head == tok.index:
-            raise ParseError(f"self-loop at line {line_of[tok.index]}")
-        if not 0 <= tok.head <= n:
-            raise ParseError(f"HEAD {tok.head} out of range 0..{n} at line {line_of[tok.index]}")
-    roots = [t.index for t in tokens if t.head == 0]
+    for idx in range(1, n + 1):
+        if heads[idx] == idx:
+            raise ParseError(f"self-loop at line {line_of[idx]}")
+        if not 0 <= heads[idx] <= n:
+            raise ParseError(f"HEAD {heads[idx]} out of range 0..{n} at line {line_of[idx]}")
+    roots = [idx for idx in range(1, n + 1) if heads[idx] == 0]
     if not roots:
         raise ParseError(f"no root token in sentence ending at line {line_of[n]}")
     if len(roots) > 1:
         raise ParseError(f"multiple root tokens at line {line_of[roots[1]]}")
 
     # Every token must reach the artificial root; anything else is a cycle.
-    state = [0] * (n + 1)  # 0 unvisited, 1 on the current walk, 2 cleared
+    state = [2] + [0] * n  # 0 unvisited, 1 on the current walk, 2 reaches the root
     for start in range(1, n + 1):
         node, walk = start, []
-        while node != 0 and state[node] == 0:
+        while state[node] == 0:
             state[node] = 1
             walk.append(node)
-            node = tokens[node - 1].head
-        if node != 0 and state[node] == 1:
+            node = heads[node]
+        if state[node] == 1:
             raise ParseError(f"cyclic head links at line {line_of[node]}")
         for visited in walk:
             state[visited] = 2
@@ -181,10 +195,11 @@ def extract_paths(
     if max_edges < 1:
         raise ValueError("max_edges must be at least 1")
     found: Counter = Counter()
-    xs = sentence.lemma_positions(x_lemma)
+    positions = sentence._positions
+    xs = positions.get(x_lemma.lower())
     if not xs:
         return found
-    ys = sentence.lemma_positions(y_lemma)
+    ys = positions.get(y_lemma.lower())
     if not ys:
         return found
     heads = [0] + [t.head for t in sentence.tokens]
@@ -259,12 +274,6 @@ class PathIndex:
         """A copy of the pair's path multiset; empty when the pair is absent."""
         return Counter(self._pairs.get(self._key(x, y), ()))
 
-    def total_count(self, x: str, y: str) -> int:
-        return sum(self._pairs.get(self._key(x, y), Counter()).values())
-
-    def distinct_count(self, x: str, y: str) -> int:
-        return len(self._pairs.get(self._key(x, y), ()))
-
     def pair_keys(self) -> list[tuple[str, str]]:
         return sorted(self._pairs)
 
@@ -282,15 +291,20 @@ def build_path_index(
 ) -> PathIndex:
     """Extract and pool paths for every given pair over the whole corpus.
 
-    The result does not depend on sentence order: per-pair multisets are
-    merged by commutative addition.
+    The corpus is read once, in one pass, so it may be a stream such as
+    ``iter_conll``. Each sentence visits only the pairs whose two lemmas it
+    holds: its lemmas are looked up among the pairs' x lemmas, and each hit's
+    y lemmas among its lemmas. The result does not depend on sentence order:
+    per-pair multisets are merged by commutative addition.
     """
+    ys_of: dict[str, set[str]] = {}
+    for x, y in pairs:
+        ys_of.setdefault(x.lower(), set()).add(y.lower())
     index = PathIndex()
-    wanted = {(x.lower(), y.lower()) for x, y in pairs}
     for sentence in corpus:
-        present = {t.lemma.lower() for t in sentence.tokens}
-        for x, y in wanted:
-            if x in present and y in present:
+        present = sentence._positions.keys()
+        for x in present & ys_of.keys():
+            for y in present & ys_of[x]:
                 for path, count in extract_paths(sentence, x, y, max_edges).items():
                     index.add(x, y, path, count)
     return index

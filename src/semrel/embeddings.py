@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,10 @@ def load_table(source) -> EmbeddingTable:
     """Load a table from a path or an iterable of lines.
 
     Lines are whitespace-separated: a token followed by a fixed number of
-    decimal values, with no header. A literal "<unk>" row, when present,
-    becomes the fallback vector; otherwise unknown tokens map to zeros.
+    finite decimal values, with no header. Tokens are folded to lowercase, as
+    lookups are, so two rows that differ only in case are duplicates. A
+    literal "<unk>" row, when present, becomes the fallback vector; otherwise
+    unknown tokens map to zeros.
     """
     entries: dict[str, np.ndarray] = {}
     dimension = None
@@ -45,7 +48,7 @@ def load_table(source) -> EmbeddingTable:
             parts = raw.split()
             if not parts:
                 continue
-            token, values = parts[0], parts[1:]
+            token, values = parts[0].lower(), parts[1:]
             if not values:
                 raise ParseError(f"no vector values at line {line_no}")
             if dimension is None:
@@ -53,11 +56,15 @@ def load_table(source) -> EmbeddingTable:
             elif len(values) != dimension:
                 raise ParseError(f"dimension mismatch at line {line_no}")
             if token in entries:
-                raise ParseError(f"duplicate token {token!r} at line {line_no}")
+                raise ParseError(f"duplicate token {parts[0]!r} at line {line_no}")
             try:
-                vector = np.array([float(v) for v in values])
+                row = [float(v) for v in values]
             except ValueError:
                 raise ParseError(f"unparsable value at line {line_no}") from None
+            # One sum catches nan, inf and overflow ("1e999") in a single test.
+            if not math.isfinite(sum(row)):
+                raise ParseError(f"non-finite or overflowing value at line {line_no}")
+            vector = np.array(row)
             vector.flags.writeable = False
             entries[token] = vector
     if dimension is None:

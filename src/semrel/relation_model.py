@@ -514,43 +514,48 @@ def load_model(source) -> ModelParams:
         raise DataError("not a relation model file")
     if doc.get("version") != MODEL_VERSION:
         raise DataError(f"unsupported model version {doc.get('version')!r}")
-    vocab_doc = doc["edge_vocab"]
-    vocab = EdgeVocab(
-        lemma=_component_from_doc(vocab_doc["lemma"]),
-        pos=_component_from_doc(vocab_doc["pos"]),
-        deprel=_component_from_doc(vocab_doc["deprel"]),
-        direction=_component_from_doc(vocab_doc["direction"]),
-    )
-    rec = RecurrentParams(
-        w_in=np.array(doc["recurrent"]["w_in"], dtype=float),
-        w_rec=np.array(doc["recurrent"]["w_rec"], dtype=float),
-        bias=np.array(doc["recurrent"]["bias"], dtype=float),
-    )
-    cls_doc = doc["classifier"]
-    w2 = cls_doc["w2"]
-    b2 = cls_doc["b2"]
-    wv_doc = doc.get("word_vectors")
-    word_vectors = None
-    if wv_doc is not None:
-        word_vectors = TrainableWordVectors(
-            {tok: i for i, tok in enumerate(wv_doc["tokens"])},
-            np.array(wv_doc["matrix"], dtype=float),
+    try:
+        vocab_doc = doc["edge_vocab"]
+        vocab = EdgeVocab(
+            lemma=_component_from_doc(vocab_doc["lemma"]),
+            pos=_component_from_doc(vocab_doc["pos"]),
+            deprel=_component_from_doc(vocab_doc["deprel"]),
+            direction=_component_from_doc(vocab_doc["direction"]),
         )
-    params = ModelParams(
-        vocab=vocab,
-        rec=rec,
-        w1=np.array(cls_doc["w1"], dtype=float),
-        b1=np.array(cls_doc["b1"], dtype=float),
-        w2=None if w2 is None else np.array(w2, dtype=float),
-        b2=None if b2 is None else np.array(b2, dtype=float),
-        label_set=tuple(doc["label_set"]),
-        word_dim=int(doc["word_dim"]),
-        path_average=doc.get("path_average", WEIGHTED),
-        word_vectors=word_vectors,
-        seed=doc.get("seed"),
-    )
-    if params.path_average not in AVERAGE_MODES:
-        raise DataError(f"unknown path_average mode {params.path_average!r} in model file")
-    if doc["hidden_layers"] != params.hidden_layers:
-        raise DataError("hidden_layers field disagrees with the stored matrices")
+        rec = RecurrentParams(
+            w_in=np.array(doc["recurrent"]["w_in"], dtype=float),
+            w_rec=np.array(doc["recurrent"]["w_rec"], dtype=float),
+            bias=np.array(doc["recurrent"]["bias"], dtype=float),
+        )
+        cls_doc = doc["classifier"]
+        w2 = cls_doc["w2"]
+        b2 = cls_doc["b2"]
+        wv_doc = doc.get("word_vectors")
+        word_vectors = None
+        if wv_doc is not None:
+            word_vectors = TrainableWordVectors(
+                {tok: i for i, tok in enumerate(wv_doc["tokens"])},
+                np.array(wv_doc["matrix"], dtype=float),
+            )
+        params = ModelParams(
+            vocab=vocab,
+            rec=rec,
+            w1=np.array(cls_doc["w1"], dtype=float),
+            b1=np.array(cls_doc["b1"], dtype=float),
+            w2=None if w2 is None else np.array(w2, dtype=float),
+            b2=None if b2 is None else np.array(b2, dtype=float),
+            label_set=tuple(doc["label_set"]),
+            word_dim=int(doc["word_dim"]),
+            path_average=doc.get("path_average", WEIGHTED),
+            word_vectors=word_vectors,
+            seed=doc.get("seed"),
+        )
+        if params.path_average not in AVERAGE_MODES:
+            raise DataError(f"unknown path_average mode {params.path_average!r} in model file")
+        if doc["hidden_layers"] != params.hidden_layers:
+            raise DataError("hidden_layers field disagrees with the stored matrices")
+    except KeyError as exc:
+        raise DataError(f"model file lacks the {exc.args[0]!r} field") from None
+    except TypeError:
+        raise DataError("model file has a field of the wrong type") from None
     return params

@@ -74,6 +74,27 @@ def random_tree(rng, n):
     return [parent_of[i] for i in range(1, n + 1)]
 
 
+def brute_force_path_index(corpus, pairs, max_edges):
+    """Every wanted pair tested against every sentence, as a semrel PathIndex.
+
+    This is the quadratic loop that the library's pair lookup replaces; it
+    trusts ``extract_paths``, which the BFS oracle above checks on its own.
+    semrel is imported here, not at the top, so that the benchmark's checker
+    can import this module without the package.
+    """
+    from semrel.corpus import PathIndex, extract_paths
+
+    index = PathIndex()
+    wanted = {(x.lower(), y.lower()) for x, y in pairs}
+    for sentence in corpus:
+        present = {t.lemma.lower() for t in sentence.tokens}
+        for x, y in wanted:
+            if x in present and y in present:
+                for path, count in extract_paths(sentence, x, y, max_edges).items():
+                    index.add(x, y, path, count)
+    return index
+
+
 def reference_lstm(w_in, w_rec, bias, inputs):
     """Scalar-loop recurrent forward pass; returns the final hidden state."""
     hidden = len(w_rec[0])

@@ -222,6 +222,59 @@ def test_malformed_data_exits_two(micro, capsys):
     capsys.readouterr()
 
 
+def test_header_only_model_exits_two(micro, capsys):
+    d = micro["dir"]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    run("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
+        "--output", d / "combiner.json", "--cosine-only")
+    run("train", "--task", "relations", "--pairs", micro["pairs"], "--index", d / "index.tsv",
+        "--embeddings", micro["embeddings"], "--model", d / "relations.json", "--epochs", "1")
+    (d / "header.json").write_text('{"format": "semrel-relation-model", "version": 1}')
+    capsys.readouterr()
+    code = run("predict", "--task", "relations", "--pairs", micro["pairs"],
+               "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
+               "--combiner", d / "combiner.json", "--relatedness-model", d / "header.json",
+               "--relation-model", d / "relations.json", "--output", d / "pred.tsv")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "edge_vocab" in err
+
+
+def _corpus_with_bad_row(path, good_sentences):
+    """Many good sentences, then a row with too few columns; returns its line number."""
+    block = HYPER_SENT + "\n"
+    path.write_text(block * good_sentences + "1\tcata\tcata\n")
+    return block.count("\n") * good_sentences + 1
+
+
+def test_malformed_corpus_row_after_many_sentences_exits_two(micro, capsys):
+    d = micro["dir"]
+    line = _corpus_with_bad_row(d / "bad.conll", 2000)
+    out = d / "index.tsv"
+    code = run("extract-paths", "--corpus", d / "bad.conll", "--pairs", micro["pairs"],
+               "--output", out)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
+    assert f"line {line}" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
+
+
+def test_pairs_error_is_reported_before_corpus_error(micro, capsys):
+    d = micro["dir"]
+    _corpus_with_bad_row(d / "bad.conll", 3)
+    (d / "bad.tsv").write_text("only-one-column\n")
+    code = run("extract-paths", "--corpus", d / "bad.conll", "--pairs", d / "bad.tsv",
+               "--output", d / "index.tsv")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "at least 2 tab-separated columns at line 1" in err, err
+    assert not (d / "index.tsv").exists()
+
+
 def test_bad_labels_exit_two(micro, capsys):
     bad = micro["dir"] / "bad.tsv"
     bad.write_text("a\tb\tNOT_A_LABEL\n")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import CAT_CONLL, conll_text
-from oracles import bfs_path, depth_directions, random_tree
+from oracles import bfs_path, brute_force_path_index, depth_directions, random_tree
 from semrel.corpus import (
     DependencyPath,
     PathEdge,
@@ -16,6 +16,7 @@ from semrel.corpus import (
     Token,
     build_path_index,
     extract_paths,
+    iter_conll,
     load_index,
     parse_conll,
     path_from_text,
@@ -23,6 +24,7 @@ from semrel.corpus import (
     save_index,
 )
 from semrel.errors import ParseError
+from semrel.pipeline import path_count
 
 
 @pytest.fixture
@@ -248,8 +250,8 @@ def test_index_add_get_and_counts():
     index.add("Cat", "Mouse", path, 2)
     index.add("cat", "mouse", path)
     assert index.get("CAT", "MOUSE")[path] == 3
-    assert index.total_count("cat", "mouse") == 3
-    assert index.distinct_count("cat", "mouse") == 1
+    assert path_count(index, "cat", "mouse") == 3
+    assert path_count(index, "cat", "mouse", "distinct") == 1
     assert index.get("mouse", "cat") == Counter()  # direction matters
     assert len(index) == 1
 
@@ -260,6 +262,54 @@ def test_index_get_returns_a_copy():
     index.add("a", "b", path)
     index.get("a", "b")[path] = 99
     assert index.get("a", "b")[path] == 1
+
+
+INDEX_LEMMAS = ("cat", "Cat", "CAT", "dog", "Dog", "mouse", "tail")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+    drawn=st.lists(st.tuples(st.sampled_from(INDEX_LEMMAS + ("ghost",)),
+                             st.sampled_from(INDEX_LEMMAS + ("Ghost",))), max_size=8),
+    max_edges=st.integers(1, 5),
+)
+def test_build_path_index_matches_brute_force(seed, sizes, drawn, max_edges):
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for n in sizes:
+        heads = random_tree(rng, n)
+        lemmas = [INDEX_LEMMAS[int(rng.integers(len(INDEX_LEMMAS)))] for _ in range(n)]
+        corpus.append(SentenceGraph(tuple(
+            Token(i, lemmas[i - 1], lemmas[i - 1], "NOUN", heads[i - 1], "dep")
+            for i in range(1, n + 1))))
+    # Whatever was drawn, also ask for reversed and duplicate pairs, x == y in
+    # mixed case, and a pair whose y occurs while its x never does.
+    pairs = drawn + [(y, x) for x, y in drawn] + drawn[:2]
+    pairs += [("cat", "CAT"), ("Dog", "dog"), ("ghost", "cat"), ("mouse", "Ghost")]
+    expected = brute_force_path_index(corpus, pairs, max_edges)
+    got = build_path_index(iter(corpus), pairs, max_edges)
+    assert got == expected
+    got_text, expected_text = io.StringIO(), io.StringIO()
+    save_index(got, got_text)
+    save_index(expected, expected_text)
+    assert got_text.getvalue() == expected_text.getvalue()
+
+
+def test_iter_conll_streams_and_parse_conll_lists_it():
+    text = CAT_CONLL + "\n" + CAT_CONLL
+    stream = iter_conll(io.StringIO(text))
+    assert next(stream) == parse_conll(CAT_CONLL)[0]
+    assert list(stream) == parse_conll(CAT_CONLL)
+    assert parse_conll(text) == list(iter_conll(text))
+
+
+def test_iter_conll_yields_good_sentences_before_a_bad_one():
+    stream = iter_conll(CAT_CONLL + "\n" + "1\tcat\tcat\n")
+    assert len(next(stream)) == 7
+    with pytest.raises(ParseError, match="line 9"):
+        next(stream)
 
 
 def test_build_path_index_is_order_independent(cat_sentence):

@@ -67,3 +67,21 @@ def test_unparsable_value_names_line():
 def test_empty_file_rejected():
     with pytest.raises(ParseError, match="no vectors"):
         load_table(io.StringIO(""))
+
+
+def test_tokens_fold_to_lowercase_at_load():
+    table = load_table(io.StringIO("Cat 1 0\n"))
+    assert np.array_equal(table.lookup("Cat"), [1.0, 0.0])
+    assert np.array_equal(table.lookup("cat"), [1.0, 0.0])
+    assert "CAT" in table
+
+
+def test_duplicate_after_case_folding_rejected():
+    with pytest.raises(ParseError, match="duplicate.*line 2"):
+        load_table(io.StringIO("Cat 1 0\ncat 0 1\n"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_non_finite_value_rejected_with_line(value):
+    with pytest.raises(ParseError, match="line 2"):
+        load_table(io.StringIO(f"a 1.0 2.0\nb 0.5 {value}\n"))

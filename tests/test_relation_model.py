@@ -10,6 +10,8 @@ from semrel.corpus import DependencyPath, PathEdge, PathIndex
 from semrel.errors import DataError
 from semrel.pairs import PairRecord
 from semrel.relation_model import (
+    MODEL_FORMAT,
+    MODEL_VERSION,
     Example,
     RELATEDNESS_PRESET,
     RELATIONS_PRESET,
@@ -334,3 +336,8 @@ def test_load_rejects_wrong_format_and_version():
     doc = buf.getvalue().replace('"version": 1', '"version": 99')
     with pytest.raises(DataError, match="version"):
         load_model(io.StringIO(doc))
+
+
+def test_load_rejects_a_header_without_fields():
+    with pytest.raises(DataError, match="edge_vocab"):
+        load_model(io.StringIO('{"format": "%s", "version": %d}' % (MODEL_FORMAT, MODEL_VERSION)))
