@@ -10,24 +10,21 @@ A one-vs-rest linear classifier with hinge loss is trained by seeded
 subgradient descent, with optional L1 or L2 regularization. The baseline
 counterpart of the full pipeline gates pairs on raw cosine similarity (a
 threshold tuned for related-class F1) before applying the linear model.
+Linear models live in memory only; nothing saves or loads them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError
+from .evaluation import binary_f1
 from .pairs import PairRecord, RELATED
-from .relatedness import T_GRID, _binary_f1, cosine_norm
-
-LINEAR_FORMAT = "semrel-linear"
-LINEAR_VERSION = 1
+from .relatedness import T_GRID, cosine_norm
 
 VECTOR_COMBINATIONS = ("concat", "diff", "asym")
 REGULARIZERS = (None, "l1", "l2")
@@ -129,13 +126,13 @@ def tune_cosine_threshold(val: Sequence[PairRecord], table: EmbeddingTable) -> t
     """Best related-class F1 threshold on normalized cosine; ties take the smaller t."""
     if not val:
         raise DataError("validation set is empty")
-    gold = [r.label == RELATED for r in val]
-    if all(gold) or not any(gold):
+    gold = np.array([r.label == RELATED for r in val])
+    if gold.all() or not gold.any():
         raise DataError("validation set must contain both RELATED and UNRELATED pairs")
     scores = np.array([cosine_norm(table.lookup(r.x), table.lookup(r.y)) for r in val])
     best_t, best_f1 = 0.0, -1.0
     for t in T_GRID:
-        f1 = _binary_f1(gold, [s >= t for s in scores])
+        f1 = binary_f1(gold, scores >= t, True)
         if f1 > best_f1:
             best_t, best_f1 = t, f1
     return best_t, best_f1
@@ -153,48 +150,3 @@ def baseline_classify(
     if cosine_norm(table.lookup(x), table.lookup(y)) < threshold:
         return negative_label
     return predict_linear(model, table, x, y)
-
-
-def baseline_predict(
-    model: LinearModel,
-    table: EmbeddingTable,
-    threshold: float,
-    pairs: Sequence[PairRecord],
-    negative_label: str,
-) -> list[str]:
-    return [baseline_classify(model, table, threshold, r.x, r.y, negative_label) for r in pairs]
-
-
-def save_linear(model: LinearModel, destination) -> None:
-    doc = {
-        "format": LINEAR_FORMAT,
-        "version": LINEAR_VERSION,
-        "labels": list(model.labels),
-        "method": model.method,
-        "weights": model.weights.tolist(),
-        "bias": model.bias.tolist(),
-    }
-    text = json.dumps(doc, indent=1)
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        destination.write(text + "\n")
-
-
-def load_linear(source) -> LinearModel:
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.load(source)
-    if not isinstance(doc, dict) or doc.get("format") != LINEAR_FORMAT:
-        raise DataError("not a linear model file")
-    if doc.get("version") != LINEAR_VERSION:
-        raise DataError(f"unsupported linear model version {doc.get('version')!r}")
-    return LinearModel(
-        labels=tuple(doc["labels"]),
-        weights=np.array(doc["weights"], dtype=float),
-        bias=np.array(doc["bias"], dtype=float),
-        method=doc.get("method", "concat"),
-    )

@@ -13,11 +13,11 @@ malformed files, inconsistent datasets, invalid hyperparameter values).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+from ._io import open_lines, write_document
 from .baselines import tune_cosine_threshold
 from .corpus import DEFAULT_MAX_EDGES, build_path_index, iter_conll, load_index, save_index
 from .embeddings import load_table
@@ -220,7 +220,7 @@ def _cmd_extract_paths(args) -> int:
             n_sentences += 1
             yield sentence
 
-    with open(args.corpus, encoding="utf-8") as fh:
+    with open_lines(args.corpus) as fh:
         index = build_path_index(counted(iter_conll(fh)), [(r.x, r.y) for r in records],
                                  args.max_edges)
     save_index(index, args.output)
@@ -278,8 +278,7 @@ def _cmd_train(args) -> int:
         "n_val": len(val),
         "dropped_negative": dropped,
     }
-    manifest_path = Path(args.model).with_suffix(".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    write_document(Path(args.model).with_suffix(".manifest.json"), manifest)
     print(f"trained {args.task} model on {len(records)} pairs "
           f"({config.epochs} epochs, seed {config.seed}) -> {args.model}")
     return 0

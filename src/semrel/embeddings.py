@@ -74,8 +74,3 @@ def load_table(source) -> EmbeddingTable:
         unk = np.zeros(dimension)
         unk.flags.writeable = False
     return EmbeddingTable(dimension, entries, unk)
-
-
-def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
-    """Module-level alias for ``EmbeddingTable.lookup``."""
-    return table.lookup(token)

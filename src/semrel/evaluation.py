@@ -125,11 +125,13 @@ def scores(
     )
 
 
-def binary_f1(gold: Sequence[str], pred: Sequence[str], positive: str) -> float:
-    """F1 of a single positive class."""
-    tp = sum(1 for g, p in zip(gold, pred) if g == positive and p == positive)
-    fp = sum(1 for g, p in zip(gold, pred) if g != positive and p == positive)
-    fn = sum(1 for g, p in zip(gold, pred) if g == positive and p != positive)
+def binary_f1(gold: Sequence, pred: Sequence, positive) -> float:
+    """F1 of a single positive class: a label, or True for boolean flags."""
+    g = np.asarray(gold) == positive
+    p = np.asarray(pred) == positive
+    tp = int(np.count_nonzero(g & p))
+    fp = int(np.count_nonzero(~g & p))
+    fn = int(np.count_nonzero(g & ~p))
     _, _, f1 = _prf(tp, fp, fn)
     return f1
 
@@ -167,12 +169,4 @@ def report_tsv(report: ScoreReport) -> str:
         lines.append(f"{row.label}\t{row.precision:.6f}\t{row.recall:.6f}\t{row.f1:.6f}\t{row.support}")
     total = sum(row.support for row in report.per_label)
     lines.append(f"{report.average}\t{report.precision:.6f}\t{report.recall:.6f}\t{report.f1:.6f}\t{total}")
-    return "\n".join(lines) + "\n"
-
-
-def report_table(rows: Sequence[tuple[str, ScoreReport]]) -> str:
-    """Compact method comparison table."""
-    lines = ["Method\tP\tR\tF1"]
-    for name, report in rows:
-        lines.append(f"{name}\t{report.precision:.3f}\t{report.recall:.3f}\t{report.f1:.3f}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,10 @@ The *_with_cache functions retain everything the backward pass needs;
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -152,12 +155,6 @@ def edge_rows(edge: PathEdge, vocab: EdgeVocab) -> tuple[int, int, int, int]:
     )
 
 
-def encode_edge(edge: PathEdge, vocab: EdgeVocab) -> np.ndarray:
-    """Concatenation of the four component embeddings for one step."""
-    rows = edge_rows(edge, vocab)
-    return np.concatenate([comp.matrix[r] for comp, r in zip(vocab.components(), rows)])
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     positive = z >= 0
@@ -231,20 +228,6 @@ def encode_path(path: DependencyPath, vocab: EdgeVocab, rec: RecurrentParams) ->
     return _run_path(_path_rows(path, vocab), vocab, rec).h_final
 
 
-def average_paths(
-    paths: Mapping[DependencyPath, int],
-    vocab: EdgeVocab,
-    rec: RecurrentParams,
-    mode: str = WEIGHTED,
-) -> np.ndarray:
-    """Average of the encoded paths; the empty multiset gives the zero vector.
-
-    "weighted" weights each distinct path by its count; "uniform" ignores
-    counts.
-    """
-    return average_paths_with_cache(paths, vocab, rec, mode)[0]
-
-
 def average_paths_with_cache(
     paths: Mapping[DependencyPath, int],
     vocab: EdgeVocab,
@@ -253,10 +236,12 @@ def average_paths_with_cache(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, AverageCache]:
-    """As ``average_paths`` but also returns what the backward pass needs.
+    """Average of the encoded paths, and what the backward pass needs.
 
-    When ``dropout_rate`` > 0 and an rng is given, each step's lemma component
-    is replaced by the unknown row with that probability, independently.
+    The empty multiset gives the zero vector. "weighted" weights each distinct
+    path by its count; "uniform" ignores counts. When ``dropout_rate`` > 0 and
+    an rng is given, each step's lemma component is replaced by the unknown
+    row with that probability, independently.
     """
     if mode not in AVERAGE_MODES:
         raise ValueError(f"unknown average mode {mode!r}")
@@ -281,29 +266,61 @@ def average_paths_with_cache(
     return pooled, AverageCache(caches, hidden)
 
 
-@dataclass
-class EncoderGrads:
-    """Gradient accumulators shaped like the encoder parameters."""
+# The encoder's trainable arrays in a fixed order, each named by where it sits
+# on an object whose ``vocab`` is an EdgeVocab and whose ``rec`` is its
+# RecurrentParams.
+ENCODER_ARRAYS = (
+    "vocab.lemma", "vocab.pos", "vocab.deprel", "vocab.direction",
+    "rec.w_in", "rec.w_rec", "rec.bias",
+)
 
-    lemma: np.ndarray
-    pos: np.ndarray
-    deprel: np.ndarray
-    direction: np.ndarray
-    w_in: np.ndarray
-    w_rec: np.ndarray
-    bias: np.ndarray
+
+@functools.cache
+def _layout(names: tuple[str, ...]) -> tuple[attrgetter, tuple[str, ...]]:
+    """One getter of the values at all ``names``, and each name's gradient
+    attribute: "rec.w_in" accumulates in ``w_in``."""
+    return attrgetter(*names), tuple(name.rpartition(".")[2] for name in names)
+
+
+def named_arrays(owner, names: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
+    """(name, array) for each name that is set on ``owner``, in order.
+
+    "rec.w_in" is ``owner.rec.w_in``. A value that is not an array (an
+    embedding component, a word-vector set) stands for its ``matrix``.
+    """
+    get, _ = _layout(names)
+    return [(name, value if isinstance(value, np.ndarray) else value.matrix)
+            for name, value in zip(names, get(owner)) if value is not None]
+
+
+class EncoderGrads:
+    """Zeroed gradient accumulators for the arrays named in NAMES.
+
+    The gradient of the array named "rec.w_in" is the attribute ``w_in``; a
+    name whose array is not set has None.
+    """
+
+    NAMES: tuple[str, ...] = ENCODER_ARRAYS
+
+    def __init__(self, owner):
+        _, attributes = _layout(self.NAMES)
+        arrays = dict(named_arrays(owner, self.NAMES))
+        # np.zeros rather than zeros_like: this runs on every SGD step, and
+        # zeros_like costs several times more per call.
+        for name, attribute in zip(self.NAMES, attributes):
+            array = arrays.get(name)
+            setattr(self, attribute, None if array is None else np.zeros(array.shape, array.dtype))
 
     @classmethod
     def zeros(cls, vocab: EdgeVocab, rec: RecurrentParams) -> "EncoderGrads":
-        return cls(
-            lemma=np.zeros_like(vocab.lemma.matrix),
-            pos=np.zeros_like(vocab.pos.matrix),
-            deprel=np.zeros_like(vocab.deprel.matrix),
-            direction=np.zeros_like(vocab.direction.matrix),
-            w_in=np.zeros_like(rec.w_in),
-            w_rec=np.zeros_like(rec.w_rec),
-            bias=np.zeros_like(rec.bias),
-        )
+        return cls(SimpleNamespace(vocab=vocab, rec=rec))
+
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        """(name, gradient) for each set gradient, in the order of NAMES."""
+        _, attributes = _layout(self.NAMES)
+        held = vars(self)
+        return [(name, held[attribute]) for name, attribute in zip(self.NAMES, attributes)
+                if held[attribute] is not None]
 
 
 def backprop_average(

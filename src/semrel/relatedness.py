@@ -13,16 +13,16 @@ data by grid search over F1 of the related class.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ._io import read_document, write_document
 from .corpus import PathIndex
 from .embeddings import EmbeddingTable
 from .errors import DataError
+from .evaluation import binary_f1
 from .pairs import PairRecord, RELATED, RELATEDNESS_LABELS, UNRELATED
 from .relation_model import ModelParams, pair_distribution
 
@@ -90,17 +90,6 @@ def classify_related(score: float, t: float) -> bool:
     return score >= t
 
 
-def _binary_f1(gold: Sequence[bool], pred: Sequence[bool]) -> float:
-    tp = sum(1 for g, p in zip(gold, pred) if g and p)
-    fp = sum(1 for g, p in zip(gold, pred) if not g and p)
-    fn = sum(1 for g, p in zip(gold, pred) if g and not p)
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
-
-
 def tune_combiner(
     val: Sequence[PairRecord],
     params: ModelParams,
@@ -117,8 +106,8 @@ def tune_combiner(
     stray = sorted({r.label for r in val} - set(RELATEDNESS_LABELS))
     if stray:
         raise DataError(f"unexpected relatedness labels: {', '.join(stray)}")
-    gold = [r.label == RELATED for r in val]
-    if all(gold) or not any(gold):
+    gold = np.array([r.label == RELATED for r in val])
+    if gold.all() or not gold.any():
         raise DataError("validation set must contain both RELATED and UNRELATED pairs")
     cosines = np.array([cosine_norm(table.lookup(r.x), table.lookup(r.y)) for r in val])
     probs = np.array([related_probability(params, table, index, r.x, r.y) for r in val])
@@ -127,28 +116,12 @@ def tune_combiner(
     for w_c in W_GRID:
         scores = w_c * cosines + (1.0 - w_c) * probs
         for t in T_GRID:
-            pred = [s >= t for s in scores]
-            f1 = _binary_f1(gold, pred)
+            f1 = binary_f1(gold, scores >= t, True)
             key = (f1, -(1.0 - w_c), -t)
             if best_key is None or key > best_key:
                 best_key = key
                 best = (CombinerConfig(w_c=w_c, w_l=round(1.0 - w_c, 10), t=t), f1)
     return best
-
-
-def combiner_f1(
-    config: CombinerConfig,
-    records: Sequence[PairRecord],
-    params: ModelParams | None,
-    table: EmbeddingTable,
-    index: PathIndex | None,
-) -> float:
-    gold = [r.label == RELATED for r in records]
-    pred = [
-        classify_related(rel_score(config, table, r.x, r.y, params, index), config.t)
-        for r in records
-    ]
-    return _binary_f1(gold, pred)
 
 
 def predict_related(
@@ -173,25 +146,12 @@ def save_combiner(config: CombinerConfig, destination, validation_f1: float | No
     }
     if validation_f1 is not None:
         doc["validation_f1"] = validation_f1
-    text = json.dumps(doc, indent=1)
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        destination.write(text + "\n")
+    write_document(destination, doc)
 
 
 def load_combiner(source) -> CombinerConfig:
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.load(source)
-    if not isinstance(doc, dict) or doc.get("format") != COMBINER_FORMAT:
-        raise DataError("not a combiner file")
-    if doc.get("version") != COMBINER_VERSION:
-        raise DataError(f"unsupported combiner version {doc.get('version')!r}")
-    try:
-        return CombinerConfig(w_c=float(doc["w_C"]), w_l=float(doc["w_L"]), t=float(doc["t"]))
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"combiner file is missing fields: {exc}") from None
+    with read_document(source, COMBINER_FORMAT, COMBINER_VERSION, "combiner") as doc:
+        try:
+            return CombinerConfig(w_c=float(doc["w_C"]), w_l=float(doc["w_L"]), t=float(doc["t"]))
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"combiner file is missing fields: {exc}") from None

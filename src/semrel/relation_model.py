@@ -16,20 +16,21 @@ single seed in TrainConfig, so a fixed seed reproduces parameters bit for bit.
 
 from __future__ import annotations
 
-import json
 import logging
+import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._io import read_document, write_document
 from .corpus import DependencyPath, PathIndex
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .pairs import PairRecord
 from .path_encoder import (
     AVERAGE_MODES,
+    ENCODER_ARRAYS,
     INIT_SCALE,
     WEIGHTED,
     ComponentEmbeddings,
@@ -40,6 +41,7 @@ from .path_encoder import (
     backprop_average,
     build_edge_vocab,
     init_recurrent,
+    named_arrays,
 )
 
 logger = logging.getLogger(__name__)
@@ -164,11 +166,6 @@ class Example:
     label: str | None = None
 
 
-def featurize(x: str, y: str, v_paths: np.ndarray, table: EmbeddingTable) -> np.ndarray:
-    """[vector of x ; path vector ; vector of y], in that order."""
-    return np.concatenate([table.lookup(x), np.asarray(v_paths, dtype=float), table.lookup(y)])
-
-
 def forward(v_xy: np.ndarray, params: ModelParams, hidden_layers: int | None = None) -> ClassDistribution:
     """Class distribution for one feature vector.
 
@@ -210,71 +207,29 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-@dataclass
-class ModelGrads:
+# Every trainable array in a fixed order: the encoder's, then the classifier's
+# and the trainable word vectors, each named by the ModelParams field it sits in.
+PARAMETER_NAMES = ENCODER_ARRAYS + ("w1", "b1", "w2", "b2", "word_vectors")
+
+
+class ModelGrads(EncoderGrads):
     """Gradient accumulators mirroring every trainable array in ModelParams."""
 
-    encoder: EncoderGrads
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray | None
-    b2: np.ndarray | None
-    word_vectors: np.ndarray | None
+    NAMES = PARAMETER_NAMES
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "ModelGrads":
-        return cls(
-            encoder=EncoderGrads.zeros(params.vocab, params.rec),
-            w1=np.zeros_like(params.w1),
-            b1=np.zeros_like(params.b1),
-            w2=None if params.w2 is None else np.zeros_like(params.w2),
-            b2=None if params.b2 is None else np.zeros_like(params.b2),
-            word_vectors=None
-            if params.word_vectors is None
-            else np.zeros_like(params.word_vectors.matrix),
-        )
+        return cls(params)
 
 
 def trainable_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Named views of every trainable array, in a fixed order."""
-    items = [
-        ("vocab.lemma", params.vocab.lemma.matrix),
-        ("vocab.pos", params.vocab.pos.matrix),
-        ("vocab.deprel", params.vocab.deprel.matrix),
-        ("vocab.direction", params.vocab.direction.matrix),
-        ("rec.w_in", params.rec.w_in),
-        ("rec.w_rec", params.rec.w_rec),
-        ("rec.bias", params.rec.bias),
-        ("w1", params.w1),
-        ("b1", params.b1),
-    ]
-    if params.w2 is not None:
-        items.append(("w2", params.w2))
-        items.append(("b2", params.b2))
-    if params.word_vectors is not None:
-        items.append(("word_vectors", params.word_vectors.matrix))
-    return items
+    return named_arrays(params, PARAMETER_NAMES)
 
 
 def gradient_arrays(grads: ModelGrads) -> list[tuple[str, np.ndarray]]:
     """Same names and order as ``trainable_arrays``."""
-    items = [
-        ("vocab.lemma", grads.encoder.lemma),
-        ("vocab.pos", grads.encoder.pos),
-        ("vocab.deprel", grads.encoder.deprel),
-        ("vocab.direction", grads.encoder.direction),
-        ("rec.w_in", grads.encoder.w_in),
-        ("rec.w_rec", grads.encoder.w_rec),
-        ("rec.bias", grads.encoder.bias),
-        ("w1", grads.w1),
-        ("b1", grads.b1),
-    ]
-    if grads.w2 is not None:
-        items.append(("w2", grads.w2))
-        items.append(("b2", grads.b2))
-    if grads.word_vectors is not None:
-        items.append(("word_vectors", grads.word_vectors))
-    return items
+    return grads.arrays()
 
 
 def loss_and_gradients(
@@ -329,8 +284,8 @@ def loss_and_gradients(
         grads.w1 += np.outer(d_a, v)
         grads.b1 += d_a
         d_v = params.w1.T @ d_a
-        backprop_average(d_v[d : d + hidden], cache, params.vocab, params.rec, grads.encoder)
-        if params.word_vectors is not None and grads.word_vectors is not None:
+        backprop_average(d_v[d : d + hidden], cache, params.vocab, params.rec, grads)
+        if params.word_vectors is not None:
             row_x = params.word_vectors.row(ex.x)
             if row_x is not None:
                 grads.word_vectors[row_x] += d_v[:d]
@@ -426,7 +381,9 @@ def train(
     for epoch in range(config.epochs):
         for position in rng.permutation(len(examples)):
             ex = examples[int(position)]
-            _, grads = loss_and_gradients([ex], params, table, config=config, rng=rng)
+            loss, grads = loss_and_gradients([ex], params, table, config=config, rng=rng)
+            if not math.isfinite(loss):
+                raise DataError(f"training diverged: non-finite loss in epoch {epoch + 1}")
             apply_gradients(params, grads, config.learning_rate)
         if val:
             hits = sum(
@@ -436,23 +393,28 @@ def train(
     return params
 
 
-def training_loss(
-    records: Sequence[PairRecord], params: ModelParams, table: EmbeddingTable, index: PathIndex
-) -> float:
-    """Mean cross-entropy of the model on the given records, without dropout."""
-    loss, _ = loss_and_gradients(examples_from_records(records, index), params, table)
-    return loss
-
-
 def _component_doc(comp: ComponentEmbeddings) -> dict:
     return {"width": comp.width, "tokens": comp.tokens(), "matrix": comp.matrix.tolist()}
 
 
-def _component_from_doc(doc: dict) -> ComponentEmbeddings:
-    matrix = np.array(doc["matrix"], dtype=float)
+def _array(value, field: str, *shape: int | None) -> np.ndarray:
+    """``value`` as a finite float array of the given shape, where None
+    matches any length; otherwise a DataError that names the field."""
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"model field {field} is not a numeric array") from None
+    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        expected = ", ".join("any" if n is None else str(n) for n in shape)
+        raise DataError(f"model field {field} has shape {array.shape}, expected ({expected})")
+    if not np.isfinite(array).all():
+        raise DataError(f"model field {field} holds a non-finite number")
+    return array
+
+
+def _component_from_doc(doc: dict, name: str) -> ComponentEmbeddings:
     tokens = list(doc["tokens"])
-    if matrix.ndim != 2 or matrix.shape[0] != len(tokens) + 1 or matrix.shape[1] != doc["width"]:
-        raise DataError("component matrix shape does not match its token list")
+    matrix = _array(doc["matrix"], f"edge_vocab.{name}.matrix", len(tokens) + 1, doc["width"])
     return ComponentEmbeddings({tok: i for i, tok in enumerate(tokens, start=1)}, matrix)
 
 
@@ -460,7 +422,8 @@ def save_model(params: ModelParams, destination) -> None:
     """Write the model as a versioned JSON document.
 
     Decimal values round-trip exactly, so a saved and reloaded model produces
-    bit-identical forward passes.
+    bit-identical forward passes. A non-finite value raises DataError and
+    nothing is written.
     """
     doc = {
         "format": MODEL_FORMAT,
@@ -495,67 +458,71 @@ def save_model(params: ModelParams, destination) -> None:
             "matrix": params.word_vectors.matrix.tolist(),
         },
     }
-    text = json.dumps(doc, indent=1)
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        destination.write(text + "\n")
+    write_document(destination, doc)
 
 
 def load_model(source) -> ModelParams:
-    """Read a model written by ``save_model``."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.load(source)
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise DataError("not a relation model file")
-    if doc.get("version") != MODEL_VERSION:
-        raise DataError(f"unsupported model version {doc.get('version')!r}")
-    try:
-        vocab_doc = doc["edge_vocab"]
-        vocab = EdgeVocab(
-            lemma=_component_from_doc(vocab_doc["lemma"]),
-            pos=_component_from_doc(vocab_doc["pos"]),
-            deprel=_component_from_doc(vocab_doc["deprel"]),
-            direction=_component_from_doc(vocab_doc["direction"]),
+    """Read a model written by ``save_model``.
+
+    Every matrix must have the shape that the label set, ``word_dim``,
+    ``hidden_dim`` and the edge vocabulary give it. A missing, mistyped,
+    misshapen or non-finite field raises DataError.
+    """
+    with read_document(source, MODEL_FORMAT, MODEL_VERSION, "relation model") as doc:
+        try:
+            return _params_from_doc(doc)
+        except KeyError as exc:
+            raise DataError(f"model file lacks the {exc.args[0]!r} field") from None
+        except TypeError:
+            raise DataError("model file has a field of the wrong type") from None
+
+
+def _params_from_doc(doc: dict) -> ModelParams:
+    vocab_doc = doc["edge_vocab"]
+    vocab = EdgeVocab(
+        lemma=_component_from_doc(vocab_doc["lemma"], "lemma"),
+        pos=_component_from_doc(vocab_doc["pos"], "pos"),
+        deprel=_component_from_doc(vocab_doc["deprel"], "deprel"),
+        direction=_component_from_doc(vocab_doc["direction"], "direction"),
+    )
+    label_set = tuple(doc["label_set"])
+    word_dim = int(doc["word_dim"])
+    hidden = int(doc["hidden_dim"])
+    rec_doc = doc["recurrent"]
+    rec = RecurrentParams(
+        w_in=_array(rec_doc["w_in"], "recurrent.w_in", 4 * hidden, vocab.input_width),
+        w_rec=_array(rec_doc["w_rec"], "recurrent.w_rec", 4 * hidden, hidden),
+        bias=_array(rec_doc["bias"], "recurrent.bias", 4 * hidden),
+    )
+    cls_doc = doc["classifier"]
+    w2_doc, b2_doc = cls_doc["w2"], cls_doc["b2"]
+    if doc["hidden_layers"] != (0 if w2_doc is None else 1) or (w2_doc is None) != (b2_doc is None):
+        raise DataError("hidden_layers field disagrees with the stored matrices")
+    n_labels = len(label_set)
+    w1 = _array(cls_doc["w1"], "classifier.w1", n_labels if w2_doc is None else None,
+                2 * word_dim + hidden)
+    width = w1.shape[0]
+    wv_doc = doc.get("word_vectors")
+    word_vectors = None
+    if wv_doc is not None:
+        tokens = list(wv_doc["tokens"])
+        word_vectors = TrainableWordVectors(
+            {tok: i for i, tok in enumerate(tokens)},
+            _array(wv_doc["matrix"], "word_vectors.matrix", len(tokens), word_dim),
         )
-        rec = RecurrentParams(
-            w_in=np.array(doc["recurrent"]["w_in"], dtype=float),
-            w_rec=np.array(doc["recurrent"]["w_rec"], dtype=float),
-            bias=np.array(doc["recurrent"]["bias"], dtype=float),
-        )
-        cls_doc = doc["classifier"]
-        w2 = cls_doc["w2"]
-        b2 = cls_doc["b2"]
-        wv_doc = doc.get("word_vectors")
-        word_vectors = None
-        if wv_doc is not None:
-            word_vectors = TrainableWordVectors(
-                {tok: i for i, tok in enumerate(wv_doc["tokens"])},
-                np.array(wv_doc["matrix"], dtype=float),
-            )
-        params = ModelParams(
-            vocab=vocab,
-            rec=rec,
-            w1=np.array(cls_doc["w1"], dtype=float),
-            b1=np.array(cls_doc["b1"], dtype=float),
-            w2=None if w2 is None else np.array(w2, dtype=float),
-            b2=None if b2 is None else np.array(b2, dtype=float),
-            label_set=tuple(doc["label_set"]),
-            word_dim=int(doc["word_dim"]),
-            path_average=doc.get("path_average", WEIGHTED),
-            word_vectors=word_vectors,
-            seed=doc.get("seed"),
-        )
-        if params.path_average not in AVERAGE_MODES:
-            raise DataError(f"unknown path_average mode {params.path_average!r} in model file")
-        if doc["hidden_layers"] != params.hidden_layers:
-            raise DataError("hidden_layers field disagrees with the stored matrices")
-    except KeyError as exc:
-        raise DataError(f"model file lacks the {exc.args[0]!r} field") from None
-    except TypeError:
-        raise DataError("model file has a field of the wrong type") from None
+    params = ModelParams(
+        vocab=vocab,
+        rec=rec,
+        w1=w1,
+        b1=_array(cls_doc["b1"], "classifier.b1", width),
+        w2=None if w2_doc is None else _array(w2_doc, "classifier.w2", n_labels, width),
+        b2=None if b2_doc is None else _array(b2_doc, "classifier.b2", n_labels),
+        label_set=label_set,
+        word_dim=word_dim,
+        path_average=doc.get("path_average", WEIGHTED),
+        word_vectors=word_vectors,
+        seed=doc.get("seed"),
+    )
+    if params.path_average not in AVERAGE_MODES:
+        raise DataError(f"unknown path_average mode {params.path_average!r} in model file")
     return params

@@ -137,3 +137,16 @@ def central_difference(loss, array, index, eps=1e-5):
     down = loss()
     array[index] = original
     return (up - down) / (2.0 * eps)
+
+
+def reference_binary_f1(gold, pred):
+    """F1 of the True class over two equal-length sequences of flags, by
+    counting pairs one at a time."""
+    tp = sum(1 for g, p in zip(gold, pred) if g and p)
+    fp = sum(1 for g, p in zip(gold, pred) if not g and p)
+    fn = sum(1 for g, p in zip(gold, pred) if g and not p)
+    if tp == 0:
+        return 0.0
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    return 2 * precision * recall / (precision + recall)

@@ -19,7 +19,7 @@ from helpers import constant_model, random_table
 from oracles import bfs_path, central_difference, depth_directions, random_tree, rel_error
 from synthcorpus import generate_world
 
-from semrel.baselines import baseline_predict, train_linear, tune_cosine_threshold
+from semrel.baselines import baseline_classify, train_linear, tune_cosine_threshold
 from semrel.cli import main
 from semrel.corpus import (
     DependencyPath,
@@ -394,7 +394,8 @@ def test_criterion_7_end_to_end_beats_baseline(capsys, world_files, first_run):
         related_only = [r for r in train_recs if r.label != NEGATIVE_LABEL]
         linear = train_linear(related_only, table, method="concat", epochs=10, seed=7,
                               label_set=RELATED_LABELS)
-        baseline_labels = baseline_predict(linear, table, threshold, val_recs, NEGATIVE_LABEL)
+        baseline_labels = [baseline_classify(linear, table, threshold, r.x, r.y, NEGATIVE_LABEL)
+                           for r in val_recs]
         baseline = scores([r.label for r in val_recs], baseline_labels,
                           average="weighted", exclude=(NEGATIVE_LABEL,))
         assert baseline.f1 < f1, (

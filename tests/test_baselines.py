@@ -1,16 +1,12 @@
-import io
 
 import numpy as np
 import pytest
 
 from semrel.baselines import (
     baseline_classify,
-    baseline_predict,
     combine_vectors,
     features_for_pairs,
-    load_linear,
     predict_linear,
-    save_linear,
     train_linear,
     tune_cosine_threshold,
 )
@@ -154,25 +150,3 @@ def test_baseline_gate_and_classifier():
     model = train_linear(train_recs, table, epochs=2, seed=0, label_set=("ANT", "SYN"))
     assert baseline_classify(model, table, 0.8, "u1", "u2", "RANDOM") == "RANDOM"
     assert baseline_classify(model, table, 0.8, "r1", "r2", "RANDOM") == "SYN"
-    labels = baseline_predict(model, table, 0.8,
-                              [PairRecord("r1", "r2", ""), PairRecord("u1", "u2", "")], "RANDOM")
-    assert labels == ["SYN", "RANDOM"]
-
-
-# ----------------------------------------------------------- persistence
-
-
-def test_save_load_round_trip(tmp_path):
-    table, records = separable_world(n_per_class=3)
-    model = train_linear(records, table, epochs=3, seed=2, method="asym")
-    target = tmp_path / "linear.json"
-    save_linear(model, target)
-    loaded = load_linear(target)
-    assert loaded.labels == model.labels and loaded.method == "asym"
-    assert np.array_equal(loaded.weights, model.weights)
-    assert np.array_equal(loaded.bias, model.bias)
-
-
-def test_load_rejects_wrong_format():
-    with pytest.raises(DataError):
-        load_linear(io.StringIO('{"format": "other"}'))

@@ -239,7 +239,24 @@ def test_header_only_model_exits_two(micro, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1, err
-    assert "edge_vocab" in err
+    assert "edge_vocab" in err and "header.json" in err, err
+
+
+def test_truncated_model_names_its_file(micro, capsys):
+    d = micro["dir"]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    run("train", "--task", "relatedness", "--pairs", micro["pairs"], "--index", d / "index.tsv",
+        "--embeddings", micro["embeddings"], "--model", d / "model.json", "--epochs", "1")
+    (d / "cut.json").write_text((d / "model.json").read_text()[:50])
+    capsys.readouterr()
+    code = run("tune", "--pairs", micro["pairs"], "--index", d / "index.tsv",
+               "--embeddings", micro["embeddings"], "--model", d / "cut.json",
+               "--output", d / "combiner.json")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {d / 'cut.json'}: invalid JSON") and err.count("\n") == 1, err
+    assert not (d / "combiner.json").exists()
 
 
 def _corpus_with_bad_row(path, good_sentences):
@@ -258,7 +275,7 @@ def test_malformed_corpus_row_after_many_sentences_exits_two(micro, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
-    assert f"line {line}" in captured.err
+    assert "bad.conll: expected at least 8" in captured.err and f"line {line}" in captured.err
     assert "Traceback" not in captured.err + captured.out
     assert not out.exists()
 
@@ -271,7 +288,7 @@ def test_pairs_error_is_reported_before_corpus_error(micro, capsys):
                "--output", d / "index.tsv")
     err = capsys.readouterr().err
     assert code == 2
-    assert "at least 2 tab-separated columns at line 1" in err, err
+    assert "bad.tsv: expected at least 2 tab-separated columns at line 1" in err, err
     assert not (d / "index.tsv").exists()
 
 
@@ -295,6 +312,14 @@ def test_evaluate_alignment_checks(micro, capsys):
     assert run("evaluate", "--pairs", micro["pairs"], "--predictions", d / "misaligned.tsv") == 2
     err = capsys.readouterr().err
     assert "pair 2" in err
+
+
+def test_evaluate_names_the_malformed_file(micro, capsys):
+    d = micro["dir"]
+    (d / "pred.tsv").write_text("cata\tfeline\tHYPER\nwheel\n")
+    assert run("evaluate", "--pairs", micro["pairs"], "--predictions", d / "pred.tsv") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {d / 'pred.tsv'}: expected at least 2 tab-separated columns at line 2\n"
 
 
 def test_help_exits_zero(capsys):

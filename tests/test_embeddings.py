@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from semrel.embeddings import UNK_TOKEN, load_table, lookup
+from semrel.embeddings import UNK_TOKEN, load_table
 from semrel.errors import ParseError
 
 SMALL = "cat 1.0 0.0\ndog 0.5 0.5\nmouse -1.0 0.25\n"
@@ -14,7 +14,7 @@ def test_load_and_lookup():
     assert table.dimension == 2
     assert len(table) == 3
     assert np.array_equal(table.lookup("cat"), [1.0, 0.0])
-    assert np.array_equal(lookup(table, "mouse"), [-1.0, 0.25])
+    assert np.array_equal(table.lookup("mouse"), [-1.0, 0.25])
 
 
 def test_lookup_folds_case():

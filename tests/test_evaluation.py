@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_binary_f1
 from semrel.errors import DataError
 from semrel.evaluation import (
     binary_f1,
     confusion,
     lexical_split,
-    report_table,
     report_tsv,
     scores,
 )
@@ -101,6 +103,25 @@ def test_binary_f1_hand_case():
     assert binary_f1(gold, pred, "T") == pytest.approx(2 / 3)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=40))
+def test_binary_f1_on_flags_equals_the_reference_bit_for_bit(rows):
+    gold = [g for g, _ in rows]
+    pred = [p for _, p in rows]
+    expected = reference_binary_f1(gold, pred)
+    assert binary_f1(gold, pred, True) == expected
+    assert binary_f1(np.array(gold, dtype=bool), np.array(pred, dtype=bool), True) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("ABC"), st.sampled_from("ABC")), max_size=40))
+def test_binary_f1_on_labels_counts_each_pair(rows):
+    gold = [g for g, _ in rows]
+    pred = [p for _, p in rows]
+    expected = reference_binary_f1([g == "A" for g in gold], [p == "A" for p in pred])
+    assert binary_f1(gold, pred, "A") == expected
+
+
 # --------------------------------------------------------- lexical split
 
 
@@ -166,12 +187,3 @@ def test_report_tsv_layout():
     assert lines[1].startswith("A\t1.000000\t0.750000\t")
     assert lines[-1].startswith("macro\t")
     assert lines[-1].endswith("\t6")
-
-
-def test_report_table_layout():
-    report = scores(FIX_GOLD, FIX_PRED, average="weighted")
-    text = report_table([("integrated", report), ("baseline", report)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "Method\tP\tR\tF1"
-    assert lines[1].split("\t")[0] == "integrated"
-    assert len(lines) == 3

@@ -10,11 +10,9 @@ from semrel.path_encoder import (
     UNIFORM,
     WEIGHTED,
     EncoderGrads,
-    average_paths,
     average_paths_with_cache,
     backprop_average,
     build_edge_vocab,
-    encode_edge,
     encode_path,
     init_component,
     init_recurrent,
@@ -78,12 +76,25 @@ def test_lemma_rows_seeded_from_table():
     assert np.array_equal(vocab.lemma.matrix[row], plain.lemma.matrix[plain.lemma.row("X")])
 
 
-def test_encode_edge_concatenates_components():
-    vocab, _ = small_setup()
-    edge = P_LONG.edges[1]
-    vec = encode_edge(edge, vocab)
-    assert vec.shape == (vocab.input_width,)
-    assert np.array_equal(vec[:3], vocab.lemma.matrix[vocab.lemma.row("chase")])
+def step_inputs(path, vocab):
+    """Each step's input: its lemma, POS, deprel and direction rows, concatenated."""
+    return [
+        np.concatenate([vocab.lemma.matrix[vocab.lemma.row(e.lemma)],
+                        vocab.pos.matrix[vocab.pos.row(e.pos)],
+                        vocab.deprel.matrix[vocab.deprel.row(e.deprel)],
+                        vocab.direction.matrix[vocab.direction.row(e.direction)]])
+        for e in path.edges
+    ]
+
+
+def test_step_input_concatenates_components():
+    vocab, rec = small_setup()
+    _, cache = average_paths_with_cache({P_LONG: 1}, vocab, rec)
+    steps = cache.paths[0][0].steps
+    for step, expected in zip(steps, step_inputs(P_LONG, vocab)):
+        assert step.x.shape == (vocab.input_width,)
+        assert np.array_equal(step.x, expected)
+    assert np.array_equal(steps[1].x[:3], vocab.lemma.matrix[vocab.lemma.row("chase")])
 
 
 # --------------------------------------------------------------- forward
@@ -121,7 +132,7 @@ def test_forward_matches_scalar_reference():
         vocab, rec = small_setup(seed=int(rng.integers(1 << 30)),
                                  hidden=int(rng.integers(2, 5)))
         path = P_LONG if rng.random() < 0.5 else P_SHORT
-        inputs = [encode_edge(e, vocab).tolist() for e in path.edges]
+        inputs = [x.tolist() for x in step_inputs(path, vocab)]
         expected = reference_lstm(rec.w_in.tolist(), rec.w_rec.tolist(),
                                   rec.bias.tolist(), inputs)
         got = encode_path(path, vocab, rec)
@@ -141,7 +152,7 @@ def test_weighted_average_uses_counts():
     vocab, rec = small_setup()
     h_long = encode_path(P_LONG, vocab, rec)
     h_short = encode_path(P_SHORT, vocab, rec)
-    got = average_paths({P_LONG: 3, P_SHORT: 1}, vocab, rec, WEIGHTED)
+    got = average_paths_with_cache({P_LONG: 3, P_SHORT: 1}, vocab, rec, WEIGHTED)[0]
     assert np.allclose(got, (3 * h_long + h_short) / 4)
 
 
@@ -149,7 +160,7 @@ def test_uniform_average_ignores_counts():
     vocab, rec = small_setup()
     h_long = encode_path(P_LONG, vocab, rec)
     h_short = encode_path(P_SHORT, vocab, rec)
-    got = average_paths({P_LONG: 3, P_SHORT: 1}, vocab, rec, UNIFORM)
+    got = average_paths_with_cache({P_LONG: 3, P_SHORT: 1}, vocab, rec, UNIFORM)[0]
     assert np.allclose(got, (h_long + h_short) / 2)
 
 
@@ -162,13 +173,14 @@ def test_empty_multiset_averages_to_zero():
 
 def test_single_path_average_equals_encoding():
     vocab, rec = small_setup()
-    assert np.allclose(average_paths({P_LONG: 7}, vocab, rec), encode_path(P_LONG, vocab, rec))
+    single = average_paths_with_cache({P_LONG: 7}, vocab, rec)[0]
+    assert np.allclose(single, encode_path(P_LONG, vocab, rec))
 
 
 def test_unknown_average_mode_rejected():
     vocab, rec = small_setup()
     with pytest.raises(ValueError):
-        average_paths({P_LONG: 1}, vocab, rec, "median")
+        average_paths_with_cache({P_LONG: 1}, vocab, rec, "median")[0]
 
 
 # --------------------------------------------------------------- dropout
@@ -176,7 +188,7 @@ def test_unknown_average_mode_rejected():
 
 def test_zero_dropout_matches_plain_encoding():
     vocab, rec = small_setup()
-    plain = average_paths({P_LONG: 2, P_SHORT: 1}, vocab, rec)
+    plain = average_paths_with_cache({P_LONG: 2, P_SHORT: 1}, vocab, rec)[0]
     with_rng, _ = average_paths_with_cache({P_LONG: 2, P_SHORT: 1}, vocab, rec,
                                            dropout_rate=0.0, rng=np.random.default_rng(0))
     assert np.array_equal(plain, with_rng)
@@ -189,7 +201,7 @@ def test_dropout_is_reproducible_and_changes_the_encoding():
                                     rng=np.random.default_rng(21))
     b, _ = average_paths_with_cache(paths, vocab, rec, dropout_rate=0.5,
                                     rng=np.random.default_rng(21))
-    plain = average_paths(paths, vocab, rec)
+    plain = average_paths_with_cache(paths, vocab, rec)[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, plain)
 
@@ -216,7 +228,7 @@ def test_backprop_average_matches_finite_differences():
     probe = rng.normal(size=rec.hidden_size)
 
     def loss():
-        return float(probe @ average_paths(paths, vocab, rec))
+        return float(probe @ average_paths_with_cache(paths, vocab, rec)[0])
 
     vec, cache = average_paths_with_cache(paths, vocab, rec)
     grads = EncoderGrads.zeros(vocab, rec)

@@ -3,24 +3,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import constant_model
+from oracles import reference_binary_f1
 from semrel.corpus import PathIndex
 from semrel.embeddings import EmbeddingTable
 from semrel.errors import DataError
+from semrel.evaluation import binary_f1
 from semrel.pairs import PairRecord, RELATED, RELATEDNESS_LABELS, UNRELATED
 from semrel.relatedness import (
     CombinerConfig,
     T_GRID,
     W_GRID,
     classify_related,
-    combiner_f1,
     cosine_norm,
     load_combiner,
     predict_related,
     rel_score,
+    related_probability,
     save_combiner,
     tune_combiner,
 )
@@ -151,7 +153,8 @@ def test_tuning_prefers_cosine_then_small_threshold():
 def test_tuned_config_reproduces_its_f1():
     table, val, model = tuning_world()
     config, f1 = tune_combiner(val, model, table, PathIndex())
-    assert combiner_f1(config, val, model, table, PathIndex()) == f1
+    pred = [predict_related(config, table, r.x, r.y, model, PathIndex()) for r in val]
+    assert binary_f1([r.label for r in val], pred, RELATED) == f1
 
 
 def test_tuning_requires_both_classes():
@@ -190,6 +193,43 @@ def test_imperfect_separation_still_picks_argmax_f1():
     config, f1 = tune_combiner(val, model, table, PathIndex())
     assert f1 == pytest.approx(6 / 7)
     assert config.w_c == 1.0 and config.t == 0.0
+    assert (config.w_c, config.t, f1) == grid_oracle(val, model, table)
+
+
+def grid_oracle(val, model, table):
+    """(w_C, t, F1) by a plain loop over the grid and the reference F1; ties
+    keep the first point, in order of descending w_C, then ascending t."""
+    gold = [r.label == RELATED for r in val]
+    cosines = [cosine_norm(table.lookup(r.x), table.lookup(r.y)) for r in val]
+    probs = [related_probability(model, table, PathIndex(), r.x, r.y) for r in val]
+    best = None
+    for w_c in sorted(W_GRID, reverse=True):
+        scores = [w_c * c + (1.0 - w_c) * p for c, p in zip(cosines, probs)]
+        for t in T_GRID:
+            f1 = reference_binary_f1(gold, [s >= t for s in scores])
+            if best is None or f1 > best[2]:
+                best = (w_c, t, f1)
+    return best
+
+
+# A few coarse values, so that pairs and grid points tie often.
+COORD = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(COORD, COORD, COORD, COORD, st.booleans()), min_size=2, max_size=8),
+       st.sampled_from([0.1, 0.3, 0.5, 0.8, 0.9]))
+def test_tuning_matches_a_plain_grid_loop(rows, p_related):
+    vectors = {}
+    val = []
+    for i, (a, b, c, d, related) in enumerate(rows):
+        vectors[f"x{i}"], vectors[f"y{i}"] = [a, b], [c, d]
+        val.append(PairRecord(f"x{i}", f"y{i}", RELATED if related else UNRELATED))
+    assume(len({r.label for r in val}) == 2)
+    table = fixed_table(vectors)
+    model = constant_model(RELATEDNESS_LABELS, [p_related, 1.0 - p_related], word_dim=2)
+    config, f1 = tune_combiner(val, model, table, PathIndex())
+    assert (config.w_c, config.t, f1) == grid_oracle(val, model, table)
 
 
 # ----------------------------------------------------------- persistence

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from helpers import constant_model, random_table
 from oracles import central_difference, rel_error
 from semrel.corpus import DependencyPath, PathEdge, PathIndex
+from semrel.embeddings import EmbeddingTable
 from semrel.errors import DataError
 from semrel.pairs import PairRecord
+from semrel.path_encoder import average_paths_with_cache
 from semrel.relation_model import (
     MODEL_FORMAT,
     MODEL_VERSION,
@@ -17,7 +20,7 @@ from semrel.relation_model import (
     RELATIONS_PRESET,
     TrainConfig,
     apply_gradients,
-    featurize,
+    examples_from_records,
     forward,
     gradient_arrays,
     init_params,
@@ -28,7 +31,6 @@ from semrel.relation_model import (
     save_model,
     train,
     trainable_arrays,
-    training_loss,
 )
 
 P1 = DependencyPath((
@@ -93,12 +95,15 @@ def test_config_validation(bad):
 
 
 def test_featurize_concatenation_order():
-    table = random_table(["cat", "mouse"], 3, seed=2)
-    v_paths = np.array([9.0, 8.0])
-    v = featurize("cat", "mouse", v_paths, table)
-    assert np.array_equal(v[:3], table.lookup("cat"))
-    assert np.array_equal(v[3:5], v_paths)
-    assert np.array_equal(v[5:], table.lookup("mouse"))
+    # The classifier input is [vector of x ; path vector ; vector of y].
+    table = random_table(["cat", "mouse", "dog"], 3, seed=1)
+    _, _, _, params = tiny_setup()
+    index = make_index()
+    v_paths, _ = average_paths_with_cache(index.get("cat", "mouse"), params.vocab, params.rec)
+    x, y = table.lookup("cat"), table.lookup("mouse")
+    dist = pair_distribution(params, table, index, "cat", "mouse")
+    assert np.array_equal(dist.scores, forward(np.concatenate([x, v_paths, y]), params).scores)
+    assert not np.array_equal(dist.scores, forward(np.concatenate([y, v_paths, x]), params).scores)
 
 
 def test_forward_is_a_distribution():
@@ -228,8 +233,9 @@ def test_training_reduces_loss():
                         deprel_dim=2, dir_dim=1)
     long = TrainConfig(epochs=25, seed=5, hidden_dim=4, lemma_dim=2, pos_dim=2,
                        deprel_dim=2, dir_dim=1)
-    loss_short = training_loss(records, train(records, [], short, index, table), table, index)
-    loss_long = training_loss(records, train(records, [], long, index, table), table, index)
+    examples = examples_from_records(records, index)
+    loss_short = training_loss_from(train(records, [], short, index, table), table, examples)
+    loss_long = training_loss_from(train(records, [], long, index, table), table, examples)
     assert loss_long < loss_short
 
 
@@ -341,3 +347,85 @@ def test_load_rejects_wrong_format_and_version():
 def test_load_rejects_a_header_without_fields():
     with pytest.raises(DataError, match="edge_vocab"):
         load_model(io.StringIO('{"format": "%s", "version": %d}' % (MODEL_FORMAT, MODEL_VERSION)))
+
+
+def full_model_doc():
+    """A saved model with a hidden layer and trainable word vectors, as a dict."""
+    table = random_table(["cat", "mouse", "dog"], 3, seed=1)
+    records = [PairRecord("cat", "mouse", "HYPER"), PairRecord("dog", "cat", "SYN")]
+    config = TrainConfig(epochs=1, seed=9, hidden_layers=1, hidden_dim=4, mlp_hidden_dim=3,
+                         lemma_dim=2, pos_dim=2, deprel_dim=2, dir_dim=1,
+                         train_word_vectors=True)
+    buf = io.StringIO()
+    save_model(train(records, [], config, make_index(), table), buf)
+    return json.loads(buf.getvalue())
+
+
+def drop_row(matrix):
+    return matrix[:-1]
+
+
+def drop_column(matrix):
+    return [row[:-1] for row in matrix]
+
+
+def one_value(_):
+    return [0.0]
+
+
+# Each edit leaves valid JSON of the right type that numpy would broadcast or
+# multiply without complaint until some later forward pass, or never.
+@pytest.mark.parametrize("section, field, edit", [
+    ("classifier", "w1", drop_column),
+    ("classifier", "b1", one_value),
+    ("classifier", "w2", drop_row),
+    ("classifier", "b2", one_value),
+    ("recurrent", "w_in", drop_column),
+    ("recurrent", "w_rec", drop_row),
+    ("recurrent", "bias", one_value),
+    ("word_vectors", "matrix", drop_column),
+    ("word_vectors", "matrix", drop_row),
+])
+def test_load_rejects_a_misshapen_matrix(section, field, edit):
+    doc = full_model_doc()
+    load_model(io.StringIO(json.dumps(doc)))  # the unedited document loads
+    doc[section][field] = edit(doc[section][field])
+    with pytest.raises(DataError, match=rf"{section}\.{field} has shape"):
+        load_model(io.StringIO(json.dumps(doc)))
+
+
+def test_load_rejects_a_one_element_bias_without_hidden_layer():
+    _, _, _, params = tiny_setup(hidden_layers=0)
+    buf = io.StringIO()
+    save_model(params, buf)
+    doc = json.loads(buf.getvalue())
+    doc["classifier"]["b1"] = [0.0]
+    with pytest.raises(DataError, match=r"classifier\.b1 has shape \(1,\), expected \(3\)"):
+        load_model(io.StringIO(json.dumps(doc)))
+
+
+def test_load_rejects_a_non_finite_number():
+    doc = full_model_doc()
+    doc["recurrent"]["w_rec"][0][0] = float("inf")
+    with pytest.raises(DataError, match=r"recurrent\.w_rec holds a non-finite number"):
+        load_model(io.StringIO(json.dumps(doc)))
+
+
+def test_training_stops_at_the_first_non_finite_loss():
+    table = random_table(["cat", "mouse", "dog"], 3, seed=1)
+    huge = EmbeddingTable(3, {w: v * 1e150 for w, v in table.entries.items()}, table.unk_vector)
+    records = [PairRecord("cat", "mouse", "HYPER"), PairRecord("dog", "cat", "SYN"),
+               PairRecord("mouse", "dog", "ANT")]
+    config = TrainConfig(epochs=3, seed=5, learning_rate=1e10, hidden_dim=4, lemma_dim=2,
+                         pos_dim=2, deprel_dim=2, dir_dim=1)
+    with np.errstate(all="ignore"), pytest.raises(DataError, match="non-finite loss in epoch 1"):
+        train(records, [], config, make_index(), huge)
+
+
+def test_save_refuses_a_non_finite_value(tmp_path):
+    _, _, _, params = tiny_setup()
+    params.b1[0] = np.nan
+    target = tmp_path / "model.json"
+    with pytest.raises(DataError, match="non-finite"):
+        save_model(params, target)
+    assert not target.exists()
