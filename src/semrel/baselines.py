@@ -7,10 +7,10 @@ Three feature schemes are supported for a pair (x, y) with vectors vx, vy:
   asym    [d ; d*d] where d = vx - vy, squaring elementwise
 
 A one-vs-rest linear classifier with hinge loss is trained by seeded
-subgradient descent, with optional L1 or L2 regularization. The baseline
-counterpart of the full pipeline gates pairs on raw cosine similarity (a
-threshold tuned for related-class F1) before applying the linear model.
-Linear models live in memory only; nothing saves or loads them.
+subgradient descent. The baseline counterpart of the full pipeline gates
+pairs on raw cosine similarity (a threshold tuned for related-class F1)
+before applying the linear model. Linear models live in memory only;
+nothing saves or loads them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .pairs import PairRecord, RELATED
 from .relatedness import T_GRID, cosine_norm
 
 VECTOR_COMBINATIONS = ("concat", "diff", "asym")
-REGULARIZERS = (None, "l1", "l2")
 
 
 def combine_vectors(vx: np.ndarray, vy: np.ndarray, method: str = "concat") -> np.ndarray:
@@ -68,26 +67,14 @@ def train_linear(
     method: str = "concat",
     epochs: int = 10,
     learning_rate: float = 0.1,
-    regularizer: str | None = None,
-    strength: float = 0.0,
     seed: int = 13,
     label_set: Sequence[str] | None = None,
 ) -> LinearModel:
-    """One-vs-rest hinge loss by per-example subgradient descent.
-
-    L2 shrinks weights multiplicatively before each update; L1 applies
-    soft-thresholding after it, so large strengths drive weights exactly to
-    zero instead of oscillating around it. ``strength`` zero (the default)
-    leaves both branches untouched and matches unregularized training bitwise.
-    """
+    """One-vs-rest hinge loss by per-example subgradient descent."""
     if not records:
         raise DataError("training set is empty")
     if method not in VECTOR_COMBINATIONS:
         raise ValueError(f"method must be one of {VECTOR_COMBINATIONS}")
-    if regularizer not in REGULARIZERS:
-        raise ValueError(f"regularizer must be one of {REGULARIZERS}")
-    if strength < 0.0:
-        raise ValueError("strength must be nonnegative")
     labels = tuple(label_set) if label_set is not None else tuple(sorted({r.label for r in records}))
     stray = sorted({r.label for r in records} - set(labels))
     if stray:
@@ -105,15 +92,10 @@ def train_linear(
             targets = np.where(np.arange(n_labels) == gold[i], 1.0, -1.0)
             margins = targets * (weights @ f + bias)
             active = margins < 1.0
-            if regularizer == "l2" and strength > 0.0:
-                weights *= max(0.0, 1.0 - learning_rate * strength)
             if active.any():
                 step = learning_rate * (targets * active)
                 weights += np.outer(step, f)
                 bias += step
-            if regularizer == "l1" and strength > 0.0:
-                cut = learning_rate * strength
-                weights = np.sign(weights) * np.maximum(np.abs(weights) - cut, 0.0)
     return LinearModel(labels=labels, weights=weights, bias=bias, method=method)
 
 

@@ -8,8 +8,9 @@ represents the path. A pair's path multiset is reduced to a single vector by
 a count-weighted (or uniform) average, with the empty multiset mapping to the
 zero vector.
 
-The *_with_cache functions retain everything the backward pass needs;
-``backprop_average`` accumulates exact gradients for all encoder parameters.
+``average_paths_with_cache`` keeps one record of arrays per path, which
+``backprop_average`` walks back to accumulate exact gradients for all encoder
+parameters.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import DOWN, ROOT, UP, DependencyPath, PathEdge, X_PLACEHOLDER, Y_PLACEHOLDER
+from .corpus import DOWN, ROOT, UP, DependencyPath, X_PLACEHOLDER, Y_PLACEHOLDER
 from .embeddings import EmbeddingTable
 
 INIT_SCALE = 0.1
@@ -145,16 +146,6 @@ def init_recurrent(input_size: int, hidden_size: int, rng: np.random.Generator) 
     )
 
 
-def edge_rows(edge: PathEdge, vocab: EdgeVocab) -> tuple[int, int, int, int]:
-    """Component row numbers for one step; unseen tokens fall back to row 0."""
-    return (
-        vocab.lemma.row(edge.lemma),
-        vocab.pos.row(edge.pos),
-        vocab.deprel.row(edge.deprel),
-        vocab.direction.row(edge.direction),
-    )
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     positive = z >= 0
@@ -165,67 +156,47 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _StepCache:
-    rows: tuple[int, int, int, int]
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    gate_i: np.ndarray
-    gate_f: np.ndarray
-    gate_g: np.ndarray
-    gate_o: np.ndarray
-    tanh_c: np.ndarray
-
-
-@dataclass
 class PathCache:
-    steps: list[_StepCache]
-    h_final: np.ndarray
+    """One path's forward pass, a row per step; T steps, input width D, hidden size H."""
+
+    rows: np.ndarray  # (T, 4) lemma, POS, deprel and direction row numbers
+    xs: np.ndarray  # (T, D) step inputs
+    hs: np.ndarray  # (T+1, H) row t is the state step t starts from; hs[-1] encodes the path
+    cs: np.ndarray  # (T+1, H) cell states, in the same rows
+    gates: np.ndarray  # (T, 4H) input, forget, candidate and output gates
+    tanh_c: np.ndarray  # (T, H) tanh of the cell state that step t leaves
 
 
-@dataclass
-class AverageCache:
-    paths: list[tuple[PathCache, float]]
-    hidden_size: int
-
-
-def _path_rows(
-    path: DependencyPath, vocab: EdgeVocab, dropped: Sequence[bool] | None = None
-) -> list[tuple[int, int, int, int]]:
-    rows_seq = []
-    for position, edge in enumerate(path.edges):
-        lemma_row, pos_row, deprel_row, dir_row = edge_rows(edge, vocab)
-        if dropped is not None and dropped[position]:
-            lemma_row = 0
-        rows_seq.append((lemma_row, pos_row, deprel_row, dir_row))
-    return rows_seq
-
-
-def _run_path(rows_seq, vocab: EdgeVocab, rec: RecurrentParams) -> PathCache:
+def _run_path(
+    path: DependencyPath,
+    vocab: EdgeVocab,
+    rec: RecurrentParams,
+    dropped: np.ndarray | None = None,
+) -> PathCache:
+    """Run the unit over the path's steps, where a dropped step's lemma takes
+    row 0. An edgeless path keeps the zero state: it encodes to zeros."""
+    components = vocab.components()
+    steps = [(e.lemma, e.pos, e.deprel, e.direction) for e in path.edges]
+    rows = np.array([[comp.row(token) for comp, token in zip(components, step)] for step in steps],
+                    dtype=np.intp).reshape(-1, 4)
+    if dropped is not None:
+        rows[dropped, 0] = 0
+    xs = np.concatenate([comp.matrix[rows[:, k]] for k, comp in enumerate(components)], axis=1)
     hidden = rec.hidden_size
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    steps = []
-    for rows in rows_seq:
-        x = np.concatenate([comp.matrix[r] for comp, r in zip(vocab.components(), rows)])
-        z = rec.w_in @ x + rec.w_rec @ h + rec.bias
-        gate_i = _sigmoid(z[:hidden])
-        gate_f = _sigmoid(z[hidden : 2 * hidden])
-        gate_g = np.tanh(z[2 * hidden : 3 * hidden])
-        gate_o = _sigmoid(z[3 * hidden :])
-        c_new = gate_f * c + gate_i * gate_g
-        tanh_c = np.tanh(c_new)
-        steps.append(_StepCache(rows, x, h, c, gate_i, gate_f, gate_g, gate_o, tanh_c))
-        h = gate_o * tanh_c
-        c = c_new
-    return PathCache(steps, h)
-
-
-def encode_path(path: DependencyPath, vocab: EdgeVocab, rec: RecurrentParams) -> np.ndarray:
-    """Final hidden state after consuming the path's step vectors in order."""
-    if not path.edges:
-        raise ValueError("cannot encode an empty path")
-    return _run_path(_path_rows(path, vocab), vocab, rec).h_final
+    i, f, g, o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    hs = np.zeros((len(rows) + 1, hidden))
+    cs = np.zeros((len(rows) + 1, hidden))
+    gates = np.empty((len(rows), 4 * hidden))
+    tanh_c = np.empty((len(rows), hidden))
+    for t in range(len(rows)):
+        z = rec.w_in @ xs[t] + rec.w_rec @ hs[t] + rec.bias
+        gate = gates[t]
+        gate[:] = _sigmoid(z)
+        gate[g] = np.tanh(z[g])
+        cs[t + 1] = gate[f] * cs[t] + gate[i] * gate[g]
+        tanh_c[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = gate[o] * tanh_c[t]
+    return PathCache(rows, xs, hs, cs, gates, tanh_c)
 
 
 def average_paths_with_cache(
@@ -235,8 +206,8 @@ def average_paths_with_cache(
     mode: str = WEIGHTED,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, AverageCache]:
-    """Average of the encoded paths, and what the backward pass needs.
+) -> tuple[np.ndarray, list[tuple[PathCache, float]]]:
+    """Average of the encoded paths, and each path's cache with its weight.
 
     The empty multiset gives the zero vector. "weighted" weights each distinct
     path by its count; "uniform" ignores counts. When ``dropout_rate`` > 0 and
@@ -245,25 +216,24 @@ def average_paths_with_cache(
     """
     if mode not in AVERAGE_MODES:
         raise ValueError(f"unknown average mode {mode!r}")
-    hidden = rec.hidden_size
+    pooled = np.zeros(rec.hidden_size)
     items = list(paths.items())
     if not items:
-        return np.zeros(hidden), AverageCache([], hidden)
+        return pooled, []
     if mode == WEIGHTED:
         total = sum(count for _, count in items)
         weights = [count / total for _, count in items]
     else:
         weights = [1.0 / len(items)] * len(items)
-    pooled = np.zeros(hidden)
     caches = []
     for (path, _), weight in zip(items, weights):
         dropped = None
         if dropout_rate > 0.0 and rng is not None:
             dropped = rng.random(len(path.edges)) < dropout_rate
-        cache = _run_path(_path_rows(path, vocab, dropped), vocab, rec)
-        pooled += weight * cache.h_final
+        cache = _run_path(path, vocab, rec, dropped)
+        pooled += weight * cache.hs[-1]
         caches.append((cache, weight))
-    return pooled, AverageCache(caches, hidden)
+    return pooled, caches
 
 
 # The encoder's trainable arrays in a fixed order, each named by where it sits
@@ -325,47 +295,43 @@ class EncoderGrads:
 
 def backprop_average(
     d_out: np.ndarray,
-    cache: AverageCache,
+    cache: Sequence[tuple[PathCache, float]],
     vocab: EdgeVocab,
     rec: RecurrentParams,
     grads: EncoderGrads,
 ) -> None:
     """Accumulate d(loss)/d(params) given d(loss)/d(averaged vector)."""
-    for path_cache, weight in cache.paths:
+    for path_cache, weight in cache:
         _backprop_path(weight * d_out, path_cache, vocab, rec, grads)
 
 
 def _backprop_path(
-    d_h: np.ndarray,
+    dh: np.ndarray,
     cache: PathCache,
     vocab: EdgeVocab,
     rec: RecurrentParams,
     grads: EncoderGrads,
 ) -> None:
-    dh = d_h.copy()
-    dc = np.zeros_like(dh)
+    hidden = rec.hidden_size
+    i, f, g, o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    ends = np.cumsum([comp.width for comp in vocab.components()]).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
     component_grads = (grads.lemma, grads.pos, grads.deprel, grads.direction)
-    for step in reversed(cache.steps):
-        d_o = dh * step.tanh_c
-        d_ct = dh * step.gate_o * (1.0 - step.tanh_c**2) + dc
-        d_i = d_ct * step.gate_g
-        d_f = d_ct * step.c_prev
-        d_g = d_ct * step.gate_i
-        dc = d_ct * step.gate_f
-        dz = np.concatenate(
-            [
-                d_i * step.gate_i * (1.0 - step.gate_i),
-                d_f * step.gate_f * (1.0 - step.gate_f),
-                d_g * (1.0 - step.gate_g**2),
-                d_o * step.gate_o * (1.0 - step.gate_o),
-            ]
-        )
-        grads.w_in += np.outer(dz, step.x)
-        grads.w_rec += np.outer(dz, step.h_prev)
+    rows = cache.rows.tolist()
+    dc = np.zeros(hidden)
+    dz = np.empty(4 * hidden)
+    for t in reversed(range(len(rows))):
+        gate, tanh_c = cache.gates[t], cache.tanh_c[t]
+        d_ct = dh * gate[o] * (1.0 - tanh_c**2) + dc
+        dz[i] = d_ct * gate[g] * gate[i] * (1.0 - gate[i])
+        dz[f] = d_ct * cache.cs[t] * gate[f] * (1.0 - gate[f])
+        dz[g] = d_ct * gate[i] * (1.0 - gate[g] ** 2)
+        dz[o] = dh * tanh_c * gate[o] * (1.0 - gate[o])
+        dc = d_ct * gate[f]
+        grads.w_in += dz[:, None] * cache.xs[t]
+        grads.w_rec += dz[:, None] * cache.hs[t]
         grads.bias += dz
         dx = rec.w_in.T @ dz
         dh = rec.w_rec.T @ dz
-        offset = 0
-        for comp_grad, comp, row in zip(component_grads, vocab.components(), step.rows):
-            comp_grad[row] += dx[offset : offset + comp.width]
-            offset += comp.width
+        for comp_grad, row, (start, end) in zip(component_grads, rows[t], spans):
+            comp_grad[row] += dx[start:end]

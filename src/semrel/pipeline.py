@@ -4,8 +4,8 @@ The pipeline first gates each pair on the relatedness score: below threshold
 it answers RANDOM outright. Related pairs go to a classifier trained only on
 the four specific relations. Because synonyms rarely co-occur in sentences,
 their path evidence is thin and they are easily over-predicted; a corrective
-step therefore demotes a narrow SYN win to the runner-up class whenever the
-pair has fewer than a handful of attested paths.
+step therefore demotes a narrow SYN win (a lead below ``syn_margin``) to the
+runner-up class when the pair has at least ``syn_max_paths`` attested paths.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import PathIndex
 from .embeddings import EmbeddingTable
-from .pairs import NEGATIVE_LABEL, PairRecord, RELATED_LABELS, SYN_LABEL
+from .pairs import NEGATIVE_LABEL, PairRecord, SYN_LABEL
 from .relatedness import CombinerConfig, rel_score
 from .relation_model import ClassDistribution, ModelParams, pair_distribution
 
@@ -28,7 +28,6 @@ class PipelineConfig:
     combiner: CombinerConfig
     syn_margin: float = 0.2
     syn_max_paths: int = 3
-    related_labels: tuple[str, ...] = RELATED_LABELS
     path_count_mode: str = "total"
 
     def __post_init__(self):

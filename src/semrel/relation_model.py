@@ -378,18 +378,21 @@ def train(
     rng = np.random.default_rng(config.seed)
     examples = examples_from_records(trainset, index)
     params = init_params(config, examples, table, labels, rng)
-    for epoch in range(config.epochs):
-        for position in rng.permutation(len(examples)):
-            ex = examples[int(position)]
-            loss, grads = loss_and_gradients([ex], params, table, config=config, rng=rng)
-            if not math.isfinite(loss):
-                raise DataError(f"training diverged: non-finite loss in epoch {epoch + 1}")
-            apply_gradients(params, grads, config.learning_rate)
-        if val:
-            hits = sum(
-                predict(pair_distribution(params, table, index, r.x, r.y)) == r.label for r in val
-            )
-            logger.debug("epoch %d: validation accuracy %.3f", epoch + 1, hits / len(val))
+    # A diverging run overflows before its loss turns non-finite; the loss check
+    # below is the guard, so numpy's warnings would only add lines to stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            for position in rng.permutation(len(examples)):
+                ex = examples[int(position)]
+                loss, grads = loss_and_gradients([ex], params, table, config=config, rng=rng)
+                if not math.isfinite(loss):
+                    raise DataError(f"training diverged: non-finite loss in epoch {epoch + 1}")
+                apply_gradients(params, grads, config.learning_rate)
+            if val:
+                hits = sum(
+                    predict(pair_distribution(params, table, index, r.x, r.y)) == r.label for r in val
+                )
+                logger.debug("epoch %d: validation accuracy %.3f", epoch + 1, hits / len(val))
     return params
 
 

@@ -76,47 +76,12 @@ def test_training_is_deterministic():
     assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
 
 
-def test_zero_strength_matches_unregularized_bitwise():
-    table, records = separable_world()
-    plain = train_linear(records, table, epochs=5, seed=9)
-    l1 = train_linear(records, table, epochs=5, seed=9, regularizer="l1", strength=0.0)
-    l2 = train_linear(records, table, epochs=5, seed=9, regularizer="l2", strength=0.0)
-    assert np.array_equal(plain.weights, l1.weights)
-    assert np.array_equal(plain.weights, l2.weights)
-
-
-def test_huge_l1_strength_zeroes_weights_exactly():
-    table, records = separable_world()
-    model = train_linear(records, table, epochs=10, seed=9, regularizer="l1", strength=100.0)
-    assert np.all(model.weights == 0.0)
-
-
-def test_l2_decay_hand_arithmetic():
-    # One example, margin stays active through both epochs. By hand, with
-    # lr=0.1 and strength=0.5 (decay factor 0.95):
-    #   epoch 1: w = 0 -> decay no-op -> w = 0.1 * f
-    #   epoch 2: w = 0.95 * 0.1 * f + 0.1 * f = 0.195 * f
-    # Without decay the same two epochs give w = 0.2 * f.
-    table = fixed_table({"a": [0.1, 0.0], "b": [0.0, 0.1]})
-    records = [PairRecord("a", "b", "P")]
-    f = np.array([0.1, 0.0, 0.0, 0.1])
-    plain = train_linear(records, table, epochs=2, learning_rate=0.1, seed=0)
-    decayed = train_linear(records, table, epochs=2, learning_rate=0.1, seed=0,
-                           regularizer="l2", strength=0.5)
-    assert np.allclose(plain.weights[0], 0.2 * f, atol=1e-15)
-    assert np.allclose(decayed.weights[0], 0.195 * f, atol=1e-15)
-
-
 def test_training_input_validation():
     table, records = separable_world(n_per_class=2)
     with pytest.raises(DataError):
         train_linear([], table)
     with pytest.raises(ValueError):
         train_linear(records, table, method="sum")
-    with pytest.raises(ValueError):
-        train_linear(records, table, regularizer="l3")
-    with pytest.raises(ValueError):
-        train_linear(records, table, strength=-1.0)
     with pytest.raises(DataError, match="LEFT"):
         train_linear(records, table, label_set=("RIGHT",))
 

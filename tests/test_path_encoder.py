@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_table
+from helpers import conll_text, random_table
 from oracles import central_difference, reference_lstm, rel_error
-from semrel.corpus import DependencyPath, PathEdge
+from semrel.corpus import DependencyPath, PathEdge, extract_paths, parse_conll
+from semrel.embeddings import load_table
 from semrel.path_encoder import (
     UNIFORM,
     WEIGHTED,
@@ -13,7 +14,6 @@ from semrel.path_encoder import (
     average_paths_with_cache,
     backprop_average,
     build_edge_vocab,
-    encode_path,
     init_component,
     init_recurrent,
 )
@@ -76,25 +76,43 @@ def test_lemma_rows_seeded_from_table():
     assert np.array_equal(vocab.lemma.matrix[row], plain.lemma.matrix[plain.lemma.row("X")])
 
 
-def step_inputs(path, vocab):
-    """Each step's input: its lemma, POS, deprel and direction rows, concatenated."""
+def encode(path, vocab, rec):
+    """The path's encoding: the average of a multiset that holds only it."""
+    return average_paths_with_cache({path: 1}, vocab, rec)[0]
+
+
+def test_corpus_lemma_takes_the_table_row_of_its_lowercase_form():
+    sentence = parse_conll(conll_text([("cat", "cat", "NOUN", 2, "nsubj"),
+                                       ("Chased", "Chase", "VERB", 0, "root"),
+                                       ("mouse", "mouse", "NOUN", 2, "dobj")]))[0]
+    paths = extract_paths(sentence, "cat", "mouse")
+    assert [e.lemma for path in paths for e in path.edges] == ["X", "chase", "Y"]
+    table = load_table(["chase 0.5 -0.25 0.125\n"])
+    vocab = build_edge_vocab(paths, lemma_dim=3, pos_dim=2, deprel_dim=2, dir_dim=1,
+                             rng=np.random.default_rng(0), table=table)
+    assert vocab.lemma.row("Chase") == 0
+    assert np.array_equal(vocab.lemma.matrix[vocab.lemma.row("chase")], [0.5, -0.25, 0.125])
+
+
+def step_inputs(path, vocab, dropped=()):
+    """Each step's input: its lemma, POS, deprel and direction rows, concatenated.
+    The lemma of a step whose position is in ``dropped`` takes the unknown row."""
     return [
-        np.concatenate([vocab.lemma.matrix[vocab.lemma.row(e.lemma)],
+        np.concatenate([vocab.lemma.matrix[0 if k in dropped else vocab.lemma.row(e.lemma)],
                         vocab.pos.matrix[vocab.pos.row(e.pos)],
                         vocab.deprel.matrix[vocab.deprel.row(e.deprel)],
                         vocab.direction.matrix[vocab.direction.row(e.direction)]])
-        for e in path.edges
+        for k, e in enumerate(path.edges)
     ]
 
 
 def test_step_input_concatenates_components():
     vocab, rec = small_setup()
     _, cache = average_paths_with_cache({P_LONG: 1}, vocab, rec)
-    steps = cache.paths[0][0].steps
-    for step, expected in zip(steps, step_inputs(P_LONG, vocab)):
-        assert step.x.shape == (vocab.input_width,)
-        assert np.array_equal(step.x, expected)
-    assert np.array_equal(steps[1].x[:3], vocab.lemma.matrix[vocab.lemma.row("chase")])
+    xs = cache[0][0].xs
+    assert xs.shape == (len(P_LONG.edges), vocab.input_width)
+    assert np.array_equal(xs, step_inputs(P_LONG, vocab))
+    assert np.array_equal(xs[1, :3], vocab.lemma.matrix[vocab.lemma.row("chase")])
 
 
 # --------------------------------------------------------------- forward
@@ -105,7 +123,7 @@ def test_zero_parameters_give_zero_encoding():
     rec.w_in[:] = 0.0
     rec.w_rec[:] = 0.0
     rec.bias[:] = 0.0
-    assert np.allclose(encode_path(P_LONG, vocab, rec), 0.0)
+    assert np.allclose(encode(P_LONG, vocab, rec), 0.0)
 
 
 def test_bias_only_closed_form_two_steps():
@@ -122,7 +140,7 @@ def test_bias_only_closed_form_two_steps():
         bi, bf, bg, bo = rec.bias[j], rec.bias[2 + j], rec.bias[4 + j], rec.bias[6 + j]
         c2 = (1.0 + sig(bf)) * sig(bi) * math.tanh(bg)
         expected.append(sig(bo) * math.tanh(c2))
-    h = encode_path(P_SHORT, vocab, rec)
+    h = encode(P_SHORT, vocab, rec)
     assert np.allclose(h, expected, atol=1e-12)
 
 
@@ -135,14 +153,17 @@ def test_forward_matches_scalar_reference():
         inputs = [x.tolist() for x in step_inputs(path, vocab)]
         expected = reference_lstm(rec.w_in.tolist(), rec.w_rec.tolist(),
                                   rec.bias.tolist(), inputs)
-        got = encode_path(path, vocab, rec)
+        got = encode(path, vocab, rec)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
-def test_encode_path_rejects_empty():
+def test_edgeless_path_averages_in_as_zero():
     vocab, rec = small_setup()
-    with pytest.raises(ValueError):
-        encode_path(DependencyPath(()), vocab, rec)
+    vec, cache = average_paths_with_cache({DependencyPath(()): 1, P_SHORT: 1}, vocab, rec, UNIFORM)
+    assert np.array_equal(vec, 0.5 * encode(P_SHORT, vocab, rec))
+    empty = cache[0][0]
+    assert empty.rows.shape == (0, 4) and empty.xs.shape == (0, vocab.input_width)
+    assert np.array_equal(empty.hs, np.zeros((1, rec.hidden_size)))
 
 
 # ------------------------------------------------------------- averaging
@@ -150,16 +171,16 @@ def test_encode_path_rejects_empty():
 
 def test_weighted_average_uses_counts():
     vocab, rec = small_setup()
-    h_long = encode_path(P_LONG, vocab, rec)
-    h_short = encode_path(P_SHORT, vocab, rec)
+    h_long = encode(P_LONG, vocab, rec)
+    h_short = encode(P_SHORT, vocab, rec)
     got = average_paths_with_cache({P_LONG: 3, P_SHORT: 1}, vocab, rec, WEIGHTED)[0]
     assert np.allclose(got, (3 * h_long + h_short) / 4)
 
 
 def test_uniform_average_ignores_counts():
     vocab, rec = small_setup()
-    h_long = encode_path(P_LONG, vocab, rec)
-    h_short = encode_path(P_SHORT, vocab, rec)
+    h_long = encode(P_LONG, vocab, rec)
+    h_short = encode(P_SHORT, vocab, rec)
     got = average_paths_with_cache({P_LONG: 3, P_SHORT: 1}, vocab, rec, UNIFORM)[0]
     assert np.allclose(got, (h_long + h_short) / 2)
 
@@ -168,13 +189,13 @@ def test_empty_multiset_averages_to_zero():
     vocab, rec = small_setup()
     vec, cache = average_paths_with_cache({}, vocab, rec)
     assert np.array_equal(vec, np.zeros(rec.hidden_size))
-    assert cache.paths == []
+    assert cache == []
 
 
 def test_single_path_average_equals_encoding():
     vocab, rec = small_setup()
     single = average_paths_with_cache({P_LONG: 7}, vocab, rec)[0]
-    assert np.allclose(single, encode_path(P_LONG, vocab, rec))
+    assert np.allclose(single, encode(P_LONG, vocab, rec))
 
 
 def test_unknown_average_mode_rejected():
@@ -204,6 +225,24 @@ def test_dropout_is_reproducible_and_changes_the_encoding():
     plain = average_paths_with_cache(paths, vocab, rec)[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, plain)
+
+
+def test_dropout_matches_reference_with_the_same_lemmas_dropped():
+    # The encoder draws one uniform per step, path by path in the multiset's
+    # order; a twin generator replays those draws to find the dropped lemmas.
+    for seed in range(5):
+        vocab, rec = small_setup(seed=seed)
+        paths = {P_LONG: 2, P_SHORT: 1}
+        got, _ = average_paths_with_cache(paths, vocab, rec, dropout_rate=0.4,
+                                          rng=np.random.default_rng(seed))
+        twin = np.random.default_rng(seed)
+        expected = np.zeros(rec.hidden_size)
+        for path, count in paths.items():
+            dropped = np.flatnonzero(twin.random(len(path.edges)) < 0.4).tolist()
+            inputs = [x.tolist() for x in step_inputs(path, vocab, dropped)]
+            h = reference_lstm(rec.w_in.tolist(), rec.w_rec.tolist(), rec.bias.tolist(), inputs)
+            expected += count / 3 * np.array(h)
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 # -------------------------------------------------------------- backward

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -411,15 +412,29 @@ def test_load_rejects_a_non_finite_number():
         load_model(io.StringIO(json.dumps(doc)))
 
 
-def test_training_stops_at_the_first_non_finite_loss():
+def train_to_divergence():
+    """Train on vectors scaled by 1e150 at learning rate 1e10, which overflows."""
     table = random_table(["cat", "mouse", "dog"], 3, seed=1)
     huge = EmbeddingTable(3, {w: v * 1e150 for w, v in table.entries.items()}, table.unk_vector)
     records = [PairRecord("cat", "mouse", "HYPER"), PairRecord("dog", "cat", "SYN"),
                PairRecord("mouse", "dog", "ANT")]
     config = TrainConfig(epochs=3, seed=5, learning_rate=1e10, hidden_dim=4, lemma_dim=2,
                          pos_dim=2, deprel_dim=2, dir_dim=1)
-    with np.errstate(all="ignore"), pytest.raises(DataError, match="non-finite loss in epoch 1"):
-        train(records, [], config, make_index(), huge)
+    return train(records, [], config, make_index(), huge)
+
+
+def test_training_stops_at_the_first_non_finite_loss():
+    with pytest.raises(DataError, match="non-finite loss in epoch 1"):
+        train_to_divergence()
+
+
+def test_diverging_training_raises_no_numpy_warning():
+    # The non-finite-loss check is the guard; numpy's overflow and invalid-value
+    # warnings would print lines ahead of the CLI's one-line error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="non-finite loss in epoch 1"):
+            train_to_divergence()
 
 
 def test_save_refuses_a_non_finite_value(tmp_path):
