@@ -26,8 +26,15 @@ from .pairs import (
     read_pairs,
     write_pairs,
 )
-from .pipeline import PipelineConfig, classify_relation, predict_pairs
-from .relatedness import CombinerConfig, load_combiner, rel_score, save_combiner, tune_combiner
+from .pipeline import PipelineConfig, predict_pairs
+from .relatedness import (
+    CombinerConfig,
+    load_combiner,
+    predict_related,
+    relatedness_scores,
+    save_combiner,
+    tune_combiner,
+)
 from .relation_model import (
     RELATEDNESS_PRESET,
     RELATIONS_PRESET,
@@ -37,7 +44,6 @@ from .relation_model import (
     examples_from_records,
     load_model,
     pair_distribution,
-    predict,
     save_model,
     train,
 )
@@ -66,7 +72,6 @@ __all__ = [
     "TrainConfig",
     "binary_f1",
     "build_path_index",
-    "classify_relation",
     "confusion",
     "examples_from_records",
     "extract_paths",
@@ -80,10 +85,10 @@ __all__ = [
     "parse_conll",
     "path_from_text",
     "path_to_text",
-    "predict",
     "predict_pairs",
+    "predict_related",
     "read_pairs",
-    "rel_score",
+    "relatedness_scores",
     "save_combiner",
     "save_index",
     "save_model",

@@ -8,9 +8,9 @@ Three feature schemes are supported for a pair (x, y) with vectors vx, vy:
 
 A one-vs-rest linear classifier with hinge loss is trained by seeded
 subgradient descent. The baseline counterpart of the full pipeline gates
-pairs on raw cosine similarity (a threshold tuned for related-class F1)
-before applying the linear model. Linear models live in memory only;
-nothing saves or loads them.
+pairs on raw cosine similarity (a threshold tuned for related-class F1 by
+``relatedness.tune_combiner`` without a model) before applying the linear
+model. Linear models live in memory only; nothing saves or loads them.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError
-from .evaluation import binary_f1
-from .pairs import PairRecord, RELATED
-from .relatedness import T_GRID, cosine_norm
+from .pairs import PairRecord
+from .relatedness import cosine_norm
 
 VECTOR_COMBINATIONS = ("concat", "diff", "asym")
 
@@ -102,22 +101,6 @@ def train_linear(
 def predict_linear(model: LinearModel, table: EmbeddingTable, x: str, y: str) -> str:
     features = combine_vectors(table.lookup(x), table.lookup(y), model.method)
     return model.labels[int(np.argmax(model.decision_values(features)))]
-
-
-def tune_cosine_threshold(val: Sequence[PairRecord], table: EmbeddingTable) -> tuple[float, float]:
-    """Best related-class F1 threshold on normalized cosine; ties take the smaller t."""
-    if not val:
-        raise DataError("validation set is empty")
-    gold = np.array([r.label == RELATED for r in val])
-    if gold.all() or not gold.any():
-        raise DataError("validation set must contain both RELATED and UNRELATED pairs")
-    scores = np.array([cosine_norm(table.lookup(r.x), table.lookup(r.y)) for r in val])
-    best_t, best_f1 = 0.0, -1.0
-    for t in T_GRID:
-        f1 = binary_f1(gold, scores >= t, True)
-        if f1 > best_f1:
-            best_t, best_f1 = t, f1
-    return best_t, best_f1
 
 
 def baseline_classify(

@@ -18,7 +18,6 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from ._io import open_lines, write_document
-from .baselines import tune_cosine_threshold
 from .corpus import DEFAULT_MAX_EDGES, build_path_index, iter_conll, load_index, save_index
 from .embeddings import load_table
 from .errors import DataError
@@ -38,13 +37,7 @@ from .pairs import (
     write_pairs,
 )
 from .pipeline import PATH_COUNT_MODES, PipelineConfig, predict_pairs
-from .relatedness import (
-    CombinerConfig,
-    load_combiner,
-    predict_related,
-    save_combiner,
-    tune_combiner,
-)
+from .relatedness import load_combiner, predict_related, save_combiner, tune_combiner
 from .relation_model import (
     RELATEDNESS_PRESET,
     RELATIONS_PRESET,
@@ -288,14 +281,12 @@ def _cmd_tune(args) -> int:
     records = _relatedness_records(read_pairs(args.pairs), "tuning set")
     table = load_table(args.embeddings)
     if args.cosine_only:
-        t, f1 = tune_cosine_threshold(records, table)
-        config = CombinerConfig(w_c=1.0, w_l=0.0, t=t)
+        config, f1 = tune_combiner(records, table)
     else:
         if not args.model or not args.index:
             raise _UsageError("--model and --index are required unless --cosine-only is given")
         index = load_index(args.index)
-        params = load_model(args.model)
-        config, f1 = tune_combiner(records, params, table, index)
+        config, f1 = tune_combiner(records, table, load_model(args.model), index)
     save_combiner(config, args.output, validation_f1=f1)
     print(f"w_C={config.w_c:.2f} w_L={config.w_l:.2f} t={config.t:.2f} (tuning F1 {f1:.3f})")
     return 0
@@ -310,9 +301,9 @@ def _cmd_predict(args) -> int:
     if combiner.w_l != 0.0 and relatedness_params is None:
         raise _UsageError("this combiner has w_L > 0; pass --relatedness-model")
     if args.task == "relatedness":
-        labels = [
-            predict_related(combiner, table, r.x, r.y, relatedness_params, index) for r in records
-        ]
+        related = predict_related(combiner, table, [(r.x, r.y) for r in records],
+                                  relatedness_params, index)
+        labels = [RELATED if flag else UNRELATED for flag in related]
     else:
         if not args.relation_model:
             raise _UsageError("--task relations requires --relation-model")

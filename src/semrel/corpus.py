@@ -28,7 +28,6 @@ from .errors import ParseError
 UP = "up"
 DOWN = "down"
 ROOT = "root"
-DIRECTIONS = (UP, DOWN, ROOT)
 
 X_PLACEHOLDER = "X"
 Y_PLACEHOLDER = "Y"

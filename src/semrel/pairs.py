@@ -20,7 +20,6 @@ SYN_LABEL = "SYN"
 
 BINARY_TRUE = "TRUE"
 BINARY_FALSE = "FALSE"
-BINARY_LABELS = (BINARY_TRUE, BINARY_FALSE)
 
 # Internal label set of the two-class relatedness model. RELATED comes first so
 # that an exact probability tie resolves the same way as the score threshold.

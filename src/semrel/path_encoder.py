@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from operator import attrgetter
-from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -80,10 +79,6 @@ class RecurrentParams:
     def hidden_size(self) -> int:
         return self.w_rec.shape[1]
 
-    @property
-    def input_size(self) -> int:
-        return self.w_in.shape[1]
-
 
 def init_component(
     tokens: Iterable[str],
@@ -137,10 +132,10 @@ def build_edge_vocab(
     )
 
 
-def init_recurrent(input_size: int, hidden_size: int, rng: np.random.Generator) -> RecurrentParams:
+def init_recurrent(input_width: int, hidden_size: int, rng: np.random.Generator) -> RecurrentParams:
     rows = 4 * hidden_size
     return RecurrentParams(
-        w_in=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(rows, input_size)),
+        w_in=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(rows, input_width)),
         w_rec=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(rows, hidden_size)),
         bias=rng.uniform(-INIT_SCALE, INIT_SCALE, size=rows),
     )
@@ -280,10 +275,6 @@ class EncoderGrads:
         for name, attribute in zip(self.NAMES, attributes):
             array = arrays.get(name)
             setattr(self, attribute, None if array is None else np.zeros(array.shape, array.dtype))
-
-    @classmethod
-    def zeros(cls, vocab: EdgeVocab, rec: RecurrentParams) -> "EncoderGrads":
-        return cls(SimpleNamespace(vocab=vocab, rec=rec))
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         """(name, gradient) for each set gradient, in the order of NAMES."""

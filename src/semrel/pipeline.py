@@ -10,15 +10,17 @@ runner-up class when the pair has at least ``syn_max_paths`` attested paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import PathIndex
 from .embeddings import EmbeddingTable
 from .pairs import NEGATIVE_LABEL, PairRecord, SYN_LABEL
-from .relatedness import CombinerConfig, rel_score
-from .relation_model import ClassDistribution, ModelParams, pair_distribution
+from .relatedness import CombinerConfig, predict_related
+from .relation_model import ModelParams, pair_distribution
 
 PATH_COUNT_MODES = ("total", "distinct")
 
@@ -31,8 +33,8 @@ class PipelineConfig:
     path_count_mode: str = "total"
 
     def __post_init__(self):
-        if self.syn_margin < 0.0:
-            raise ValueError("syn_margin must be nonnegative")
+        if not (math.isfinite(self.syn_margin) and self.syn_margin >= 0.0):
+            raise ValueError("syn_margin must be a nonnegative finite number")
         if self.syn_max_paths < 0:
             raise ValueError("syn_max_paths must be nonnegative")
         if self.path_count_mode not in PATH_COUNT_MODES:
@@ -49,39 +51,24 @@ def path_count(index: PathIndex, x: str, y: str, mode: str = "total") -> int:
     raise ValueError(f"path_count mode must be one of {PATH_COUNT_MODES}")
 
 
-def syn_heuristic(dist: ClassDistribution, n_paths: int, margin: float = 0.2, max_paths: int = 3) -> str:
+def syn_heuristic(
+    labels: Sequence[str], scores: np.ndarray, n_paths: int, margin: float = 0.2, max_paths: int = 3
+) -> str:
     """Demote a weak SYN prediction when path evidence is thin.
 
-    If SYN wins but leads the runner-up by less than ``margin`` while the pair
-    has at least ``max_paths`` attested paths, the runner-up is returned
-    instead; in every other case the argmax stands.
+    ``scores`` is aligned with ``labels``. If SYN wins but leads the runner-up
+    by less than ``margin`` while the pair has at least ``max_paths`` attested
+    paths, the runner-up is returned instead; in every other case the argmax
+    stands, with exact ties going to the earlier label.
     """
-    order = np.argsort(-dist.scores, kind="stable")
-    top = dist.labels[int(order[0])]
-    if top != SYN_LABEL or len(dist.labels) < 2:
+    order = np.argsort(-scores, kind="stable")
+    top = labels[int(order[0])]
+    if top != SYN_LABEL or len(labels) < 2:
         return top
-    lead = float(dist.scores[order[0]] - dist.scores[order[1]])
+    lead = float(scores[order[0]] - scores[order[1]])
     if lead < margin and n_paths >= max_paths:
-        return dist.labels[int(order[1])]
+        return labels[int(order[1])]
     return top
-
-
-def classify_relation(
-    config: PipelineConfig,
-    relation_params: ModelParams,
-    table: EmbeddingTable,
-    index: PathIndex,
-    x: str,
-    y: str,
-    relatedness_params: ModelParams | None = None,
-) -> str:
-    """RANDOM below the relatedness threshold, otherwise the corrected argmax."""
-    score = rel_score(config.combiner, table, x, y, relatedness_params, index)
-    if score < config.combiner.t:
-        return NEGATIVE_LABEL
-    dist = pair_distribution(relation_params, table, index, x, y)
-    n_paths = path_count(index, x, y, config.path_count_mode)
-    return syn_heuristic(dist, n_paths, config.syn_margin, config.syn_max_paths)
 
 
 def predict_pairs(
@@ -89,10 +76,16 @@ def predict_pairs(
     relation_params: ModelParams,
     table: EmbeddingTable,
     index: PathIndex,
-    pairs: list[PairRecord],
+    pairs: Sequence[PairRecord],
     relatedness_params: ModelParams | None = None,
 ) -> list[str]:
-    return [
-        classify_relation(config, relation_params, table, index, r.x, r.y, relatedness_params)
-        for r in pairs
-    ]
+    """RANDOM below the relatedness threshold, otherwise the corrected argmax."""
+    xy = [(r.x, r.y) for r in pairs]
+    gated = np.flatnonzero(predict_related(config.combiner, table, xy, relatedness_params, index))
+    dists = pair_distribution(relation_params, table, index, [xy[i] for i in gated])
+    labels = [NEGATIVE_LABEL] * len(xy)
+    for i, dist in zip(gated, dists):
+        n_paths = path_count(index, *xy[i], config.path_count_mode)
+        labels[i] = syn_heuristic(relation_params.label_set, dist, n_paths,
+                                  config.syn_margin, config.syn_max_paths)
+    return labels

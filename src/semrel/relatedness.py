@@ -23,7 +23,7 @@ from .corpus import PathIndex
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .evaluation import binary_f1
-from .pairs import PairRecord, RELATED, RELATEDNESS_LABELS, UNRELATED
+from .pairs import PairRecord, RELATED, RELATEDNESS_LABELS
 from .relation_model import ModelParams, pair_distribution
 
 COMBINER_FORMAT = "semrel-combiner"
@@ -49,57 +49,84 @@ class CombinerConfig:
             raise ValueError(f"w_c + w_l must equal 1, got {self.w_c + self.w_l}")
 
 
+def _scaled(w) -> np.ndarray:
+    """``w`` times the power of two that brings its largest entry into [0.5, 1).
+
+    The scaling is exact, so the cosine keeps its bits, and the products
+    below neither underflow nor overflow on tiny or huge vectors.
+    """
+    w = np.asarray(w, dtype=float)
+    return np.ldexp(w, -np.frexp(np.abs(w).max(initial=0.0))[1])
+
+
 def cosine_norm(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity rescaled to [0, 1]; 0.5 if either vector is zero."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    """Cosine similarity rescaled to [0, 1]; 0.5 if either vector is zero.
+
+    Rounding can put the cosine of (anti)parallel vectors a bit past +-1; the
+    result is clamped into [0, 1].
+    """
+    u = _scaled(u)
+    v = _scaled(v)
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         return 0.5
-    return (float(u @ v) / (nu * nv) + 1.0) / 2.0
+    return min(1.0, max(0.0, (float(u @ v) / (nu * nv) + 1.0) / 2.0))
 
 
-def related_probability(params: ModelParams, table: EmbeddingTable, index: PathIndex, x: str, y: str) -> float:
-    return pair_distribution(params, table, index, x, y).score(RELATED)
+def _cosines(table: EmbeddingTable, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+    return np.array([cosine_norm(table.lookup(x), table.lookup(y)) for x, y in pairs])
 
 
-def rel_score(
+def _related_probabilities(
+    params: ModelParams, table: EmbeddingTable, index: PathIndex, pairs: Sequence[tuple[str, str]]
+) -> np.ndarray:
+    return pair_distribution(params, table, index, pairs)[:, params.label_index(RELATED)]
+
+
+def relatedness_scores(
     config: CombinerConfig,
     table: EmbeddingTable,
-    x: str,
-    y: str,
+    pairs: Sequence[tuple[str, str]],
     params: ModelParams | None = None,
     index: PathIndex | None = None,
-) -> float:
-    """The combined relatedness score.
+) -> np.ndarray:
+    """The combined relatedness score of each (x, y) pair.
 
     The classifier term is skipped entirely when w_l is zero, so a pure-cosine
     combiner needs no model at all.
     """
-    score = config.w_c * cosine_norm(table.lookup(x), table.lookup(y))
+    scores = config.w_c * _cosines(table, pairs)
     if config.w_l != 0.0:
         if params is None or index is None:
             raise ValueError("w_l > 0 requires a trained model and a path index")
-        score += config.w_l * related_probability(params, table, index, x, y)
-    return score
+        scores += config.w_l * _related_probabilities(params, table, index, pairs)
+    return scores
 
 
-def classify_related(score: float, t: float) -> bool:
-    """Threshold decision; a score exactly at t counts as related."""
-    return score >= t
+def predict_related(
+    config: CombinerConfig,
+    table: EmbeddingTable,
+    pairs: Sequence[tuple[str, str]],
+    params: ModelParams | None = None,
+    index: PathIndex | None = None,
+) -> np.ndarray:
+    """True for each pair whose score reaches the threshold; a score exactly
+    at t counts as related."""
+    return relatedness_scores(config, table, pairs, params, index) >= config.t
 
 
 def tune_combiner(
     val: Sequence[PairRecord],
-    params: ModelParams,
     table: EmbeddingTable,
-    index: PathIndex,
+    params: ModelParams | None = None,
+    index: PathIndex | None = None,
 ) -> tuple[CombinerConfig, float]:
     """Grid-search w_C and t (w_L = 1 - w_C) for the best related-class F1.
 
-    Ties prefer the smaller w_L, then the smaller threshold. Returns the
-    winning configuration together with its validation F1.
+    Without a model only w_C = 1 is searched, which tunes a pure-cosine
+    threshold. Ties prefer the smaller w_L, then the smaller threshold.
+    Returns the winning configuration together with its validation F1.
     """
     if not val:
         raise DataError("validation set is empty")
@@ -109,11 +136,17 @@ def tune_combiner(
     gold = np.array([r.label == RELATED for r in val])
     if gold.all() or not gold.any():
         raise DataError("validation set must contain both RELATED and UNRELATED pairs")
-    cosines = np.array([cosine_norm(table.lookup(r.x), table.lookup(r.y)) for r in val])
-    probs = np.array([related_probability(params, table, index, r.x, r.y) for r in val])
+    pairs = [(r.x, r.y) for r in val]
+    cosines = _cosines(table, pairs)
+    if params is None:
+        w_grid, probs = W_GRID[-1:], 0.0
+    elif index is None:
+        raise ValueError("tuning with a model requires a path index")
+    else:
+        w_grid, probs = W_GRID, _related_probabilities(params, table, index, pairs)
     best = None
     best_key = None
-    for w_c in W_GRID:
+    for w_c in w_grid:
         scores = w_c * cosines + (1.0 - w_c) * probs
         for t in T_GRID:
             f1 = binary_f1(gold, scores >= t, True)
@@ -122,18 +155,6 @@ def tune_combiner(
                 best_key = key
                 best = (CombinerConfig(w_c=w_c, w_l=round(1.0 - w_c, 10), t=t), f1)
     return best
-
-
-def predict_related(
-    config: CombinerConfig,
-    table: EmbeddingTable,
-    x: str,
-    y: str,
-    params: ModelParams | None = None,
-    index: PathIndex | None = None,
-) -> str:
-    score = rel_score(config, table, x, y, params, index)
-    return RELATED if classify_related(score, config.t) else UNRELATED
 
 
 def save_combiner(config: CombinerConfig, destination, validation_f1: float | None = None) -> None:
@@ -153,5 +174,7 @@ def load_combiner(source) -> CombinerConfig:
     with read_document(source, COMBINER_FORMAT, COMBINER_VERSION, "combiner") as doc:
         try:
             return CombinerConfig(w_c=float(doc["w_C"]), w_l=float(doc["w_L"]), t=float(doc["t"]))
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"combiner file is missing fields: {exc}") from None
+        except KeyError as exc:
+            raise DataError(f"combiner file lacks the {exc.args[0]!r} field") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"combiner file has a bad value: {exc}") from None

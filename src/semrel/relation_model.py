@@ -75,8 +75,8 @@ class TrainConfig:
             raise ValueError("word_dropout_rate must lie in [0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning_rate must be a positive finite number")
         if self.path_average not in AVERAGE_MODES:
             raise ValueError(f"unknown path_average mode {self.path_average!r}")
         for name in ("hidden_dim", "mlp_hidden_dim", "pos_dim", "deprel_dim", "dir_dim"):
@@ -142,20 +142,6 @@ class ModelParams:
         return table.lookup(token)
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    """Softmax scores aligned with the model's label set."""
-
-    labels: tuple[str, ...]
-    scores: np.ndarray
-
-    def score(self, label: str) -> float:
-        try:
-            return float(self.scores[self.labels.index(label)])
-        except ValueError:
-            raise DataError(f"label {label!r} not in {self.labels}") from None
-
-
 @dataclass
 class Example:
     """A pair with its path multiset, ready for scoring or training."""
@@ -166,33 +152,30 @@ class Example:
     label: str | None = None
 
 
-def forward(v_xy: np.ndarray, params: ModelParams, hidden_layers: int | None = None) -> ClassDistribution:
-    """Class distribution for one feature vector.
+def forward(v_xy: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Softmax scores over ``params.label_set`` for one feature vector.
 
     Softmax is computed after subtracting the maximum logit, so adding any
     constant to the logits leaves the distribution unchanged.
     """
-    if hidden_layers is not None and hidden_layers != params.hidden_layers:
-        raise ValueError(
-            f"hidden_layers={hidden_layers} does not match the parameters ({params.hidden_layers})"
-        )
     v = np.asarray(v_xy, dtype=float)
     if v.shape != (params.w1.shape[1],):
         raise ValueError(f"feature vector has shape {v.shape}, expected ({params.w1.shape[1]},)")
-    logits = _logits(v, params)
-    return ClassDistribution(params.label_set, _softmax(logits))
+    return _softmax(_logits(v, params))
 
 
-def predict(dist: ClassDistribution) -> str:
-    """Label with the highest score; exact ties go to the lowest index."""
-    return dist.labels[int(np.argmax(dist.scores))]
-
-
-def pair_distribution(params: ModelParams, table: EmbeddingTable, index: PathIndex, x: str, y: str) -> ClassDistribution:
-    """Forward pass for a pair straight from the path index and word table."""
-    v_paths, _ = average_paths_with_cache(index.get(x, y), params.vocab, params.rec, params.path_average)
-    v = np.concatenate([params.word_vector(x, table), v_paths, params.word_vector(y, table)])
-    return forward(v, params)
+def pair_distribution(
+    params: ModelParams, table: EmbeddingTable, index: PathIndex, pairs: Sequence[tuple[str, str]]
+) -> np.ndarray:
+    """Softmax rows, one per (x, y) pair and aligned with ``params.label_set``,
+    each from the pair's paths in the index and the two word vectors."""
+    out = np.empty((len(pairs), len(params.label_set)))
+    for row, (x, y) in enumerate(pairs):
+        paths = index.get(x, y)
+        v_paths, _ = average_paths_with_cache(paths, params.vocab, params.rec, params.path_average)
+        v = np.concatenate([params.word_vector(x, table), v_paths, params.word_vector(y, table)])
+        out[row] = forward(v, params)
+    return out
 
 
 def _logits(v: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -216,10 +199,6 @@ class ModelGrads(EncoderGrads):
     """Gradient accumulators mirroring every trainable array in ModelParams."""
 
     NAMES = PARAMETER_NAMES
-
-    @classmethod
-    def zeros(cls, params: ModelParams) -> "ModelGrads":
-        return cls(params)
 
 
 def trainable_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
@@ -248,7 +227,7 @@ def loss_and_gradients(
     if not batch:
         raise ValueError("batch must be nonempty")
     rate = config.word_dropout_rate if config is not None else 0.0
-    grads = ModelGrads.zeros(params)
+    grads = ModelGrads(params)
     hidden = params.hidden_size
     d = params.word_dim
     scale = 1.0 / len(batch)
@@ -389,9 +368,8 @@ def train(
                     raise DataError(f"training diverged: non-finite loss in epoch {epoch + 1}")
                 apply_gradients(params, grads, config.learning_rate)
             if val:
-                hits = sum(
-                    predict(pair_distribution(params, table, index, r.x, r.y)) == r.label for r in val
-                )
+                dist = pair_distribution(params, table, index, [(r.x, r.y) for r in val])
+                hits = sum(params.label_set[k] == r.label for k, r in zip(dist.argmax(axis=1), val))
                 logger.debug("epoch %d: validation accuracy %.3f", epoch + 1, hits / len(val))
     return params
 
@@ -413,6 +391,13 @@ def _array(value, field: str, *shape: int | None) -> np.ndarray:
     if not np.isfinite(array).all():
         raise DataError(f"model field {field} holds a non-finite number")
     return array
+
+
+def _int(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise DataError(f"model field {field} is not an integer: {value!r}") from None
 
 
 def _component_from_doc(doc: dict, name: str) -> ComponentEmbeddings:
@@ -489,8 +474,8 @@ def _params_from_doc(doc: dict) -> ModelParams:
         direction=_component_from_doc(vocab_doc["direction"], "direction"),
     )
     label_set = tuple(doc["label_set"])
-    word_dim = int(doc["word_dim"])
-    hidden = int(doc["hidden_dim"])
+    word_dim = _int(doc["word_dim"], "word_dim")
+    hidden = _int(doc["hidden_dim"], "hidden_dim")
     rec_doc = doc["recurrent"]
     rec = RecurrentParams(
         w_in=_array(rec_doc["w_in"], "recurrent.w_in", 4 * hidden, vocab.input_width),

@@ -150,3 +150,49 @@ def reference_binary_f1(gold, pred):
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2 * precision * recall / (precision + recall)
+
+
+def reference_relatedness_score(combiner, table, index, x, y, relatedness_params=None):
+    """w_C * cosine_norm + w_L * P(RELATED) for one pair, the classifier term
+    from a one-pair call to ``pair_distribution`` and only when w_L is not 0."""
+    from semrel.pairs import RELATED
+    from semrel.relatedness import cosine_norm
+    from semrel.relation_model import pair_distribution
+
+    score = combiner.w_c * cosine_norm(table.lookup(x), table.lookup(y))
+    if combiner.w_l != 0.0:
+        probs = pair_distribution(relatedness_params, table, index, [(x, y)])[0]
+        score += combiner.w_l * probs[relatedness_params.label_set.index(RELATED)]
+    return score
+
+
+def reference_predict_pairs(combiner, relation_params, table, index, pairs,
+                            relatedness_params=None, syn_margin=0.2, syn_max_paths=3,
+                            path_count_mode="total"):
+    """Labels for (x, y) pairs by the per-pair gate-then-classify rule.
+
+    A pair is RANDOM when its ``reference_relatedness_score`` falls below t.
+    Otherwise it takes the relation model's top label, except that a SYN win
+    by less than ``syn_margin`` goes to the runner-up when the pair has at
+    least ``syn_max_paths`` paths. Each pair is scored on its own, through a
+    one-pair call to ``pair_distribution``; exact ties keep label order.
+    """
+    from semrel.pairs import NEGATIVE_LABEL, SYN_LABEL
+    from semrel.relation_model import pair_distribution
+
+    labels = []
+    for x, y in pairs:
+        if reference_relatedness_score(combiner, table, index, x, y, relatedness_params) < combiner.t:
+            labels.append(NEGATIVE_LABEL)
+            continue
+        names = relation_params.label_set
+        probs = list(pair_distribution(relation_params, table, index, [(x, y)])[0])
+        ranked = sorted(range(len(names)), key=lambda k: -probs[k])
+        paths = index.get(x, y)
+        n_paths = sum(paths.values()) if path_count_mode == "total" else len(paths)
+        best = ranked[0]
+        if (names[best] == SYN_LABEL and len(names) > 1 and n_paths >= syn_max_paths
+                and probs[best] - probs[ranked[1]] < syn_margin):
+            best = ranked[1]
+        labels.append(names[best])
+    return labels

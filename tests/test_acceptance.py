@@ -19,7 +19,7 @@ from helpers import constant_model, random_table
 from oracles import bfs_path, central_difference, depth_directions, random_tree, rel_error
 from synthcorpus import generate_world
 
-from semrel.baselines import baseline_classify, train_linear, tune_cosine_threshold
+from semrel.baselines import baseline_classify, train_linear
 from semrel.cli import main
 from semrel.corpus import (
     DependencyPath,
@@ -38,10 +38,15 @@ from semrel.pairs import (
     RELATEDNESS_LABELS,
     UNRELATED,
 )
-from semrel.pipeline import PipelineConfig, classify_relation, syn_heuristic
-from semrel.relatedness import CombinerConfig, classify_related, cosine_norm, rel_score
+from semrel.pipeline import PipelineConfig, predict_pairs, syn_heuristic
+from semrel.relatedness import (
+    CombinerConfig,
+    cosine_norm,
+    predict_related,
+    relatedness_scores,
+    tune_combiner,
+)
 from semrel.relation_model import (
-    ClassDistribution,
     Example,
     TrainConfig,
     forward,
@@ -49,7 +54,6 @@ from semrel.relation_model import (
     init_params,
     loss_and_gradients,
     pair_distribution,
-    predict,
     trainable_arrays,
 )
 
@@ -203,12 +207,12 @@ def test_criterion_3_output_distributions(capsys):
         for _ in range(10_000):
             v = rng.normal(size=params.feature_width)
             dist = forward(v, params)
-            total = float(dist.scores.sum())
+            total = float(dist.sum())
             assert abs(total - 1.0) <= 1e-9
-            assert np.all(dist.scores > 0.0) and np.all(dist.scores < 1.0)
-            top = int(np.argmax(dist.scores))
+            assert np.all(dist > 0.0) and np.all(dist < 1.0)
+            top = int(np.argmax(dist))
             for other in shifted:
-                assert int(np.argmax(forward(v, other).scores)) == top
+                assert int(np.argmax(forward(v, other))) == top
 
 
 # -------------------------------------------------------------- criterion 4
@@ -225,7 +229,7 @@ def test_criterion_4_combiner_equivalences(capsys):
 
         cos_only = CombinerConfig(w_c=1.0, w_l=0.0, t=0.5)
         cosines = np.array([cosine_norm(table.lookup(x), table.lookup(y)) for x, y in pairs])
-        combined = np.array([rel_score(cos_only, table, x, y) for x, y in pairs])
+        combined = relatedness_scores(cos_only, table, pairs)
         assert np.array_equal(cosines, combined)
         assert np.array_equal(np.argsort(cosines, kind="stable"),
                               np.argsort(combined, kind="stable"))
@@ -240,12 +244,10 @@ def test_criterion_4_combiner_equivalences(capsys):
         params = init_params(config, examples, table, RELATEDNESS_LABELS,
                              np.random.default_rng(4))
         model_only = CombinerConfig(w_c=0.0, w_l=1.0, t=0.5)
-        for x, y in pairs:
-            dist = pair_distribution(params, table, index, x, y)
-            by_threshold = classify_related(
-                rel_score(model_only, table, x, y, params, index), model_only.t)
-            by_argmax = predict(dist) == RELATED
-            assert by_threshold == by_argmax
+        by_threshold = predict_related(model_only, table, pairs, params, index)
+        dists = pair_distribution(params, table, index, pairs)
+        by_argmax = dists.argmax(axis=1) == params.label_index(RELATED)
+        assert np.array_equal(by_threshold, by_argmax)
 
 
 # -------------------------------------------------------------- criterion 5
@@ -271,8 +273,8 @@ def test_criterion_5_syn_demotion_truth_table(capsys):
         table = random_table(["a", "b"], 2, seed=5)
         gate_open = CombinerConfig(w_c=1.0, w_l=0.0, t=0.0)
         for probs, n_paths, expected in cases:
-            dist = ClassDistribution(RELATED_LABELS, np.array(probs))
-            assert syn_heuristic(dist, n_paths, margin=0.2, max_paths=3) == expected
+            assert syn_heuristic(RELATED_LABELS, np.array(probs), n_paths,
+                                 margin=0.2, max_paths=3) == expected
 
             model = constant_model(RELATED_LABELS, probs, word_dim=2)
             index = PathIndex()
@@ -282,7 +284,8 @@ def test_criterion_5_syn_demotion_truth_table(capsys):
                     PathEdge("Y", "NOUN", "dep", "down"),
                 )))
             config = PipelineConfig(combiner=gate_open)
-            assert classify_relation(config, model, table, index, "a", "b") == expected
+            pairs = [PairRecord("a", "b", "")]
+            assert predict_pairs(config, model, table, index, pairs) == [expected]
 
 
 # -------------------------------------------------------------- criterion 6
@@ -390,7 +393,7 @@ def test_criterion_7_end_to_end_beats_baseline(capsys, world_files, first_run):
         val_recs = world_files["val_recs"]
         folded = [PairRecord(r.x, r.y, RELATED if r.label != NEGATIVE_LABEL else UNRELATED)
                   for r in train_recs]
-        threshold, _ = tune_cosine_threshold(folded, table)
+        threshold = tune_combiner(folded, table)[0].t
         related_only = [r for r in train_recs if r.label != NEGATIVE_LABEL]
         linear = train_linear(related_only, table, method="concat", epochs=10, seed=7,
                               label_set=RELATED_LABELS)

@@ -8,7 +8,6 @@ from semrel.baselines import (
     features_for_pairs,
     predict_linear,
     train_linear,
-    tune_cosine_threshold,
 )
 from semrel.embeddings import EmbeddingTable
 from semrel.errors import DataError
@@ -87,23 +86,6 @@ def test_training_input_validation():
 
 
 # ---------------------------------------------------- gate and pipeline
-
-
-def test_tune_cosine_threshold_hand_case():
-    table = fixed_table({
-        "r1": [1.0, 0.0], "r2": [1.0, 0.0],
-        "u1": [1.0, 0.0], "u2": [-1.0, 0.0],
-    })
-    val = [PairRecord("r1", "r2", RELATED), PairRecord("u1", "u2", UNRELATED)]
-    t, f1 = tune_cosine_threshold(val, table)
-    assert f1 == 1.0
-    assert t == 0.01  # smallest grid point that separates 1.0 from 0.0
-
-
-def test_tune_cosine_threshold_needs_both_classes():
-    table = fixed_table({"a": [1.0, 0.0], "b": [1.0, 0.0]})
-    with pytest.raises(DataError):
-        tune_cosine_threshold([PairRecord("a", "b", RELATED)], table)
 
 
 def test_baseline_gate_and_classifier():

@@ -259,6 +259,45 @@ def test_truncated_model_names_its_file(micro, capsys):
     assert not (d / "combiner.json").exists()
 
 
+def test_out_of_range_combiner_names_its_file(micro, capsys):
+    d = micro["dir"]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    (d / "combiner.json").write_text(
+        '{"format": "semrel-combiner", "version": 1, "w_C": 2.0, "w_L": 0.0, "t": 0.5}')
+    capsys.readouterr()
+    code = run("predict", "--task", "relatedness", "--pairs", micro["pairs"],
+               "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
+               "--combiner", d / "combiner.json", "--output", d / "pred.tsv")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {d / 'combiner.json'}: ") and err.count("\n") == 1, err
+
+
+def test_non_finite_settings_exit_two(micro, capsys):
+    d = micro["dir"]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    run("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
+        "--output", d / "combiner.json", "--cosine-only")
+    run("train", "--task", "relations", "--pairs", micro["pairs"], "--index", d / "index.tsv",
+        "--embeddings", micro["embeddings"], "--model", d / "relations.json", "--epochs", "1")
+    for value in ("nan", "inf"):
+        capsys.readouterr()
+        code = run("predict", "--task", "relations", "--pairs", micro["pairs"],
+                   "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
+                   "--combiner", d / "combiner.json", "--relation-model", d / "relations.json",
+                   "--output", d / "pred.tsv", "--syn-margin", value)
+        err = capsys.readouterr().err
+        assert code == 2 and "syn_margin" in err and err.count("\n") == 1, err
+        code = run("train", "--task", "relations", "--pairs", micro["pairs"],
+                   "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
+                   "--model", d / "diverged.json", "--learning-rate", value)
+        err = capsys.readouterr().err
+        assert code == 2 and "learning_rate" in err and err.count("\n") == 1, err
+    assert not (d / "pred.tsv").exists() and not (d / "diverged.json").exists()
+
+
 def _corpus_with_bad_row(path, good_sentences):
     """Many good sentences, then a row with too few columns; returns its line number."""
     block = HYPER_SENT + "\n"

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -270,7 +271,7 @@ def test_backprop_average_matches_finite_differences():
         return float(probe @ average_paths_with_cache(paths, vocab, rec)[0])
 
     vec, cache = average_paths_with_cache(paths, vocab, rec)
-    grads = EncoderGrads.zeros(vocab, rec)
+    grads = EncoderGrads(SimpleNamespace(vocab=vocab, rec=rec))
     backprop_average(probe, cache, vocab, rec, grads)
     for param, grad in _grad_arrays(vocab, rec, grads):
         flat_p = param.reshape(-1)

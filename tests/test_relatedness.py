@@ -1,5 +1,7 @@
 import io
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,15 +19,14 @@ from semrel.relatedness import (
     CombinerConfig,
     T_GRID,
     W_GRID,
-    classify_related,
     cosine_norm,
     load_combiner,
     predict_related,
-    rel_score,
-    related_probability,
+    relatedness_scores,
     save_combiner,
     tune_combiner,
 )
+from semrel.relation_model import pair_distribution
 
 
 def fixed_table(vectors):
@@ -52,6 +53,28 @@ def test_cosine_norm_zero_vector_is_neutral():
     assert cosine_norm([0.0, 0.0], [0.0, 0.0]) == 0.5
 
 
+def test_cosine_norm_of_tiny_and_huge_vectors():
+    # 3.5e-158 squared underflows to a subnormal and 1e200 squared overflows,
+    # which once gave 1.00000003 and NaN.
+    tiny = [3.542954371448868e-158, 0.0]
+    assert cosine_norm(tiny, tiny) == 1.0
+    assert cosine_norm([0.125 * x for x in tiny], tiny) == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cosine_norm([1e200, 1.0], [1e200, 0.0]) == 1.0
+        assert cosine_norm([1e200, 0.0], [-1e-200, 0.0]) == 0.0
+    assert cosine_norm([3.0, 3.0], [-99.0, -99.0]) == 0.0  # once -1.1e-16
+
+
+def test_cosine_norm_keeps_its_bits_under_power_of_two_scaling():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        u, v = rng.normal(size=5), rng.normal(size=5)
+        plain = (float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)) + 1.0) / 2.0
+        assert cosine_norm(u, v) == plain
+        assert cosine_norm(u * 2.0**-30, v * 2.0**40) == plain
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6),
        st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6),
@@ -59,6 +82,8 @@ def test_cosine_norm_zero_vector_is_neutral():
 def test_cosine_norm_properties(u, v, scale):
     n = min(len(u), len(v))
     u, v = u[:n], v[:n]
+    # Scaling a subnormal entry such as 5e-324 by 0.5 gives 0: another vector.
+    assume(all((scale * x == 0.0) == (x == 0.0) for x in u))
     s = cosine_norm(u, v)
     assert 0.0 <= s <= 1.0 + 1e-12
     assert s == pytest.approx(cosine_norm(v, u))
@@ -87,37 +112,48 @@ def test_grids_cover_the_operating_points():
 
 
 def test_pure_cosine_score_skips_the_model():
-    table = fixed_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    table = fixed_table({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})
     config = CombinerConfig(w_c=1.0, w_l=0.0, t=0.5)
-    score = rel_score(config, table, "a", "b")  # no model, no index
-    assert score == cosine_norm(table.lookup("a"), table.lookup("b"))
+    scores = relatedness_scores(config, table, [("a", "b"), ("a", "c")])  # no model, no index
+    assert scores.tolist() == [cosine_norm(table.lookup("a"), table.lookup(y)) for y in "bc"]
+    assert relatedness_scores(config, table, []).shape == (0,)
 
 
 def test_model_term_requires_model_and_index():
     table = fixed_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
     config = CombinerConfig(w_c=0.5, w_l=0.5, t=0.5)
-    with pytest.raises(ValueError):
-        rel_score(config, table, "a", "b")
+    model = constant_model(RELATEDNESS_LABELS, [0.8, 0.2], word_dim=2)
+    for params, index in ((None, None), (model, None), (None, PathIndex())):
+        with pytest.raises(ValueError):
+            relatedness_scores(config, table, [("a", "b")], params, index)
+        with pytest.raises(ValueError):
+            predict_related(config, table, [("a", "b")], params, index)
 
 
 def test_score_combines_both_terms():
-    table = fixed_table({"a": [1.0, 0.0], "b": [1.0, 0.0]})
+    table = fixed_table({"a": [1.0, 0.0], "b": [1.0, 0.0], "c": [-1.0, 0.0]})
     model = constant_model(RELATEDNESS_LABELS, [0.8, 0.2], word_dim=2)
     config = CombinerConfig(w_c=0.25, w_l=0.75, t=0.5)
-    score = rel_score(config, table, "a", "b", model, PathIndex())
-    assert score == pytest.approx(0.25 * 1.0 + 0.75 * 0.8)
+    scores = relatedness_scores(config, table, [("a", "b"), ("a", "c")], model, PathIndex())
+    assert scores == pytest.approx([0.25 * 1.0 + 0.75 * 0.8, 0.25 * 0.0 + 0.75 * 0.8])
 
 
 def test_threshold_is_inclusive():
-    assert classify_related(0.29, 0.29)
-    assert not classify_related(0.29 - 1e-12, 0.29)
+    # Pairs scoring exactly t, and one ulp below it, against a pure-cosine
+    # combiner whose threshold is the first pair's score.
+    table = fixed_table({"a": [1.0, 0.0], "b": [0.6, 0.8], "c": [0.6, 0.8 + 1e-12]})
+    t = cosine_norm(table.lookup("a"), table.lookup("b"))
+    below = cosine_norm(table.lookup("a"), table.lookup("c"))
+    assert below < t
+    config = CombinerConfig(w_c=1.0, w_l=0.0, t=t)
+    assert predict_related(config, table, [("a", "b"), ("a", "c")]).tolist() == [True, False]
 
 
 def test_predict_related_labels():
     table = fixed_table({"a": [1.0, 0.0], "b": [1.0, 0.0], "c": [-1.0, 0.0]})
     config = CombinerConfig(w_c=1.0, w_l=0.0, t=0.5)
-    assert predict_related(config, table, "a", "b") == RELATED
-    assert predict_related(config, table, "a", "c") == UNRELATED
+    related = predict_related(config, table, [("a", "b"), ("a", "c"), ("b", "a")])
+    assert related.dtype == bool and related.tolist() == [True, False, True]
 
 
 # ---------------------------------------------------------------- tuning
@@ -142,7 +178,7 @@ def tuning_world():
 
 def test_tuning_prefers_cosine_then_small_threshold():
     table, val, model = tuning_world()
-    config, f1 = tune_combiner(val, model, table, PathIndex())
+    config, f1 = tune_combiner(val, table, model, PathIndex())
     # Many grid points reach F1 = 1; ties resolve to the smallest w_L, then
     # the smallest threshold, which here is w_C = 1 and the first t above 0.
     assert f1 == 1.0
@@ -152,24 +188,41 @@ def test_tuning_prefers_cosine_then_small_threshold():
 
 def test_tuned_config_reproduces_its_f1():
     table, val, model = tuning_world()
-    config, f1 = tune_combiner(val, model, table, PathIndex())
-    pred = [predict_related(config, table, r.x, r.y, model, PathIndex()) for r in val]
-    assert binary_f1([r.label for r in val], pred, RELATED) == f1
+    config, f1 = tune_combiner(val, table, model, PathIndex())
+    pred = predict_related(config, table, [(r.x, r.y) for r in val], model, PathIndex())
+    assert binary_f1([r.label == RELATED for r in val], pred, True) == f1
 
 
 def test_tuning_requires_both_classes():
     table, val, model = tuning_world()
     with pytest.raises(DataError):
-        tune_combiner([v for v in val if v.label == RELATED], model, table, PathIndex())
+        tune_combiner([v for v in val if v.label == RELATED], table, model, PathIndex())
     with pytest.raises(DataError):
-        tune_combiner([], model, table, PathIndex())
+        tune_combiner([], table, model, PathIndex())
+
+
+def test_cosine_only_tuning_hand_case():
+    table = fixed_table({
+        "r1": [1.0, 0.0], "r2": [1.0, 0.0],
+        "u1": [1.0, 0.0], "u2": [-1.0, 0.0],
+    })
+    val = [PairRecord("r1", "r2", RELATED), PairRecord("u1", "u2", UNRELATED)]
+    config, f1 = tune_combiner(val, table)
+    assert f1 == 1.0
+    assert config == CombinerConfig(w_c=1.0, w_l=0.0, t=0.01)  # smallest separating t
+
+
+def test_cosine_only_tuning_needs_both_classes():
+    table = fixed_table({"a": [1.0, 0.0], "b": [1.0, 0.0]})
+    with pytest.raises(DataError):
+        tune_combiner([PairRecord("a", "b", RELATED)], table)
 
 
 def test_tuning_rejects_foreign_labels():
     table, val, model = tuning_world()
     bad = val + [PairRecord("x", "y", "HYPER")]
     with pytest.raises(DataError, match="HYPER"):
-        tune_combiner(bad, model, table, PathIndex())
+        tune_combiner(bad, table, model, PathIndex())
 
 
 def test_imperfect_separation_still_picks_argmax_f1():
@@ -190,7 +243,7 @@ def test_imperfect_separation_still_picks_argmax_f1():
         PairRecord("n1", "n2", UNRELATED),     # cosine_norm 0.0
     ]
     model = constant_model(RELATEDNESS_LABELS, [0.5, 0.5], word_dim=2)
-    config, f1 = tune_combiner(val, model, table, PathIndex())
+    config, f1 = tune_combiner(val, table, model, PathIndex())
     assert f1 == pytest.approx(6 / 7)
     assert config.w_c == 1.0 and config.t == 0.0
     assert (config.w_c, config.t, f1) == grid_oracle(val, model, table)
@@ -198,12 +251,17 @@ def test_imperfect_separation_still_picks_argmax_f1():
 
 def grid_oracle(val, model, table):
     """(w_C, t, F1) by a plain loop over the grid and the reference F1; ties
-    keep the first point, in order of descending w_C, then ascending t."""
+    keep the first point, in order of descending w_C, then ascending t.
+    Without a model only w_C = 1 is searched."""
     gold = [r.label == RELATED for r in val]
     cosines = [cosine_norm(table.lookup(r.x), table.lookup(r.y)) for r in val]
-    probs = [related_probability(model, table, PathIndex(), r.x, r.y) for r in val]
+    if model is None:
+        weights, probs = [1.0], [0.0] * len(val)
+    else:
+        weights = sorted(W_GRID, reverse=True)
+        probs = [pair_distribution(model, table, PathIndex(), [(r.x, r.y)])[0, 0] for r in val]
     best = None
-    for w_c in sorted(W_GRID, reverse=True):
+    for w_c in weights:
         scores = [w_c * c + (1.0 - w_c) * p for c, p in zip(cosines, probs)]
         for t in T_GRID:
             f1 = reference_binary_f1(gold, [s >= t for s in scores])
@@ -228,8 +286,10 @@ def test_tuning_matches_a_plain_grid_loop(rows, p_related):
     assume(len({r.label for r in val}) == 2)
     table = fixed_table(vectors)
     model = constant_model(RELATEDNESS_LABELS, [p_related, 1.0 - p_related], word_dim=2)
-    config, f1 = tune_combiner(val, model, table, PathIndex())
+    config, f1 = tune_combiner(val, table, model, PathIndex())
     assert (config.w_c, config.t, f1) == grid_oracle(val, model, table)
+    config, f1 = tune_combiner(val, table)
+    assert (config.w_c, config.w_l, config.t, f1) == (1.0, 0.0) + grid_oracle(val, None, table)[1:]
 
 
 # ----------------------------------------------------------- persistence
@@ -244,6 +304,20 @@ def test_save_load_round_trip(tmp_path):
     assert '"w_C"' in text and '"w_L"' in text and '"t"' in text
 
 
+@pytest.mark.parametrize("field, value", [("w_C", "2.0"), ("w_C", "NaN"), ("t", '"abc"'),
+                                          ("w_L", "null")])
+def test_load_combiner_names_the_file_of_a_bad_value(tmp_path, field, value):
+    doc = {"format": "semrel-combiner", "version": 1, "w_C": 1.0, "w_L": 0.0, "t": 0.5}
+    text = json.dumps(doc).replace(f'"{field}": {json.dumps(doc[field])}', f'"{field}": {value}')
+    target = tmp_path / "combiner.json"
+    target.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        load_combiner(target)
+    assert str(caught.value).startswith(f"{target}: ")
+
+
 def test_load_combiner_rejects_wrong_format():
     with pytest.raises(DataError):
         load_combiner(io.StringIO('{"format": "nope", "w_C": 1.0}'))
+    with pytest.raises(DataError, match="lacks the 'w_L' field"):
+        load_combiner(io.StringIO('{"format": "semrel-combiner", "version": 1, "w_C": 1.0, "t": 0.5}'))

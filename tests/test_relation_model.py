@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import constant_model, random_table
 from oracles import central_difference, rel_error
@@ -13,6 +15,7 @@ from semrel.embeddings import EmbeddingTable
 from semrel.errors import DataError
 from semrel.pairs import PairRecord
 from semrel.path_encoder import average_paths_with_cache
+from semrel.pipeline import syn_heuristic
 from semrel.relation_model import (
     MODEL_FORMAT,
     MODEL_VERSION,
@@ -28,7 +31,6 @@ from semrel.relation_model import (
     load_model,
     loss_and_gradients,
     pair_distribution,
-    predict,
     save_model,
     train,
     trainable_arrays,
@@ -86,6 +88,8 @@ def test_presets():
     dict(learning_rate=0.0),
     dict(path_average="median"),
     dict(hidden_dim=0),
+    dict(learning_rate=float("nan")),
+    dict(learning_rate=float("inf")),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -102,9 +106,9 @@ def test_featurize_concatenation_order():
     index = make_index()
     v_paths, _ = average_paths_with_cache(index.get("cat", "mouse"), params.vocab, params.rec)
     x, y = table.lookup("cat"), table.lookup("mouse")
-    dist = pair_distribution(params, table, index, "cat", "mouse")
-    assert np.array_equal(dist.scores, forward(np.concatenate([x, v_paths, y]), params).scores)
-    assert not np.array_equal(dist.scores, forward(np.concatenate([y, v_paths, x]), params).scores)
+    [dist] = pair_distribution(params, table, index, [("cat", "mouse")])
+    assert np.array_equal(dist, forward(np.concatenate([x, v_paths, y]), params))
+    assert not np.array_equal(dist, forward(np.concatenate([y, v_paths, x]), params))
 
 
 def test_forward_is_a_distribution():
@@ -113,8 +117,9 @@ def test_forward_is_a_distribution():
     for _ in range(50):
         v = rng.normal(size=params.feature_width)
         dist = forward(v, params)
-        assert abs(dist.scores.sum() - 1.0) < 1e-12
-        assert np.all(dist.scores > 0.0) and np.all(dist.scores < 1.0)
+        assert dist.shape == (len(LABELS),)
+        assert abs(dist.sum() - 1.0) < 1e-12
+        assert np.all(dist > 0.0) and np.all(dist < 1.0)
 
 
 def test_forward_rejects_wrong_width():
@@ -123,31 +128,44 @@ def test_forward_rejects_wrong_width():
         forward(np.zeros(params.feature_width + 1), params)
 
 
-def test_forward_hidden_layer_count_check():
-    _, _, _, params = tiny_setup(hidden_layers=1)
-    with pytest.raises(ValueError):
-        forward(np.zeros(params.feature_width), params, hidden_layers=0)
-
-
 def test_predict_breaks_exact_ties_toward_first_label():
     model = constant_model(LABELS, [0.4, 0.4, 0.2])
-    dist = forward(np.zeros(model.feature_width), model)
-    assert dist.scores[0] == dist.scores[1]
-    assert predict(dist) == "ANT"
+    table = random_table(["cat", "mouse"], 2, seed=1)
+    [dist] = pair_distribution(model, table, PathIndex(), [("cat", "mouse")])
+    assert dist[0] == dist[1]
+    assert syn_heuristic(LABELS, dist, n_paths=0) == "ANT"
+    assert LABELS[int(dist.argmax())] == "ANT"
 
 
 def test_pair_distribution_uses_index_paths():
     table = random_table(["cat", "mouse", "dog"], 3, seed=1)
     _, _, examples, params = tiny_setup()
     index = make_index()
-    dist = pair_distribution(params, table, index, "cat", "mouse")
+    [dist] = pair_distribution(params, table, index, [("cat", "mouse")])
     loss_input = np.concatenate([
         table.lookup("cat"),
         np.zeros(params.hidden_size),
         table.lookup("mouse"),
     ])
     # paths exist for the pair, so the path block cannot be all zeros
-    assert not np.allclose(dist.scores, forward(loss_input, params).scores)
+    assert not np.allclose(dist, forward(loss_input, params))
+
+
+# A pair with two paths, one with one, one without, a case-folded repeat and
+# a word outside the table.
+SOME_PAIRS = [("cat", "mouse"), ("dog", "cat"), ("mouse", "dog"), ("Cat", "MOUSE"), ("owl", "cat")]
+
+
+@pytest.mark.parametrize("hidden_layers", [0, 1])
+@settings(max_examples=25, deadline=None)
+@given(pairs=st.lists(st.sampled_from(SOME_PAIRS), max_size=8))
+def test_pair_distribution_over_a_list_stacks_single_pair_calls(hidden_layers, pairs):
+    table, _, _, params = tiny_setup(hidden_layers=hidden_layers)
+    index = make_index()
+    batch = pair_distribution(params, table, index, pairs)
+    assert batch.shape == (len(pairs), len(LABELS))
+    for row, pair in zip(batch, pairs):
+        assert np.array_equal(row, pair_distribution(params, table, index, [pair])[0])
 
 
 # ------------------------------------------------------------- gradients
@@ -176,8 +194,8 @@ def test_loss_is_mean_negative_log_probability():
     loss, _ = loss_and_gradients(examples, params, table)
     per_example = []
     for ex in examples:
-        dist = pair_distribution(params, table, index if ex.paths else PathIndex(), ex.x, ex.y)
-        per_example.append(-math.log(dist.score(ex.label)))
+        [dist] = pair_distribution(params, table, index if ex.paths else PathIndex(), [(ex.x, ex.y)])
+        per_example.append(-math.log(dist[params.label_index(ex.label)]))
     assert loss == pytest.approx(sum(per_example) / len(per_example), rel=1e-12)
 
 
@@ -315,8 +333,9 @@ def test_save_load_round_trip_is_bit_exact(hidden_layers):
     assert loaded.hidden_layers == params.hidden_layers
     for (_, pa), (_, pb) in zip(trainable_arrays(params), trainable_arrays(loaded)):
         assert np.array_equal(pa, pb)
-    a = pair_distribution(params, table, index, "cat", "mouse").scores
-    b = pair_distribution(loaded, table, index, "cat", "mouse").scores
+    pairs = [("cat", "mouse"), ("dog", "cat"), ("mouse", "dog")]
+    a = pair_distribution(params, table, index, pairs)
+    b = pair_distribution(loaded, table, index, pairs)
     assert np.array_equal(a, b)
 
 
@@ -403,6 +422,16 @@ def test_load_rejects_a_one_element_bias_without_hidden_layer():
     doc["classifier"]["b1"] = [0.0]
     with pytest.raises(DataError, match=r"classifier\.b1 has shape \(1,\), expected \(3\)"):
         load_model(io.StringIO(json.dumps(doc)))
+
+
+def test_load_names_the_file_and_field_of_a_non_integer_width(tmp_path):
+    doc = full_model_doc()
+    doc["word_dim"] = "abc"
+    target = tmp_path / "model.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match="word_dim") as caught:
+        load_model(target)
+    assert str(caught.value).startswith(f"{target}: ")
 
 
 def test_load_rejects_a_non_finite_number():
