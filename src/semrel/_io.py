@@ -13,7 +13,8 @@ class open_lines:
     """Context manager yielding lines from a path or from an open stream.
 
     Given a path, a DataError raised inside the block is raised again with the
-    path in front of its message, so every read error names its file.
+    path in front of its message, and text that is not UTF-8 raises a
+    ParseError that names the path, so every read error names its file.
     """
 
     def __init__(self, source):
@@ -31,6 +32,8 @@ class open_lines:
             self._fh.close()
             if isinstance(exc, DataError):
                 raise type(exc)(f"{self.source}: {exc}") from None
+            if isinstance(exc, UnicodeDecodeError):
+                raise ParseError(f"{self.source}: not UTF-8 text ({exc.reason})") from None
         return False
 
 

@@ -161,6 +161,8 @@ def _apply_config_file(sub: _Parser, path: str) -> None:
             lines = fh.readlines()
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError:
+        raise _UsageError(f"cannot read config file {path}: not UTF-8 text") from None
     actions = {action.dest: action for action in sub._actions}
     overrides = {}
     for line_no, raw in enumerate(lines, start=1):

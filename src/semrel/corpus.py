@@ -296,6 +296,8 @@ def build_path_index(
     y lemmas among its lemmas. The result does not depend on sentence order:
     per-pair multisets are merged by commutative addition.
     """
+    if max_edges < 1:  # before the corpus is read, whether or not a pair occurs
+        raise ValueError("max_edges must be at least 1")
     ys_of: dict[str, set[str]] = {}
     for x, y in pairs:
         ys_of.setdefault(x.lower(), set()).add(y.lower())

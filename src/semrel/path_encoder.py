@@ -15,9 +15,7 @@ parameters.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -231,57 +229,12 @@ def average_paths_with_cache(
     return pooled, caches
 
 
-# The encoder's trainable arrays in a fixed order, each named by where it sits
-# on an object whose ``vocab`` is an EdgeVocab and whose ``rec`` is its
-# RecurrentParams.
-ENCODER_ARRAYS = (
-    "vocab.lemma", "vocab.pos", "vocab.deprel", "vocab.direction",
-    "rec.w_in", "rec.w_rec", "rec.bias",
-)
-
-
-@functools.cache
-def _layout(names: tuple[str, ...]) -> tuple[attrgetter, tuple[str, ...]]:
-    """One getter of the values at all ``names``, and each name's gradient
-    attribute: "rec.w_in" accumulates in ``w_in``."""
-    return attrgetter(*names), tuple(name.rpartition(".")[2] for name in names)
-
-
-def named_arrays(owner, names: tuple[str, ...]) -> list[tuple[str, np.ndarray]]:
-    """(name, array) for each name that is set on ``owner``, in order.
-
-    "rec.w_in" is ``owner.rec.w_in``. A value that is not an array (an
-    embedding component, a word-vector set) stands for its ``matrix``.
-    """
-    get, _ = _layout(names)
-    return [(name, value if isinstance(value, np.ndarray) else value.matrix)
-            for name, value in zip(names, get(owner)) if value is not None]
-
-
-class EncoderGrads:
-    """Zeroed gradient accumulators for the arrays named in NAMES.
-
-    The gradient of the array named "rec.w_in" is the attribute ``w_in``; a
-    name whose array is not set has None.
-    """
-
-    NAMES: tuple[str, ...] = ENCODER_ARRAYS
-
-    def __init__(self, owner):
-        _, attributes = _layout(self.NAMES)
-        arrays = dict(named_arrays(owner, self.NAMES))
-        # np.zeros rather than zeros_like: this runs on every SGD step, and
-        # zeros_like costs several times more per call.
-        for name, attribute in zip(self.NAMES, attributes):
-            array = arrays.get(name)
-            setattr(self, attribute, None if array is None else np.zeros(array.shape, array.dtype))
-
-    def arrays(self) -> list[tuple[str, np.ndarray]]:
-        """(name, gradient) for each set gradient, in the order of NAMES."""
-        _, attributes = _layout(self.NAMES)
-        held = vars(self)
-        return [(name, held[attribute]) for name, attribute in zip(self.NAMES, attributes)
-                if held[attribute] is not None]
+def encoder_arrays(vocab: EdgeVocab, rec: RecurrentParams) -> dict[str, np.ndarray]:
+    """The encoder's trainable arrays by name, in a fixed order; a gradient
+    accumulator for ``backprop_average`` has an attribute of each name."""
+    return {"lemma": vocab.lemma.matrix, "pos": vocab.pos.matrix, "deprel": vocab.deprel.matrix,
+            "direction": vocab.direction.matrix, "w_in": rec.w_in, "w_rec": rec.w_rec,
+            "bias": rec.bias}
 
 
 def backprop_average(
@@ -289,9 +242,10 @@ def backprop_average(
     cache: Sequence[tuple[PathCache, float]],
     vocab: EdgeVocab,
     rec: RecurrentParams,
-    grads: EncoderGrads,
+    grads,
 ) -> None:
-    """Accumulate d(loss)/d(params) given d(loss)/d(averaged vector)."""
+    """Accumulate d(loss)/d(params) given d(loss)/d(averaged vector), into
+    the ``grads`` attribute named as in ``encoder_arrays``."""
     for path_cache, weight in cache:
         _backprop_path(weight * d_out, path_cache, vocab, rec, grads)
 
@@ -301,7 +255,7 @@ def _backprop_path(
     cache: PathCache,
     vocab: EdgeVocab,
     rec: RecurrentParams,
-    grads: EncoderGrads,
+    grads,
 ) -> None:
     hidden = rec.hidden_size
     i, f, g, o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))

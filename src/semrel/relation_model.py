@@ -8,7 +8,8 @@ gradients backpropagated through the classifier, the path average, the
 recurrent unit, and the edge-component embeddings. Word vectors for x and y
 are frozen table lookups unless ``train_word_vectors`` is switched on, in
 which case the model keeps its own trainable copies for the training-set
-terms.
+terms. ``trainable_arrays`` is the one list of trainable arrays: gradients
+and updates follow its names and order.
 
 All randomness (initialization, example order, word dropout) flows from the
 single seed in TrainConfig, so a fixed seed reproduces parameters bit for bit.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,18 +32,16 @@ from .errors import DataError
 from .pairs import PairRecord
 from .path_encoder import (
     AVERAGE_MODES,
-    ENCODER_ARRAYS,
     INIT_SCALE,
     WEIGHTED,
     ComponentEmbeddings,
     EdgeVocab,
-    EncoderGrads,
     RecurrentParams,
     average_paths_with_cache,
     backprop_average,
     build_edge_vocab,
+    encoder_arrays,
     init_recurrent,
-    named_arrays,
 )
 
 logger = logging.getLogger(__name__)
@@ -161,7 +161,9 @@ def forward(v_xy: np.ndarray, params: ModelParams) -> np.ndarray:
     v = np.asarray(v_xy, dtype=float)
     if v.shape != (params.w1.shape[1],):
         raise ValueError(f"feature vector has shape {v.shape}, expected ({params.w1.shape[1]},)")
-    return _softmax(_logits(v, params))
+    _, z = _classify(v, params)
+    e = np.exp(z - z.max())
+    return e / e.sum()
 
 
 def pair_distribution(
@@ -171,44 +173,41 @@ def pair_distribution(
     each from the pair's paths in the index and the two word vectors."""
     out = np.empty((len(pairs), len(params.label_set)))
     for row, (x, y) in enumerate(pairs):
-        paths = index.get(x, y)
-        v_paths, _ = average_paths_with_cache(paths, params.vocab, params.rec, params.path_average)
-        v = np.concatenate([params.word_vector(x, table), v_paths, params.word_vector(y, table)])
+        v, _ = _features(params, table, x, y, index.get(x, y), 0.0, None)
         out[row] = forward(v, params)
     return out
 
 
-def _logits(v: np.ndarray, params: ModelParams) -> np.ndarray:
+def _features(params: ModelParams, table: EmbeddingTable, x: str, y: str,
+              paths: Mapping[DependencyPath, int], dropout_rate: float,
+              rng: np.random.Generator | None) -> tuple[np.ndarray, list]:
+    """The feature vector [x ; averaged paths ; y] and the path caches that
+    ``backprop_average`` walks."""
+    v_paths, caches = average_paths_with_cache(paths, params.vocab, params.rec,
+                                               params.path_average, dropout_rate, rng)
+    v = np.concatenate([params.word_vector(x, table), v_paths, params.word_vector(y, table)])
+    return v, caches
+
+
+def _classify(v: np.ndarray, params: ModelParams) -> tuple[np.ndarray | None, np.ndarray]:
+    """The tanh hidden layer's output (None without one) and the logits."""
     a = params.w1 @ v + params.b1
     if params.w2 is None:
-        return a
-    return params.w2 @ np.tanh(a) + params.b2
+        return None, a
+    hidden = np.tanh(a)
+    return hidden, params.w2 @ hidden + params.b2
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-# Every trainable array in a fixed order: the encoder's, then the classifier's
-# and the trainable word vectors, each named by the ModelParams field it sits in.
-PARAMETER_NAMES = ENCODER_ARRAYS + ("w1", "b1", "w2", "b2", "word_vectors")
-
-
-class ModelGrads(EncoderGrads):
-    """Gradient accumulators mirroring every trainable array in ModelParams."""
-
-    NAMES = PARAMETER_NAMES
-
-
-def trainable_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Named views of every trainable array, in a fixed order."""
-    return named_arrays(params, PARAMETER_NAMES)
-
-
-def gradient_arrays(grads: ModelGrads) -> list[tuple[str, np.ndarray]]:
-    """Same names and order as ``trainable_arrays``."""
-    return grads.arrays()
+def trainable_arrays(params: ModelParams) -> dict[str, np.ndarray]:
+    """Every trainable array by name, in a fixed order: the encoder's, then
+    ``w1`` and ``b1``, then ``w2``, ``b2`` and ``word_vectors`` when set."""
+    arrays = encoder_arrays(params.vocab, params.rec)
+    arrays.update(w1=params.w1, b1=params.b1)
+    if params.w2 is not None:
+        arrays.update(w2=params.w2, b2=params.b2)
+    if params.word_vectors is not None:
+        arrays["word_vectors"] = params.word_vectors.matrix
+    return arrays
 
 
 def loss_and_gradients(
@@ -217,8 +216,9 @@ def loss_and_gradients(
     table: EmbeddingTable,
     config: TrainConfig | None = None,
     rng: np.random.Generator | None = None,
-) -> tuple[float, ModelGrads]:
-    """Mean negative log-likelihood over the batch, with exact gradients.
+) -> tuple[float, SimpleNamespace]:
+    """Mean negative log-likelihood over the batch, with exact gradients: one
+    attribute per ``trainable_arrays`` entry, under the same name.
 
     Word dropout (config.word_dropout_rate > 0 with an rng supplied) replaces
     step lemmas by the unknown row, independently per step; with rate 0 the
@@ -227,7 +227,9 @@ def loss_and_gradients(
     if not batch:
         raise ValueError("batch must be nonempty")
     rate = config.word_dropout_rate if config is not None else 0.0
-    grads = ModelGrads(params)
+    # np.zeros, not zeros_like: it costs several times less per call, on every SGD step.
+    arrays = trainable_arrays(params)
+    grads = SimpleNamespace(**{name: np.zeros(a.shape) for name, a in arrays.items()})
     hidden = params.hidden_size
     d = params.word_dim
     scale = 1.0 / len(batch)
@@ -236,30 +238,22 @@ def loss_and_gradients(
         if ex.label is None:
             raise ValueError(f"example ({ex.x}, {ex.y}) has no label")
         gold = params.label_index(ex.label)
-        v_paths, cache = average_paths_with_cache(
-            ex.paths, params.vocab, params.rec, params.path_average, dropout_rate=rate, rng=rng
-        )
-        v = np.concatenate([params.word_vector(ex.x, table), v_paths, params.word_vector(ex.y, table)])
-        a = params.w1 @ v + params.b1
-        if params.w2 is not None:
-            hval = np.tanh(a)
-            logits = params.w2 @ hval + params.b2
-        else:
-            logits = a
+        v, cache = _features(params, table, ex.x, ex.y, ex.paths, rate, rng)
+        hval, logits = _classify(v, params)
         shifted = logits - logits.max()
         log_z = np.log(np.exp(shifted).sum())
         total += float(log_z - shifted[gold])
 
         probs = np.exp(shifted - log_z)
-        d_logits = probs.copy()
-        d_logits[gold] -= 1.0
-        d_logits *= scale
-        if params.w2 is not None:
-            grads.w2 += np.outer(d_logits, hval)
-            grads.b2 += d_logits
-            d_a = (params.w2.T @ d_logits) * (1.0 - hval**2)
+        dlogits = probs.copy()
+        dlogits[gold] -= 1.0
+        dlogits *= scale
+        if hval is not None:
+            grads.w2 += np.outer(dlogits, hval)
+            grads.b2 += dlogits
+            d_a = (params.w2.T @ dlogits) * (1.0 - hval**2)
         else:
-            d_a = d_logits
+            d_a = dlogits
         grads.w1 += np.outer(d_a, v)
         grads.b1 += d_a
         d_v = params.w1.T @ d_a
@@ -274,9 +268,10 @@ def loss_and_gradients(
     return total * scale, grads
 
 
-def apply_gradients(params: ModelParams, grads: ModelGrads, learning_rate: float) -> None:
-    for (_, arr), (_, g) in zip(trainable_arrays(params), gradient_arrays(grads)):
-        arr -= learning_rate * g
+def apply_gradients(params: ModelParams, grads: SimpleNamespace, learning_rate: float) -> None:
+    held = vars(grads)
+    for name, arr in trainable_arrays(params).items():
+        arr -= learning_rate * held[name]
 
 
 def init_params(

@@ -50,7 +50,6 @@ from semrel.relation_model import (
     Example,
     TrainConfig,
     forward,
-    gradient_arrays,
     init_params,
     loss_and_gradients,
     pair_distribution,
@@ -125,7 +124,7 @@ def test_criterion_1_gradients(capsys):
             )
             params = init_params(config, examples, table, ("ANT", "HYPER", "SYN"),
                                  np.random.default_rng(trial))
-            n_params = sum(arr.size for _, arr in trainable_arrays(params))
+            n_params = sum(arr.size for arr in trainable_arrays(params).values())
             assert n_params <= 200, f"model has {n_params} parameters"
 
             _, grads = loss_and_gradients(examples, params, table)
@@ -133,8 +132,8 @@ def test_criterion_1_gradients(capsys):
             def total():
                 return loss_and_gradients(examples, params, table)[0]
 
-            for (name, param), (gname, grad) in zip(trainable_arrays(params),
-                                                    gradient_arrays(grads)):
+            for (name, param), (gname, grad) in zip(trainable_arrays(params).items(),
+                                                    vars(grads).items()):
                 assert name == gname
                 flat_p = param.reshape(-1)
                 flat_g = grad.reshape(-1)

@@ -331,6 +331,64 @@ def test_pairs_error_is_reported_before_corpus_error(micro, capsys):
     assert not (d / "index.tsv").exists()
 
 
+def test_max_edges_below_one_is_rejected_before_the_corpus(micro, capsys):
+    d = micro["dir"]
+    (d / "lonely.tsv").write_text("pencil\tcloud\tRANDOM\n")  # never co-occurs
+    code = run("extract-paths", "--corpus", micro["corpus"], "--pairs", d / "lonely.tsv",
+               "--output", d / "index.tsv", "--max-edges", "0")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "max_edges" in err and err.count("\n") == 1, err
+    assert not (d / "index.tsv").exists()
+
+
+@pytest.mark.parametrize("bad", ["pairs", "corpus", "table", "model", "combiner"])
+def test_non_utf8_input_names_its_file(micro, capsys, bad):
+    d = micro["dir"]
+    data = ["--index", d / "index.tsv", "--embeddings", micro["embeddings"]]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    run("train", "--task", "relatedness", "--pairs", micro["pairs"], *data,
+        "--model", d / "model.json", "--epochs", "1")
+    run("tune", "--pairs", micro["pairs"], *data, "--model", d / "model.json",
+        "--output", d / "combiner.json")
+    extract = ("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+               "--output", d / "out")
+    tune = ("tune", "--pairs", micro["pairs"], *data, "--model", d / "model.json",
+            "--output", d / "out")
+    commands = {
+        "pairs": (micro["pairs"], extract),
+        "corpus": (micro["corpus"], extract),
+        "table": (micro["embeddings"], ("tune", "--pairs", micro["pairs"], "--embeddings",
+                                        micro["embeddings"], "--output", d / "out", "--cosine-only")),
+        "model": (d / "model.json", tune),
+        "combiner": (d / "combiner.json", ("predict", "--task", "relatedness", "--pairs",
+                                           micro["pairs"], *data, "--combiner", d / "combiner.json",
+                                           "--relatedness-model", d / "model.json",
+                                           "--output", d / "out")),
+    }
+    target, argv = commands[bad]
+    target.write_bytes(target.read_bytes().replace(b"a", b"\xe9", 1))  # Latin-1 "é"
+    capsys.readouterr()
+    code = run(*argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {target}: not UTF-8") and err.count("\n") == 1, err
+    assert not (d / "out").exists()
+
+
+def test_non_utf8_config_file_is_a_usage_error(micro, capsys):
+    d = micro["dir"]
+    cfg = d / "latin1.cfg"
+    cfg.write_bytes(b"# caf\xe9\nepochs = 1\n")
+    code = run("train", "--task", "relatedness", "--pairs", micro["pairs"],
+               "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
+               "--model", d / "rel.json", "--config", cfg)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"usage error: cannot read config file {cfg}") and err.count("\n") == 1, err
+
+
 def test_bad_labels_exit_two(micro, capsys):
     bad = micro["dir"] / "bad.tsv"
     bad.write_text("a\tb\tNOT_A_LABEL\n")

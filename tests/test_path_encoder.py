@@ -11,10 +11,10 @@ from semrel.embeddings import load_table
 from semrel.path_encoder import (
     UNIFORM,
     WEIGHTED,
-    EncoderGrads,
     average_paths_with_cache,
     backprop_average,
     build_edge_vocab,
+    encoder_arrays,
     init_component,
     init_recurrent,
 )
@@ -271,7 +271,7 @@ def test_backprop_average_matches_finite_differences():
         return float(probe @ average_paths_with_cache(paths, vocab, rec)[0])
 
     vec, cache = average_paths_with_cache(paths, vocab, rec)
-    grads = EncoderGrads(SimpleNamespace(vocab=vocab, rec=rec))
+    grads = SimpleNamespace(**{n: np.zeros(a.shape) for n, a in encoder_arrays(vocab, rec).items()})
     backprop_average(probe, cache, vocab, rec, grads)
     for param, grad in _grad_arrays(vocab, rec, grads):
         flat_p = param.reshape(-1)

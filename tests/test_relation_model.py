@@ -26,7 +26,6 @@ from semrel.relation_model import (
     apply_gradients,
     examples_from_records,
     forward,
-    gradient_arrays,
     init_params,
     load_model,
     loss_and_gradients,
@@ -54,10 +53,11 @@ def tiny_examples():
     ]
 
 
-def tiny_setup(hidden_layers=0, seed=7):
+def tiny_setup(hidden_layers=0, seed=7, train_word_vectors=False):
     table = random_table(["cat", "mouse", "dog"], 3, seed=1)
     config = TrainConfig(hidden_layers=hidden_layers, hidden_dim=4, mlp_hidden_dim=3,
-                         lemma_dim=2, pos_dim=2, deprel_dim=2, dir_dim=1, seed=seed)
+                         lemma_dim=2, pos_dim=2, deprel_dim=2, dir_dim=1, seed=seed,
+                         train_word_vectors=train_word_vectors)
     examples = tiny_examples()
     params = init_params(config, examples, table, LABELS, np.random.default_rng(seed))
     return table, config, examples, params
@@ -179,7 +179,7 @@ def test_gradients_match_finite_differences(hidden_layers):
     def total():
         return loss_and_gradients(examples, params, table)[0]
 
-    for (name, param), (gname, grad) in zip(trainable_arrays(params), gradient_arrays(grads)):
+    for (name, param), (gname, grad) in zip(trainable_arrays(params).items(), vars(grads).items()):
         assert name == gname
         flat_p = param.reshape(-1)
         flat_g = grad.reshape(-1)
@@ -224,22 +224,41 @@ def training_loss_from(params, table, examples):
     return loss_and_gradients(examples, params, table)[0]
 
 
+@pytest.mark.parametrize("hidden_layers", [0, 1])
+@pytest.mark.parametrize("train_word_vectors", [False, True])
+def test_apply_gradients_steps_every_trainable_array(hidden_layers, train_word_vectors):
+    table, _, examples, params = tiny_setup(hidden_layers=hidden_layers,
+                                            train_word_vectors=train_word_vectors)
+    _, grads = loss_and_gradients(examples, params, table)
+    assert list(vars(grads)) == list(trainable_arrays(params))
+    before = {name: arr.copy() for name, arr in trainable_arrays(params).items()}
+    apply_gradients(params, grads, 0.3)
+    for name, arr in trainable_arrays(params).items():
+        grad = vars(grads)[name]
+        assert grad.any(), name
+        assert np.array_equal(arr, before[name] - 0.3 * grad), name
+
+
 # -------------------------------------------------------------- training
 
 
-def test_training_is_deterministic_given_seed():
+@pytest.mark.parametrize("overrides", [
+    {}, dict(hidden_layers=1), dict(train_word_vectors=True), dict(word_dropout_rate=0.3),
+    dict(path_average="uniform"),
+], ids=["default", "hidden_layer", "word_vectors", "word_dropout", "uniform"])
+def test_training_is_deterministic_given_seed(overrides):
     table = random_table(["cat", "mouse", "dog"], 3, seed=1)
     index = make_index()
     records = [PairRecord("cat", "mouse", "HYPER"), PairRecord("dog", "cat", "SYN"),
                PairRecord("mouse", "dog", "ANT")]
-    config = TrainConfig(epochs=3, seed=11, hidden_dim=4, lemma_dim=2, pos_dim=2,
-                         deprel_dim=2, dir_dim=1)
+    shape = dict(epochs=3, hidden_dim=4, lemma_dim=2, pos_dim=2, deprel_dim=2, dir_dim=1,
+                 **overrides)
+    config = TrainConfig(seed=11, **shape)
     a = train(records, [], config, index, table)
     b = train(records, [], config, index, table)
-    for (_, pa), (_, pb) in zip(trainable_arrays(a), trainable_arrays(b)):
+    for (_, pa), (_, pb) in zip(trainable_arrays(a).items(), trainable_arrays(b).items()):
         assert np.array_equal(pa, pb)
-    c = train(records, [], TrainConfig(epochs=3, seed=12, hidden_dim=4, lemma_dim=2,
-                                       pos_dim=2, deprel_dim=2, dir_dim=1), index, table)
+    c = train(records, [], TrainConfig(seed=12, **shape), index, table)
     assert not np.array_equal(a.w1, c.w1)
 
 
@@ -331,7 +350,7 @@ def test_save_load_round_trip_is_bit_exact(hidden_layers):
     loaded = load_model(buf)
     assert loaded.label_set == params.label_set
     assert loaded.hidden_layers == params.hidden_layers
-    for (_, pa), (_, pb) in zip(trainable_arrays(params), trainable_arrays(loaded)):
+    for (_, pa), (_, pb) in zip(trainable_arrays(params).items(), trainable_arrays(loaded).items()):
         assert np.array_equal(pa, pb)
     pairs = [("cat", "mouse"), ("dog", "cat"), ("mouse", "dog")]
     a = pair_distribution(params, table, index, pairs)

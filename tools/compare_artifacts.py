@@ -1,0 +1,86 @@
+"""Compare the workflow outputs of two semrel source trees, byte for byte.
+
+    python3 tools/compare_artifacts.py PARENT_SRC CHANGE_SRC [--workloads ...] [--seeds ...]
+
+For each workload and seed it writes the benchmark world once with
+bench/world.py, then runs the six commands of bench/run.py's ``workflow`` as
+``python3 -m semrel`` with PYTHONPATH set to PARENT_SRC and to CHANGE_SRC in
+turn, and compares the eight artifacts of the two runs. Every artifact that
+differs, or that one side did not write, gets a line; the exit code is 1 if
+any does and 0 otherwise. ``--train-args`` adds flags to both ``train``
+commands, to compare settings that no workload trains.
+
+Nothing under bench/ is written; worlds and outputs go to a temporary
+directory that is removed at the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from run import ARTIFACTS, workflow  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def run_workflow(src: Path, workload: str, world: Path, out: Path, train_args: list[str]) -> bool:
+    """Run the six commands against ``src``; False after the first failure."""
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for stage, argv in workflow(WORKLOADS[workload], world, out):
+        if stage.startswith("train"):
+            argv = argv + train_args
+        done = subprocess.run([sys.executable, "-m", "semrel", *argv], env=env, cwd=out,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        if done.returncode != 0:
+            print(f"{src}: {stage} exited with {done.returncode}: {done.stderr.strip()}")
+            return False
+    return True
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS), default=list(WORKLOADS))
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 5])
+    parser.add_argument("--train-args", default="",
+                        help='extra flags for both train commands, e.g. "--hidden-layers 1"')
+    args = parser.parse_args()
+    sides = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
+    for src in sides.values():
+        if not (src / "semrel" / "cli.py").is_file():
+            parser.error(f"{src} holds no semrel package")
+    train_args = shlex.split(args.train_args)
+    compared = differ = 0
+    with tempfile.TemporaryDirectory(prefix="compare-artifacts-") as tmp:
+        for workload in args.workloads:
+            for seed in args.seeds:
+                case = Path(tmp) / f"{workload}-{seed}"
+                world = case / "world"
+                subprocess.run([sys.executable, str(ROOT / "bench" / "world.py"), "--workload",
+                                workload, "--seed", str(seed), "--out", str(world)], check=True)
+                for side, src in sides.items():
+                    run_workflow(src, workload, world, case / side, train_args)
+                for name in ARTIFACTS:
+                    compared += 1
+                    a, b = case / "parent" / name, case / "change" / name
+                    if not (a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False)):
+                        differ += 1
+                        state = "differs" if a.is_file() and b.is_file() else "missing"
+                        print(f"{workload} seed {seed}: {name} {state}")
+    print(f"{compared} artifacts compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
