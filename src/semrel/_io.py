@@ -47,13 +47,15 @@ def write_text(destination, text: str) -> None:
 
 
 def write_document(destination, doc: dict) -> None:
-    """Write a versioned JSON document to a path or stream.
+    """Write a versioned JSON document to a path or stream, on one line.
 
-    Floats are written in shortest round-trip form. A NaN or infinity is not
-    valid JSON, so it raises DataError and nothing is written.
+    Floats are written in shortest round-trip form. With no indent, json
+    encodes in C; readers ignore whitespace, so indented files still load. A
+    NaN or infinity is not valid JSON, so it raises DataError and nothing is
+    written.
     """
     try:
-        text = json.dumps(doc, indent=1, allow_nan=False)
+        text = json.dumps(doc, allow_nan=False)
     except ValueError:
         raise DataError(f"refusing to write a non-finite number into a {doc['format']} file") from None
     write_text(destination, text + "\n")

@@ -92,7 +92,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub.add_argument("--index", required=True, help="path index from extract-paths")
     sub.add_argument("--embeddings", required=True, help="word vector table (text format)")
     sub.add_argument("--model", required=True, help="model file to write")
-    sub.add_argument("--val", help="optional labelled pairs for per-epoch accuracy logging")
+    sub.add_argument("--val", help="optional labelled pairs, scored after each epoch")
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--learning-rate", type=float)
     sub.add_argument("--seed", type=int)
@@ -238,6 +238,10 @@ def _resolved_config(args, preset):
     return replace(preset, **{k: v for k, v in overrides.items() if v is not None})
 
 
+def _print_validation_accuracy(epoch: int, accuracy: float) -> None:
+    print(f"epoch {epoch}: validation accuracy {accuracy:.3f}")
+
+
 def _cmd_train(args) -> int:
     records = read_pairs(args.pairs)
     val = read_pairs(args.val) if args.val else []
@@ -261,7 +265,8 @@ def _cmd_train(args) -> int:
         val = [r for r in val if r.label != NEGATIVE_LABEL]
         label_set = RELATED_LABELS
         config = _resolved_config(args, RELATIONS_PRESET)
-    params = train(records, val, config, index, table, label_set=label_set)
+    params = train(records, val, config, index, table, label_set=label_set,
+                   on_epoch=_print_validation_accuracy)
     save_model(params, args.model)
     manifest = {
         "format": MANIFEST_FORMAT,

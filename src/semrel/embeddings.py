@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -11,25 +12,35 @@ from ._io import open_lines
 from .errors import ParseError
 
 UNK_TOKEN = "<unk>"
+CHUNK_LINES = 1024
 
 
 @dataclass
 class EmbeddingTable:
-    """An immutable token-to-vector map with a fallback row for unknown tokens."""
+    """An immutable token-to-vector map with a fallback row for unknown tokens.
 
-    dimension: int
-    entries: dict[str, np.ndarray]
+    ``matrix`` is one read-only (n, d) array and ``rows`` maps each lowercased
+    token to its row.
+    """
+
+    rows: dict[str, int]
+    matrix: np.ndarray
     unk_vector: np.ndarray
 
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
+
     def lookup(self, token: str) -> np.ndarray:
-        """Vector stored for the lowercased token, or the unknown vector."""
-        return self.entries.get(token.lower(), self.unk_vector)
+        """Read-only row of the lowercased token, or the unknown vector."""
+        row = self.rows.get(token.lower())
+        return self.unk_vector if row is None else self.matrix[row]
 
     def __contains__(self, token: str) -> bool:
-        return token.lower() in self.entries
+        return token.lower() in self.rows
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
 
 def load_table(source) -> EmbeddingTable:
@@ -40,37 +51,95 @@ def load_table(source) -> EmbeddingTable:
     lookups are, so two rows that differ only in case are duplicates. A
     literal "<unk>" row, when present, becomes the fallback vector; otherwise
     unknown tokens map to zeros.
+
+    The lines are read in chunks of ``CHUNK_LINES``, and numpy parses each
+    chunk into rows that are appended to one matrix. A chunk that fails any
+    check is read again line by line, which names the first faulty line.
     """
-    entries: dict[str, np.ndarray] = {}
+    rows: dict[str, int] = {}
+    matrix = np.empty((0, 0))
     dimension = None
     with open_lines(source) as lines:
-        for line_no, raw in enumerate(lines, start=1):
-            parts = raw.split()
-            if not parts:
+        lines = iter(lines)
+        line_no = 1
+        while chunk := list(islice(lines, CHUNK_LINES)):
+            tokens, block = (_parse_chunk(chunk, rows, dimension)
+                             or _read_lines(chunk, line_no, rows, dimension))
+            line_no += len(chunk)
+            if not tokens:
                 continue
-            token, values = parts[0].lower(), parts[1:]
-            if not values:
-                raise ParseError(f"no vector values at line {line_no}")
-            if dimension is None:
-                dimension = len(values)
-            elif len(values) != dimension:
-                raise ParseError(f"dimension mismatch at line {line_no}")
-            if token in entries:
-                raise ParseError(f"duplicate token {parts[0]!r} at line {line_no}")
-            try:
-                row = [float(v) for v in values]
-            except ValueError:
-                raise ParseError(f"unparsable value at line {line_no}") from None
-            # One sum catches nan, inf and overflow ("1e999") in a single test.
-            if not math.isfinite(sum(row)):
-                raise ParseError(f"non-finite or overflowing value at line {line_no}")
-            vector = np.array(row)
-            vector.flags.writeable = False
-            entries[token] = vector
+            dimension = block.shape[1]
+            n = len(rows)
+            # Growing one buffer by realloc keeps the peak near the table's
+            # size; no view of it exists before the loop ends.
+            matrix.resize((n + len(tokens), dimension), refcheck=False)
+            matrix[n:] = block
+            rows.update(zip(tokens, range(n, n + len(tokens))))
     if dimension is None:
         raise ParseError("embedding file contains no vectors")
-    unk = entries.get(UNK_TOKEN)
-    if unk is None:
+    matrix.flags.writeable = False
+    unk_row = rows.get(UNK_TOKEN)
+    if unk_row is None:
         unk = np.zeros(dimension)
         unk.flags.writeable = False
-    return EmbeddingTable(dimension, entries, unk)
+    else:
+        unk = matrix[unk_row]
+    return EmbeddingTable(rows, matrix, unk)
+
+
+def _parse_chunk(chunk: list[str], seen: dict[str, int], dimension: int | None):
+    """(tokens, values) of a chunk by numpy's parser, or None when the chunk
+    has no rows, a line is faulty or numpy cannot vouch for it."""
+    tokens, rests = [], []
+    for raw in chunk:
+        parts = raw.split(None, 1)
+        if len(parts) == 2:
+            tokens.append(parts[0].lower())
+            rests.append(parts[1])
+        elif parts:
+            return None
+    if not tokens or len(set(tokens)) < len(tokens) or not seen.keys().isdisjoint(tokens):
+        return None
+    try:
+        block = np.loadtxt(rests, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape[0] != len(tokens) or dimension not in (None, block.shape[1]):
+        return None
+    # The line loop tests math.isfinite(sum(row)). No partial sum of a row
+    # exceeds its width times its largest absolute value, so when twice that
+    # bound is finite, every row passes the test in any order of addition.
+    if not math.isfinite(2.0 * block.shape[1] * float(np.abs(block).max())):
+        return None
+    return tokens, block
+
+
+def _read_lines(chunk: list[str], first_line: int, seen: dict[str, int], dimension: int | None):
+    """(tokens, values) of a chunk read one line at a time; raises ParseError
+    at the first faulty line."""
+    tokens, values_rows = [], []
+    in_chunk = set()
+    for line_no, raw in enumerate(chunk, start=first_line):
+        parts = raw.split()
+        if not parts:
+            continue
+        token, values = parts[0].lower(), parts[1:]
+        if not values:
+            raise ParseError(f"no vector values at line {line_no}")
+        if dimension is None:
+            dimension = len(values)
+        elif len(values) != dimension:
+            raise ParseError(f"dimension mismatch at line {line_no}")
+        if token in seen or token in in_chunk:
+            raise ParseError(f"duplicate token {parts[0]!r} at line {line_no}")
+        try:
+            row = [float(v) for v in values]
+        except ValueError:
+            raise ParseError(f"unparsable value at line {line_no}") from None
+        # One sum catches nan, inf and overflow ("1e999") in a single test.
+        if not math.isfinite(sum(row)):
+            raise ParseError(f"non-finite or overflowing value at line {line_no}")
+        in_chunk.add(token)
+        tokens.append(token)
+        values_rows.append(row)
+    return tokens, np.array(values_rows)

@@ -82,19 +82,18 @@ def init_component(
     tokens: Iterable[str],
     width: int,
     rng: np.random.Generator,
-    seed_vectors: Mapping[str, np.ndarray] | None = None,
+    seed_table: EmbeddingTable | None = None,
 ) -> ComponentEmbeddings:
-    """Rows drawn uniformly from [-0.1, 0.1]; known tokens may be overwritten
-    with vectors from ``seed_vectors`` when the widths agree."""
+    """Rows drawn uniformly from [-0.1, 0.1]; a token that ``seed_table``
+    holds takes its table row instead when the widths agree."""
     ordered = sorted(set(tokens))
     matrix = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(len(ordered) + 1, width))
-    index = {}
-    for row, token in enumerate(ordered, start=1):
-        index[token] = row
-        if seed_vectors is not None:
-            vec = seed_vectors.get(token)
-            if vec is not None and len(vec) == width:
-                matrix[row] = vec
+    index = {token: row for row, token in enumerate(ordered, start=1)}
+    if seed_table is not None and seed_table.dimension == width:
+        for token, row in index.items():
+            seed_row = seed_table.rows.get(token)
+            if seed_row is not None:
+                matrix[row] = seed_table.matrix[seed_row]
     return ComponentEmbeddings(index, matrix)
 
 
@@ -121,9 +120,8 @@ def build_edge_vocab(
             poses.add(edge.pos)
             deprels.add(edge.deprel)
     lemmas.update((X_PLACEHOLDER, Y_PLACEHOLDER))
-    seeds = table.entries if table is not None else None
     return EdgeVocab(
-        lemma=init_component(lemmas, lemma_dim, rng, seeds),
+        lemma=init_component(lemmas, lemma_dim, rng, table),
         pos=init_component(poses, pos_dim, rng),
         deprel=init_component(deprels, deprel_dim, rng),
         direction=init_component(DIRECTION_TOKENS, dir_dim, rng),

@@ -17,11 +17,10 @@ single seed in TrainConfig, so a fixed seed reproduces parameters bit for bit.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,8 +42,6 @@ from .path_encoder import (
     encoder_arrays,
     init_recurrent,
 )
-
-logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "semrel-relation-model"
 MODEL_VERSION = 1
@@ -337,11 +334,14 @@ def train(
     index: PathIndex,
     table: EmbeddingTable,
     label_set: Sequence[str] | None = None,
+    on_epoch: Callable[[int, float], None] | None = None,
 ) -> ModelParams:
     """Seeded per-example SGD; the same seed and data give identical parameters.
 
     ``label_set`` fixes the output order; it defaults to the sorted labels of
-    the training set. Labels outside the set raise DataError.
+    the training set. Labels outside the set raise DataError. When ``val`` is
+    not empty, the model scores it after each epoch and ``on_epoch`` receives
+    the epoch number and the validation accuracy.
     """
     if not trainset:
         raise DataError("training set is empty")
@@ -362,10 +362,10 @@ def train(
                 if not math.isfinite(loss):
                     raise DataError(f"training diverged: non-finite loss in epoch {epoch + 1}")
                 apply_gradients(params, grads, config.learning_rate)
-            if val:
+            if val and on_epoch is not None:
                 dist = pair_distribution(params, table, index, [(r.x, r.y) for r in val])
                 hits = sum(params.label_set[k] == r.label for k, r in zip(dist.argmax(axis=1), val))
-                logger.debug("epoch %d: validation accuracy %.3f", epoch + 1, hits / len(val))
+                on_epoch(epoch + 1, hits / len(val))
     return params
 
 

@@ -26,14 +26,19 @@ def conll_text(rows):
     return "\n".join(lines) + "\n"
 
 
+def make_table(vectors):
+    """An EmbeddingTable of ``vectors`` (lowercase token -> values), in their
+    order, with the zero unknown vector that ``load_table`` gives."""
+    matrix = np.array([np.asarray(v, dtype=float) for v in vectors.values()])
+    matrix.flags.writeable = False
+    unk = np.zeros(matrix.shape[1])
+    unk.flags.writeable = False
+    return EmbeddingTable({w: row for row, w in enumerate(vectors)}, matrix, unk)
+
+
 def random_table(words, dim, seed=0):
     rng = np.random.default_rng(seed)
-    entries = {}
-    for w in words:
-        vec = rng.normal(size=dim)
-        vec.flags.writeable = False
-        entries[w.lower()] = vec
-    return EmbeddingTable(dim, entries, np.zeros(dim))
+    return make_table({w.lower(): rng.normal(size=dim) for w in words})
 
 
 def constant_model(labels, probs, word_dim=2, hidden_dim=2):

@@ -196,3 +196,53 @@ def reference_predict_pairs(combiner, relation_params, table, index, pairs,
             best = ranked[1]
         labels.append(names[best])
     return labels
+
+
+def reference_load_table(source):
+    """The line-by-line table loader that ``load_table`` is checked against.
+
+    Each line is split in Python and each value parsed with ``float``; the
+    checks run in this order on every line: values present, width, duplicate
+    token, parse, and one sum for nan, inf and overflow. Returns ``(entries,
+    unk)``: entries maps each lowercased token to its read-only vector, in
+    file order.
+    """
+    import numpy as np
+
+    from semrel._io import open_lines
+    from semrel.embeddings import UNK_TOKEN
+    from semrel.errors import ParseError
+
+    entries: dict[str, np.ndarray] = {}
+    dimension = None
+    with open_lines(source) as lines:
+        for line_no, raw in enumerate(lines, start=1):
+            parts = raw.split()
+            if not parts:
+                continue
+            token, values = parts[0].lower(), parts[1:]
+            if not values:
+                raise ParseError(f"no vector values at line {line_no}")
+            if dimension is None:
+                dimension = len(values)
+            elif len(values) != dimension:
+                raise ParseError(f"dimension mismatch at line {line_no}")
+            if token in entries:
+                raise ParseError(f"duplicate token {parts[0]!r} at line {line_no}")
+            try:
+                row = [float(v) for v in values]
+            except ValueError:
+                raise ParseError(f"unparsable value at line {line_no}") from None
+            # One sum catches nan, inf and overflow ("1e999") in a single test.
+            if not math.isfinite(sum(row)):
+                raise ParseError(f"non-finite or overflowing value at line {line_no}")
+            vector = np.array(row)
+            vector.flags.writeable = False
+            entries[token] = vector
+    if dimension is None:
+        raise ParseError("embedding file contains no vectors")
+    unk = entries.get(UNK_TOKEN)
+    if unk is None:
+        unk = np.zeros(dimension)
+        unk.flags.writeable = False
+    return entries, unk

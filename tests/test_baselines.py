@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from helpers import make_table
 from semrel.baselines import (
     baseline_classify,
     combine_vectors,
@@ -9,19 +10,8 @@ from semrel.baselines import (
     predict_linear,
     train_linear,
 )
-from semrel.embeddings import EmbeddingTable
 from semrel.errors import DataError
 from semrel.pairs import PairRecord, RELATED, UNRELATED
-
-
-def fixed_table(vectors):
-    entries = {}
-    dim = len(next(iter(vectors.values())))
-    for word, vec in vectors.items():
-        arr = np.asarray(vec, dtype=float)
-        arr.flags.writeable = False
-        entries[word] = arr
-    return EmbeddingTable(dim, entries, np.zeros(dim))
 
 
 def separable_world(n_per_class=20, seed=4):
@@ -35,7 +25,7 @@ def separable_world(n_per_class=20, seed=4):
             vectors[x] = rng.normal(loc=center, scale=0.3, size=3)
             vectors[y] = rng.normal(loc=center, scale=0.3, size=3)
             records.append(PairRecord(x, y, label))
-    return fixed_table(vectors), records
+    return make_table(vectors), records
 
 
 # ------------------------------------------------------ feature building
@@ -52,7 +42,7 @@ def test_combine_vectors_hand_values():
 
 
 def test_features_for_pairs_stacks_rows():
-    table = fixed_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
     feats = features_for_pairs([PairRecord("a", "b", ""), PairRecord("b", "a", "")], table, "diff")
     assert feats.shape == (2, 2)
     assert np.array_equal(feats[0], [1.0, -1.0])
@@ -89,7 +79,7 @@ def test_training_input_validation():
 
 
 def test_baseline_gate_and_classifier():
-    table = fixed_table({
+    table = make_table({
         "r1": [1.0, 0.0], "r2": [1.0, 0.0],
         "u1": [1.0, 0.0], "u2": [-1.0, 0.0],
     })

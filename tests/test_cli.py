@@ -7,7 +7,9 @@ import pytest
 from helpers import conll_text
 from semrel.cli import main
 from semrel.corpus import build_path_index, load_index, parse_conll
+from semrel.embeddings import load_table
 from semrel.pairs import read_pairs
+from semrel.relation_model import load_model, pair_distribution
 
 HYPER_SENT = conll_text([
     ("cata", "cata", "NOUN", 4, "nsubj"), ("is", "be", "VERB", 4, "cop"),
@@ -138,6 +140,25 @@ def test_same_seed_training_is_byte_identical(micro):
                    "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
                    "--model", d / name, "--epochs", 2, "--seed", 11) == 0
     assert (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
+
+
+def test_train_val_prints_validation_accuracy_per_epoch(micro, capsys):
+    d = micro["dir"]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    capsys.readouterr()
+    assert run("train", "--task", "relations", "--pairs", micro["pairs"], "--val", micro["pairs"],
+               "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
+               "--model", d / "four.json", "--epochs", 3, "--seed", 3) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("epoch ")]
+    assert [line.rsplit(" ", 1)[0] for line in lines] == [
+        f"epoch {n}: validation accuracy" for n in (1, 2, 3)]
+    params = load_model(d / "four.json")
+    val = [r for r in read_pairs(micro["pairs"]) if r.label != "RANDOM"]
+    dist = pair_distribution(params, load_table(micro["embeddings"]), load_index(d / "index.tsv"),
+                             [(r.x, r.y) for r in val])
+    hits = sum(params.label_set[k] == r.label for k, r in zip(dist.argmax(axis=1), val))
+    assert lines[-1] == f"epoch 3: validation accuracy {hits / len(val):.3f}"
 
 
 # ------------------------------------------------------------ config file

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_model
+from helpers import constant_model, make_table
 from oracles import reference_predict_pairs, reference_relatedness_score
 from semrel.corpus import DependencyPath, PathEdge, PathIndex
-from semrel.embeddings import EmbeddingTable
 from semrel.pairs import NEGATIVE_LABEL, PairRecord, RELATED_LABELS, RELATEDNESS_LABELS
 from semrel.pipeline import PipelineConfig, path_count, predict_pairs, syn_heuristic
 from semrel.relatedness import CombinerConfig, predict_related
@@ -28,9 +27,7 @@ def seeded_index(n_paths):
 def two_word_table(cos=1.0):
     x = np.array([1.0, 0.0])
     y = np.array([cos, np.sqrt(max(0.0, 1 - cos * cos))])
-    x.flags.writeable = False
-    y.flags.writeable = False
-    return EmbeddingTable(2, {"a": x, "b": y}, np.zeros(2))
+    return make_table({"a": x, "b": y})
 
 
 def classify(config, model, table, index, x, y):
@@ -130,8 +127,7 @@ def test_distinct_path_counting_changes_the_decision():
 
 
 def test_predict_pairs_maps_classify():
-    table = EmbeddingTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.0]),
-                               "c": np.array([-1.0, 0.0])}, np.zeros(2))
+    table = make_table({"a": [1.0, 0.0], "b": [1.0, 0.0], "c": [-1.0, 0.0]})
     model = constant_model(RELATED_LABELS, [0.7, 0.1, 0.1, 0.1], word_dim=2)
     config = PipelineConfig(combiner=CombinerConfig(w_c=1.0, w_l=0.0, t=0.5))
     pairs = [PairRecord("a", "b", ""), PairRecord("a", "c", ""), PairRecord("a", "b", "")]
@@ -192,7 +188,7 @@ def test_batch_prediction_matches_the_per_pair_oracle(
     syn_margin, syn_max_paths, path_count_mode,
 ):
     words = [f"w{i}" for i in range(4)]
-    table = EmbeddingTable(2, {w: np.array(v) for w, v in zip(words, vectors)}, np.zeros(2))
+    table = make_table(dict(zip(words, vectors)))
     index = PathIndex()
     pairs = [(words[a], words[b]) for a, b, _ in pair_ids]
     for (x, y), (_, _, n_paths) in zip(pairs, pair_ids):

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_model
+from helpers import constant_model, make_table
 from oracles import reference_binary_f1
 from semrel.corpus import PathIndex
-from semrel.embeddings import EmbeddingTable
 from semrel.errors import DataError
 from semrel.evaluation import binary_f1
 from semrel.pairs import PairRecord, RELATED, RELATEDNESS_LABELS, UNRELATED
@@ -27,16 +26,6 @@ from semrel.relatedness import (
     tune_combiner,
 )
 from semrel.relation_model import pair_distribution
-
-
-def fixed_table(vectors):
-    entries = {}
-    dim = len(next(iter(vectors.values())))
-    for word, vec in vectors.items():
-        arr = np.asarray(vec, dtype=float)
-        arr.flags.writeable = False
-        entries[word] = arr
-    return EmbeddingTable(dim, entries, np.zeros(dim))
 
 
 # ------------------------------------------------------------ cosine_norm
@@ -112,7 +101,7 @@ def test_grids_cover_the_operating_points():
 
 
 def test_pure_cosine_score_skips_the_model():
-    table = fixed_table({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})
+    table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})
     config = CombinerConfig(w_c=1.0, w_l=0.0, t=0.5)
     scores = relatedness_scores(config, table, [("a", "b"), ("a", "c")])  # no model, no index
     assert scores.tolist() == [cosine_norm(table.lookup("a"), table.lookup(y)) for y in "bc"]
@@ -120,7 +109,7 @@ def test_pure_cosine_score_skips_the_model():
 
 
 def test_model_term_requires_model_and_index():
-    table = fixed_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+    table = make_table({"a": [1.0, 0.0], "b": [0.0, 1.0]})
     config = CombinerConfig(w_c=0.5, w_l=0.5, t=0.5)
     model = constant_model(RELATEDNESS_LABELS, [0.8, 0.2], word_dim=2)
     for params, index in ((None, None), (model, None), (None, PathIndex())):
@@ -131,7 +120,7 @@ def test_model_term_requires_model_and_index():
 
 
 def test_score_combines_both_terms():
-    table = fixed_table({"a": [1.0, 0.0], "b": [1.0, 0.0], "c": [-1.0, 0.0]})
+    table = make_table({"a": [1.0, 0.0], "b": [1.0, 0.0], "c": [-1.0, 0.0]})
     model = constant_model(RELATEDNESS_LABELS, [0.8, 0.2], word_dim=2)
     config = CombinerConfig(w_c=0.25, w_l=0.75, t=0.5)
     scores = relatedness_scores(config, table, [("a", "b"), ("a", "c")], model, PathIndex())
@@ -141,7 +130,7 @@ def test_score_combines_both_terms():
 def test_threshold_is_inclusive():
     # Pairs scoring exactly t, and one ulp below it, against a pure-cosine
     # combiner whose threshold is the first pair's score.
-    table = fixed_table({"a": [1.0, 0.0], "b": [0.6, 0.8], "c": [0.6, 0.8 + 1e-12]})
+    table = make_table({"a": [1.0, 0.0], "b": [0.6, 0.8], "c": [0.6, 0.8 + 1e-12]})
     t = cosine_norm(table.lookup("a"), table.lookup("b"))
     below = cosine_norm(table.lookup("a"), table.lookup("c"))
     assert below < t
@@ -150,7 +139,7 @@ def test_threshold_is_inclusive():
 
 
 def test_predict_related_labels():
-    table = fixed_table({"a": [1.0, 0.0], "b": [1.0, 0.0], "c": [-1.0, 0.0]})
+    table = make_table({"a": [1.0, 0.0], "b": [1.0, 0.0], "c": [-1.0, 0.0]})
     config = CombinerConfig(w_c=1.0, w_l=0.0, t=0.5)
     related = predict_related(config, table, [("a", "b"), ("a", "c"), ("b", "a")])
     assert related.dtype == bool and related.tolist() == [True, False, True]
@@ -160,7 +149,7 @@ def test_predict_related_labels():
 
 
 def tuning_world():
-    table = fixed_table({
+    table = make_table({
         "suna": [1.0, 0.0], "sunb": [1.0, 0.0],
         "moona": [0.0, 1.0], "moonb": [0.0, 1.0],
         "colda": [-1.0, 0.0], "coldb": [1.0, 0.0],
@@ -202,7 +191,7 @@ def test_tuning_requires_both_classes():
 
 
 def test_cosine_only_tuning_hand_case():
-    table = fixed_table({
+    table = make_table({
         "r1": [1.0, 0.0], "r2": [1.0, 0.0],
         "u1": [1.0, 0.0], "u2": [-1.0, 0.0],
     })
@@ -213,7 +202,7 @@ def test_cosine_only_tuning_hand_case():
 
 
 def test_cosine_only_tuning_needs_both_classes():
-    table = fixed_table({"a": [1.0, 0.0], "b": [1.0, 0.0]})
+    table = make_table({"a": [1.0, 0.0], "b": [1.0, 0.0]})
     with pytest.raises(DataError):
         tune_combiner([PairRecord("a", "b", RELATED)], table)
 
@@ -230,7 +219,7 @@ def test_imperfect_separation_still_picks_argmax_f1():
     # threshold separates them. Predicting everything related gives
     # P=3/4, R=1, F1=6/7; predicting only the two clean pairs gives
     # P=1, R=2/3, F1=4/5. The tuner must prefer 6/7 at the lowest threshold.
-    table = fixed_table({
+    table = make_table({
         "a1": [1.0, 0.0], "a2": [1.0, 0.0],
         "b1": [1.0, 0.1], "b2": [1.0, 0.1],
         "low1": [1.0, 0.0], "low2": [-1.0, 0.0],
@@ -284,7 +273,7 @@ def test_tuning_matches_a_plain_grid_loop(rows, p_related):
         vectors[f"x{i}"], vectors[f"y{i}"] = [a, b], [c, d]
         val.append(PairRecord(f"x{i}", f"y{i}", RELATED if related else UNRELATED))
     assume(len({r.label for r in val}) == 2)
-    table = fixed_table(vectors)
+    table = make_table(vectors)
     model = constant_model(RELATEDNESS_LABELS, [p_related, 1.0 - p_related], word_dim=2)
     config, f1 = tune_combiner(val, table, model, PathIndex())
     assert (config.w_c, config.t, f1) == grid_oracle(val, model, table)

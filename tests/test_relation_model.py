@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_model, random_table
+from helpers import constant_model, make_table, random_table
 from oracles import central_difference, rel_error
 from semrel.corpus import DependencyPath, PathEdge, PathIndex
-from semrel.embeddings import EmbeddingTable
 from semrel.errors import DataError
 from semrel.pairs import PairRecord
 from semrel.path_encoder import average_paths_with_cache
@@ -358,6 +357,40 @@ def test_save_load_round_trip_is_bit_exact(hidden_layers):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("hidden_layers", [0, 1])
+def test_indented_model_file_scores_like_the_compact_one(hidden_layers):
+    """Model files used to be written with indent=1; they still load, to the same bits."""
+    table, _, _, params = tiny_setup(hidden_layers=hidden_layers, train_word_vectors=True)
+    buf = io.StringIO()
+    save_model(params, buf)
+    compact = buf.getvalue()
+    assert compact.count("\n") == 1 and compact.endswith("}\n")
+    indented = json.dumps(json.loads(compact), indent=1) + "\n"
+    pairs = [("cat", "mouse"), ("dog", "cat"), ("mouse", "dog"), ("bird", "cat")]
+    index = make_index()
+    a = pair_distribution(load_model(io.StringIO(compact)), table, index, pairs)
+    b = pair_distribution(load_model(io.StringIO(indented)), table, index, pairs)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_validation_accuracy_reaches_on_epoch_and_leaves_training_alone():
+    table = random_table(["cat", "mouse", "dog"], 3, seed=1)
+    records = [PairRecord("cat", "mouse", "HYPER"), PairRecord("dog", "cat", "SYN"),
+               PairRecord("mouse", "dog", "ANT")]
+    config = TrainConfig(epochs=3, seed=9, hidden_dim=4, lemma_dim=2, pos_dim=2,
+                         deprel_dim=2, dir_dim=1)
+    seen = []
+    watched = train(records, records, config, make_index(), table,
+                    on_epoch=lambda epoch, accuracy: seen.append((epoch, accuracy)))
+    plain = train(records, records, config, make_index(), table)
+    assert [epoch for epoch, _ in seen] == [1, 2, 3]
+    dist = pair_distribution(watched, table, make_index(), [(r.x, r.y) for r in records])
+    hits = sum(watched.label_set[k] == r.label for k, r in zip(dist.argmax(axis=1), records))
+    assert seen[-1][1] == hits / len(records)
+    for (_, a), (_, b) in zip(trainable_arrays(watched).items(), trainable_arrays(plain).items()):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_save_load_keeps_trainable_word_vectors():
     table = random_table(["cat", "mouse", "dog"], 3, seed=1)
     records = [PairRecord("cat", "mouse", "HYPER"), PairRecord("dog", "cat", "SYN")]
@@ -463,7 +496,7 @@ def test_load_rejects_a_non_finite_number():
 def train_to_divergence():
     """Train on vectors scaled by 1e150 at learning rate 1e10, which overflows."""
     table = random_table(["cat", "mouse", "dog"], 3, seed=1)
-    huge = EmbeddingTable(3, {w: v * 1e150 for w, v in table.entries.items()}, table.unk_vector)
+    huge = make_table({w: table.matrix[row] * 1e150 for w, row in table.rows.items()})
     records = [PairRecord("cat", "mouse", "HYPER"), PairRecord("dog", "cat", "SYN"),
                PairRecord("mouse", "dog", "ANT")]
     config = TrainConfig(epochs=3, seed=5, learning_rate=1e10, hidden_dim=4, lemma_dim=2,

@@ -7,8 +7,11 @@ bench/world.py, then runs the six commands of bench/run.py's ``workflow`` as
 ``python3 -m semrel`` with PYTHONPATH set to PARENT_SRC and to CHANGE_SRC in
 turn, and compares the eight artifacts of the two runs. Every artifact that
 differs, or that one side did not write, gets a line; the exit code is 1 if
-any does and 0 otherwise. ``--train-args`` adds flags to both ``train``
-commands, to compare settings that no workload trains.
+any does and 0 otherwise. A .json artifact whose bytes differ but whose
+document is the same, as when only the layout changed, is reported as "same
+JSON content" and counted apart in the summary; it still sets exit code 1.
+``--train-args`` adds flags to both ``train`` commands, to compare settings
+that no workload trains.
 
 Nothing under bench/ is written; worlds and outputs go to a temporary
 directory that is removed at the end.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import shlex
 import subprocess
@@ -47,6 +51,12 @@ def run_workflow(src: Path, workload: str, world: Path, out: Path, train_args: l
     return True
 
 
+def json_content(path: Path) -> str:
+    """The document in a JSON file, encoded again so that only layout is lost."""
+    with open(path, encoding="utf-8") as fh:
+        return json.dumps(json.load(fh))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_src", type=Path)
@@ -61,7 +71,7 @@ def main() -> int:
         if not (src / "semrel" / "cli.py").is_file():
             parser.error(f"{src} holds no semrel package")
     train_args = shlex.split(args.train_args)
-    compared = differ = 0
+    compared = differ = same_content = 0
     with tempfile.TemporaryDirectory(prefix="compare-artifacts-") as tmp:
         for workload in args.workloads:
             for seed in args.seeds:
@@ -74,11 +84,19 @@ def main() -> int:
                 for name in ARTIFACTS:
                     compared += 1
                     a, b = case / "parent" / name, case / "change" / name
-                    if not (a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False)):
-                        differ += 1
-                        state = "differs" if a.is_file() and b.is_file() else "missing"
-                        print(f"{workload} seed {seed}: {name} {state}")
-    print(f"{compared} artifacts compared, {differ} differ")
+                    if a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False):
+                        continue
+                    differ += 1
+                    if not (a.is_file() and b.is_file()):
+                        state = "missing"
+                    elif name.endswith(".json") and json_content(a) == json_content(b):
+                        same_content += 1
+                        state = "differs in bytes, same JSON content"
+                    else:
+                        state = "differs"
+                    print(f"{workload} seed {seed}: {name} {state}")
+    print(f"{compared} artifacts compared, {differ} differ, "
+          f"{same_content} of them with the same JSON content")
     return 1 if differ else 0
 
 
