@@ -8,9 +8,10 @@ represents the path. A pair's path multiset is reduced to a single vector by
 a count-weighted (or uniform) average, with the empty multiset mapping to the
 zero vector.
 
-``average_paths_with_cache`` keeps one record of arrays per path, which
-``backprop_average`` walks back to accumulate exact gradients for all encoder
-parameters.
+``average_paths_with_cache`` runs a pair's paths in groups of equal step
+count, each group time-major as one (P, D) matrix per step, and keeps one
+record of arrays per group, which ``backprop_average`` walks back to
+accumulate exact gradients for all encoder parameters.
 """
 
 from __future__ import annotations
@@ -148,46 +149,43 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PathCache:
-    """One path's forward pass, a row per step; T steps, input width D, hidden size H."""
+    """The forward pass of a group of P paths of T steps each, time-major;
+    input width D, hidden size H."""
 
-    rows: np.ndarray  # (T, 4) lemma, POS, deprel and direction row numbers
-    xs: np.ndarray  # (T, D) step inputs
-    hs: np.ndarray  # (T+1, H) row t is the state step t starts from; hs[-1] encodes the path
-    cs: np.ndarray  # (T+1, H) cell states, in the same rows
-    gates: np.ndarray  # (T, 4H) input, forget, candidate and output gates
-    tanh_c: np.ndarray  # (T, H) tanh of the cell state that step t leaves
+    rows: np.ndarray  # (T, P, 4) lemma, POS, deprel and direction row numbers
+    xs: np.ndarray  # (T, P, D) step inputs
+    hs: np.ndarray  # (T+1, P, H) row t is the state step t starts from; hs[-1] encodes the paths
+    cs: np.ndarray  # (T+1, P, H) cell states, in the same rows
+    gates: np.ndarray  # (T, P, 4H) input, forget, candidate and output gates
+    tanh_c: np.ndarray  # (T, P, H) tanh of the cell state that step t leaves
+    weights: np.ndarray  # (P,) each path's weight in the average
 
 
-def _run_path(
-    path: DependencyPath,
-    vocab: EdgeVocab,
-    rec: RecurrentParams,
-    dropped: np.ndarray | None = None,
-) -> PathCache:
-    """Run the unit over the path's steps, where a dropped step's lemma takes
-    row 0. An edgeless path keeps the zero state: it encodes to zeros."""
-    components = vocab.components()
-    steps = [(e.lemma, e.pos, e.deprel, e.direction) for e in path.edges]
-    rows = np.array([[comp.row(token) for comp, token in zip(components, step)] for step in steps],
-                    dtype=np.intp).reshape(-1, 4)
-    if dropped is not None:
-        rows[dropped, 0] = 0
-    xs = np.concatenate([comp.matrix[rows[:, k]] for k, comp in enumerate(components)], axis=1)
+def _run_group(rows: np.ndarray, weights: np.ndarray, vocab: EdgeVocab,
+               rec: RecurrentParams) -> PathCache:
+    """Run the unit over a group of same-length paths given their (T, P, 4)
+    component rows. Only the recurrent product stays inside the step loop.
+    Edgeless paths keep the zero state: they encode to zeros."""
+    steps, count = rows.shape[:2]
+    xs = np.concatenate([comp.matrix[rows[..., k]] for k, comp in enumerate(vocab.components())],
+                        axis=2)
     hidden = rec.hidden_size
     i, f, g, o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    hs = np.zeros((len(rows) + 1, hidden))
-    cs = np.zeros((len(rows) + 1, hidden))
-    gates = np.empty((len(rows), 4 * hidden))
-    tanh_c = np.empty((len(rows), hidden))
-    for t in range(len(rows)):
-        z = rec.w_in @ xs[t] + rec.w_rec @ hs[t] + rec.bias
+    z_in = xs.reshape(steps * count, xs.shape[2]) @ rec.w_in.T + rec.bias
+    z_in = z_in.reshape(steps, count, 4 * hidden)
+    hs = np.zeros((steps + 1, count, hidden))
+    cs = np.zeros((steps + 1, count, hidden))
+    gates = np.empty((steps, count, 4 * hidden))
+    tanh_c = np.empty((steps, count, hidden))
+    for t in range(steps):
+        z = z_in[t] + hs[t] @ rec.w_rec.T
         gate = gates[t]
         gate[:] = _sigmoid(z)
-        gate[g] = np.tanh(z[g])
-        cs[t + 1] = gate[f] * cs[t] + gate[i] * gate[g]
+        gate[:, g] = np.tanh(z[:, g])
+        cs[t + 1] = gate[:, f] * cs[t] + gate[:, i] * gate[:, g]
         tanh_c[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = gate[o] * tanh_c[t]
-    return PathCache(rows, xs, hs, cs, gates, tanh_c)
+        hs[t + 1] = gate[:, o] * tanh_c[t]
+    return PathCache(rows, xs, hs, cs, gates, tanh_c, weights)
 
 
 def average_paths_with_cache(
@@ -197,13 +195,15 @@ def average_paths_with_cache(
     mode: str = WEIGHTED,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, list[tuple[PathCache, float]]]:
-    """Average of the encoded paths, and each path's cache with its weight.
+) -> tuple[np.ndarray, list[PathCache]]:
+    """Average of the encoded paths, and one cache per group of paths that
+    share a step count.
 
     The empty multiset gives the zero vector. "weighted" weights each distinct
     path by its count; "uniform" ignores counts. When ``dropout_rate`` > 0 and
     an rng is given, each step's lemma component is replaced by the unknown
-    row with that probability, independently.
+    row with that probability, independently, drawn path by path in the
+    multiset's order.
     """
     if mode not in AVERAGE_MODES:
         raise ValueError(f"unknown average mode {mode!r}")
@@ -216,14 +216,27 @@ def average_paths_with_cache(
         weights = [count / total for _, count in items]
     else:
         weights = [1.0 / len(items)] * len(items)
-    caches = []
-    for (path, _), weight in zip(items, weights):
-        dropped = None
+    components = vocab.components()
+    groups: dict[int, list[int]] = {}
+    path_rows = []
+    for n, (path, _) in enumerate(items):
+        rows = np.array([[comp.row(token) for comp, token in
+                          zip(components, (e.lemma, e.pos, e.deprel, e.direction))]
+                         for e in path.edges], dtype=np.intp).reshape(-1, 4)
         if dropout_rate > 0.0 and rng is not None:
-            dropped = rng.random(len(path.edges)) < dropout_rate
-        cache = _run_path(path, vocab, rec, dropped)
-        pooled += weight * cache.hs[-1]
-        caches.append((cache, weight))
+            rows[rng.random(len(path.edges)) < dropout_rate, 0] = 0
+        path_rows.append(rows)
+        groups.setdefault(len(rows), []).append(n)
+    caches = []
+    final = [None] * len(items)
+    for members in groups.values():
+        cache = _run_group(np.stack([path_rows[n] for n in members], axis=1),
+                           np.array([weights[n] for n in members]), vocab, rec)
+        caches.append(cache)
+        for p, n in enumerate(members):
+            final[n] = cache.hs[-1, p]
+    for weight, h in zip(weights, final):
+        pooled += weight * h
     return pooled, caches
 
 
@@ -237,44 +250,42 @@ def encoder_arrays(vocab: EdgeVocab, rec: RecurrentParams) -> dict[str, np.ndarr
 
 def backprop_average(
     d_out: np.ndarray,
-    cache: Sequence[tuple[PathCache, float]],
+    cache: Sequence[PathCache],
     vocab: EdgeVocab,
     rec: RecurrentParams,
     grads,
 ) -> None:
     """Accumulate d(loss)/d(params) given d(loss)/d(averaged vector), into
-    the ``grads`` attribute named as in ``encoder_arrays``."""
-    for path_cache, weight in cache:
-        _backprop_path(weight * d_out, path_cache, vocab, rec, grads)
-
-
-def _backprop_path(
-    dh: np.ndarray,
-    cache: PathCache,
-    vocab: EdgeVocab,
-    rec: RecurrentParams,
-    grads,
-) -> None:
+    the ``grads`` attribute named as in ``encoder_arrays``. Each group walks
+    its steps back with only the recurrent product in the loop, then adds
+    its weight, bias and component-row gradients in one pass."""
     hidden = rec.hidden_size
     i, f, g, o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
     ends = np.cumsum([comp.width for comp in vocab.components()]).tolist()
     spans = list(zip([0] + ends[:-1], ends))
     component_grads = (grads.lemma, grads.pos, grads.deprel, grads.direction)
-    rows = cache.rows.tolist()
-    dc = np.zeros(hidden)
-    dz = np.empty(4 * hidden)
-    for t in reversed(range(len(rows))):
-        gate, tanh_c = cache.gates[t], cache.tanh_c[t]
-        d_ct = dh * gate[o] * (1.0 - tanh_c**2) + dc
-        dz[i] = d_ct * gate[g] * gate[i] * (1.0 - gate[i])
-        dz[f] = d_ct * cache.cs[t] * gate[f] * (1.0 - gate[f])
-        dz[g] = d_ct * gate[i] * (1.0 - gate[g] ** 2)
-        dz[o] = dh * tanh_c * gate[o] * (1.0 - gate[o])
-        dc = d_ct * gate[f]
-        grads.w_in += dz[:, None] * cache.xs[t]
-        grads.w_rec += dz[:, None] * cache.hs[t]
-        grads.bias += dz
-        dx = rec.w_in.T @ dz
-        dh = rec.w_rec.T @ dz
-        for comp_grad, row, (start, end) in zip(component_grads, rows[t], spans):
-            comp_grad[row] += dx[start:end]
+    for group in cache:
+        steps, count = group.rows.shape[:2]
+        if steps == 0:
+            continue
+        dh = group.weights[:, None] * d_out
+        dc = np.zeros((count, hidden))
+        dzs = np.empty((steps, count, 4 * hidden))
+        for t in reversed(range(steps)):
+            gate, tanh_c, dz = group.gates[t], group.tanh_c[t], dzs[t]
+            gi, gf, gg, go = gate[:, i], gate[:, f], gate[:, g], gate[:, o]
+            d_ct = dh * go * (1.0 - tanh_c**2) + dc
+            dz[:, i] = d_ct * gg * gi * (1.0 - gi)
+            dz[:, f] = d_ct * group.cs[t] * gf * (1.0 - gf)
+            dz[:, g] = d_ct * gi * (1.0 - gg**2)
+            dz[:, o] = dh * tanh_c * go * (1.0 - go)
+            dc = d_ct * gf
+            dh = dz @ rec.w_rec
+        dz_all = dzs.reshape(steps * count, -1)
+        grads.w_in += dz_all.T @ group.xs.reshape(steps * count, -1)
+        grads.w_rec += dz_all.T @ group.hs[:-1].reshape(steps * count, -1)
+        grads.bias += dz_all.sum(axis=0)
+        dx = dz_all @ rec.w_in
+        rows = group.rows.reshape(steps * count, 4)
+        for k, (comp_grad, (start, end)) in enumerate(zip(component_grads, spans)):
+            np.add.at(comp_grad, rows[:, k], dx[:, start:end])

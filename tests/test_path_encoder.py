@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import conll_text, random_table
 from oracles import central_difference, reference_lstm, rel_error
@@ -24,6 +26,12 @@ P_LONG = DependencyPath((
     PathEdge("chase", "VERB", "root", "root"),
     PathEdge("Y", "NOUN", "dobj", "down"),
 ))
+# Same step count as P_LONG, other inner lemma: the two run as one group.
+P_LONG2 = DependencyPath((
+    PathEdge("X", "NOUN", "nsubj", "up"),
+    PathEdge("hunt", "VERB", "root", "root"),
+    PathEdge("Y", "NOUN", "dobj", "down"),
+))
 P_SHORT = DependencyPath((
     PathEdge("X", "NOUN", "nmod", "up"),
     PathEdge("Y", "NOUN", "root", "root"),
@@ -32,7 +40,7 @@ P_SHORT = DependencyPath((
 
 def small_setup(seed=3, lemma_dim=3, hidden=4, table=None):
     rng = np.random.default_rng(seed)
-    vocab = build_edge_vocab([P_LONG, P_SHORT], lemma_dim=lemma_dim, pos_dim=2,
+    vocab = build_edge_vocab([P_LONG, P_LONG2, P_SHORT], lemma_dim=lemma_dim, pos_dim=2,
                              deprel_dim=2, dir_dim=1, rng=rng, table=table)
     rec = init_recurrent(vocab.input_width, hidden, rng)
     return vocab, rec
@@ -110,10 +118,21 @@ def step_inputs(path, vocab, dropped=()):
 def test_step_input_concatenates_components():
     vocab, rec = small_setup()
     _, cache = average_paths_with_cache({P_LONG: 1}, vocab, rec)
-    xs = cache[0][0].xs
-    assert xs.shape == (len(P_LONG.edges), vocab.input_width)
-    assert np.array_equal(xs, step_inputs(P_LONG, vocab))
-    assert np.array_equal(xs[1, :3], vocab.lemma.matrix[vocab.lemma.row("chase")])
+    xs = cache[0].xs
+    assert xs.shape == (len(P_LONG.edges), 1, vocab.input_width)
+    assert np.array_equal(xs[:, 0], step_inputs(P_LONG, vocab))
+    assert np.array_equal(xs[1, 0, :3], vocab.lemma.matrix[vocab.lemma.row("chase")])
+
+
+def test_paths_of_one_step_count_share_a_time_major_group():
+    vocab, rec = small_setup()
+    _, cache = average_paths_with_cache({P_LONG: 3, P_SHORT: 1, P_LONG2: 1}, vocab, rec)
+    assert [group.rows.shape for group in cache] == [(3, 2, 4), (2, 1, 4)]
+    longs = cache[0]
+    assert np.array_equal(longs.xs[:, 0], step_inputs(P_LONG, vocab))
+    assert np.array_equal(longs.xs[:, 1], step_inputs(P_LONG2, vocab))
+    assert np.array_equal(longs.weights, [3 / 5, 1 / 5])
+    assert np.array_equal(cache[1].weights, [1 / 5])
 
 
 # --------------------------------------------------------------- forward
@@ -145,26 +164,32 @@ def test_bias_only_closed_form_two_steps():
     assert np.allclose(h, expected, atol=1e-12)
 
 
+def reference_encoding(path, vocab, rec, dropped=()):
+    inputs = [x.tolist() for x in step_inputs(path, vocab, dropped)]
+    return np.array(reference_lstm(rec.w_in.tolist(), rec.w_rec.tolist(), rec.bias.tolist(),
+                                   inputs))
+
+
 def test_forward_matches_scalar_reference():
+    # The multisets hold one path, or the two 3-step paths as one group of two.
     rng = np.random.default_rng(11)
     for _ in range(20):
         vocab, rec = small_setup(seed=int(rng.integers(1 << 30)),
                                  hidden=int(rng.integers(2, 5)))
-        path = P_LONG if rng.random() < 0.5 else P_SHORT
-        inputs = [x.tolist() for x in step_inputs(path, vocab)]
-        expected = reference_lstm(rec.w_in.tolist(), rec.w_rec.tolist(),
-                                  rec.bias.tolist(), inputs)
-        got = encode(path, vocab, rec)
-        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+        paths = [[P_LONG], [P_SHORT], [P_LONG, P_LONG2]][int(rng.integers(3))]
+        got, cache = average_paths_with_cache({path: 1 for path in paths}, vocab, rec, UNIFORM)
+        encodings = [reference_encoding(path, vocab, rec) for path in paths]
+        assert np.allclose(cache[0].hs[-1], encodings, rtol=1e-12, atol=1e-12)
+        assert np.allclose(got, np.mean(encodings, axis=0), rtol=1e-12, atol=1e-12)
 
 
 def test_edgeless_path_averages_in_as_zero():
     vocab, rec = small_setup()
     vec, cache = average_paths_with_cache({DependencyPath(()): 1, P_SHORT: 1}, vocab, rec, UNIFORM)
     assert np.array_equal(vec, 0.5 * encode(P_SHORT, vocab, rec))
-    empty = cache[0][0]
-    assert empty.rows.shape == (0, 4) and empty.xs.shape == (0, vocab.input_width)
-    assert np.array_equal(empty.hs, np.zeros((1, rec.hidden_size)))
+    empty = cache[0]
+    assert empty.rows.shape == (0, 1, 4) and empty.xs.shape == (0, 1, vocab.input_width)
+    assert np.array_equal(empty.hs, np.zeros((1, 1, rec.hidden_size)))
 
 
 # ------------------------------------------------------------- averaging
@@ -233,20 +258,22 @@ def test_dropout_matches_reference_with_the_same_lemmas_dropped():
     # order; a twin generator replays those draws to find the dropped lemmas.
     for seed in range(5):
         vocab, rec = small_setup(seed=seed)
-        paths = {P_LONG: 2, P_SHORT: 1}
+        paths = {P_LONG: 2, P_SHORT: 1, P_LONG2: 1}
         got, _ = average_paths_with_cache(paths, vocab, rec, dropout_rate=0.4,
                                           rng=np.random.default_rng(seed))
         twin = np.random.default_rng(seed)
         expected = np.zeros(rec.hidden_size)
         for path, count in paths.items():
             dropped = np.flatnonzero(twin.random(len(path.edges)) < 0.4).tolist()
-            inputs = [x.tolist() for x in step_inputs(path, vocab, dropped)]
-            h = reference_lstm(rec.w_in.tolist(), rec.w_rec.tolist(), rec.bias.tolist(), inputs)
-            expected += count / 3 * np.array(h)
+            expected += count / 4 * reference_encoding(path, vocab, rec, dropped)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 # -------------------------------------------------------------- backward
+
+
+def zero_grads(vocab, rec):
+    return SimpleNamespace(**{n: np.zeros(a.shape) for n, a in encoder_arrays(vocab, rec).items()})
 
 
 def _grad_arrays(vocab, rec, grads):
@@ -264,14 +291,14 @@ def _grad_arrays(vocab, rec, grads):
 def test_backprop_average_matches_finite_differences():
     rng = np.random.default_rng(17)
     vocab, rec = small_setup(seed=23, hidden=3)
-    paths = {P_LONG: 2, P_SHORT: 1}
+    paths = {P_LONG: 2, P_SHORT: 1, P_LONG2: 1}
     probe = rng.normal(size=rec.hidden_size)
 
     def loss():
         return float(probe @ average_paths_with_cache(paths, vocab, rec)[0])
 
     vec, cache = average_paths_with_cache(paths, vocab, rec)
-    grads = SimpleNamespace(**{n: np.zeros(a.shape) for n, a in encoder_arrays(vocab, rec).items()})
+    grads = zero_grads(vocab, rec)
     backprop_average(probe, cache, vocab, rec, grads)
     for param, grad in _grad_arrays(vocab, rec, grads):
         flat_p = param.reshape(-1)
@@ -279,3 +306,38 @@ def test_backprop_average_matches_finite_differences():
         for i in range(flat_p.size):
             fd = central_difference(loss, flat_p, i)
             assert rel_error(fd, flat_g[i]) < 1e-5
+
+
+# Paths of zero to three steps over tokens the vocabulary holds, plus a lemma
+# it lacks, which falls back to the unknown row.
+EDGES = st.builds(PathEdge, st.sampled_from(["X", "Y", "chase", "hunt", "unseen"]),
+                  st.sampled_from(["NOUN", "VERB"]), st.sampled_from(["nsubj", "dobj", "root"]),
+                  st.sampled_from(["up", "down", "root"]))
+MULTISETS = st.dictionaries(st.lists(EDGES, max_size=3).map(lambda e: DependencyPath(tuple(e))),
+                            st.integers(1, 3), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(paths=MULTISETS, mode=st.sampled_from([WEIGHTED, UNIFORM]),
+       rate=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**16))
+def test_grouped_paths_match_a_per_path_reference(paths, mode, rate, seed):
+    vocab, rec = small_setup(seed=seed % 7)
+    total = sum(paths.values()) if mode == WEIGHTED else len(paths)
+    weights = [(count if mode == WEIGHTED else 1) / total for count in paths.values()]
+    probe = np.random.default_rng(seed).normal(size=rec.hidden_size)
+    got, cache = average_paths_with_cache(paths, vocab, rec, mode, rate, np.random.default_rng(seed))
+    grads = zero_grads(vocab, rec)
+    backprop_average(probe, cache, vocab, rec, grads)
+
+    # The same draws, path by path: each path alone as a group of one.
+    twin, solo = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = np.zeros(rec.hidden_size)
+    expected_grads = zero_grads(vocab, rec)
+    for path, weight in zip(paths, weights):
+        dropped = np.flatnonzero(twin.random(len(path.edges)) < rate).tolist() if rate else ()
+        expected += weight * reference_encoding(path, vocab, rec, dropped)
+        _, one = average_paths_with_cache({path: 1}, vocab, rec, mode, rate, solo)
+        backprop_average(weight * probe, one, vocab, rec, expected_grads)
+    assert np.allclose(got, expected, rtol=0, atol=1e-12)
+    for name in encoder_arrays(vocab, rec):
+        assert np.allclose(getattr(grads, name), getattr(expected_grads, name), rtol=0, atol=1e-12)

@@ -167,6 +167,34 @@ def test_pair_distribution_over_a_list_stacks_single_pair_calls(hidden_layers, p
         assert np.array_equal(row, pair_distribution(params, table, index, [pair])[0])
 
 
+P3 = DependencyPath((
+    PathEdge("X", "NOUN", "nsubj", "up"),
+    PathEdge("hunt", "VERB", "root", "root"),
+    PathEdge("Y", "NOUN", "dobj", "down"),
+))
+
+
+@pytest.mark.parametrize("hidden_layers", [0, 1])
+def test_a_pair_scores_the_same_bits_whatever_pairs_share_the_call(hidden_layers):
+    # Pairs that share paths and path lengths: P1 and P3 have 3 steps, P2 has 2.
+    index = PathIndex()
+    for x, y, path, count in [("cat", "mouse", P1, 2), ("cat", "mouse", P3, 1),
+                              ("cat", "mouse", P2, 1), ("dog", "cat", P3, 2),
+                              ("dog", "cat", P1, 1), ("mouse", "dog", P1, 3),
+                              ("owl", "cat", P2, 1), ("owl", "cat", P3, 4)]:
+        index.add(x, y, path, count)
+    table = random_table(["cat", "mouse", "dog", "owl"], 3, seed=1)
+    config = TrainConfig(hidden_layers=hidden_layers, hidden_dim=4, mlp_hidden_dim=3,
+                         lemma_dim=2, pos_dim=2, deprel_dim=2, dir_dim=1, seed=7, epochs=2)
+    keys = index.pair_keys()
+    records = [PairRecord(x, y, label) for (x, y), label in zip(keys, ["HYPER", "SYN", "ANT", "SYN"])]
+    params = train(records, [], config, index, table, LABELS)
+    pairs = keys + [("mouse", "cat"), ("dog", "cat")]
+    batch = pair_distribution(params, table, index, pairs)
+    for k, pair in enumerate(pairs):
+        assert np.array_equal(batch[k], pair_distribution(params, table, index, [pair])[0])
+
+
 # ------------------------------------------------------------- gradients
 
 

@@ -10,6 +10,10 @@ differs, or that one side did not write, gets a line; the exit code is 1 if
 any does and 0 otherwise. A .json artifact whose bytes differ but whose
 document is the same, as when only the layout changed, is reported as "same
 JSON content" and counted apart in the summary; it still sets exit code 1.
+When the two documents have the same structure (the same keys, list lengths,
+strings and nulls) and differ only in numbers, the line gives the largest
+absolute numeric difference, as for a model retrained with other rounding;
+it also sets exit code 1.
 ``--train-args`` adds flags to both ``train`` commands, to compare settings
 that no workload trains.
 
@@ -51,10 +55,32 @@ def run_workflow(src: Path, workload: str, world: Path, out: Path, train_args: l
     return True
 
 
-def json_content(path: Path) -> str:
-    """The document in a JSON file, encoded again so that only layout is lost."""
-    with open(path, encoding="utf-8") as fh:
-        return json.dumps(json.load(fh))
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def largest_difference(a, b) -> float | None:
+    """The largest absolute difference between the numbers at the same place
+    in two JSON documents, or None when their structure differs."""
+    if _is_number(a) and _is_number(b):
+        return abs(a - b)
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            return None
+        pairs = zip(a.values(), b.values())
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        pairs = zip(a, b)
+    else:
+        return 0.0 if type(a) is type(b) and a == b else None
+    largest = 0.0
+    for x, y in pairs:
+        diff = largest_difference(x, y)
+        if diff is None:
+            return None
+        largest = max(largest, diff)
+    return largest
 
 
 def main() -> int:
@@ -89,9 +115,16 @@ def main() -> int:
                     differ += 1
                     if not (a.is_file() and b.is_file()):
                         state = "missing"
-                    elif name.endswith(".json") and json_content(a) == json_content(b):
-                        same_content += 1
-                        state = "differs in bytes, same JSON content"
+                    elif name.endswith(".json"):
+                        doc_a, doc_b = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
+                        diff = largest_difference(doc_a, doc_b)
+                        if json.dumps(doc_a) == json.dumps(doc_b):
+                            same_content += 1
+                            state = "differs in bytes, same JSON content"
+                        elif diff is not None:
+                            state = f"differs, same structure, largest numeric difference {diff:.2g}"
+                        else:
+                            state = "differs"
                     else:
                         state = "differs"
                     print(f"{workload} seed {seed}: {name} {state}")
