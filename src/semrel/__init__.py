@@ -41,7 +41,6 @@ from .relation_model import (
     Example,
     ModelParams,
     TrainConfig,
-    examples_from_records,
     load_model,
     pair_distribution,
     save_model,
@@ -73,7 +72,6 @@ __all__ = [
     "binary_f1",
     "build_path_index",
     "confusion",
-    "examples_from_records",
     "extract_paths",
     "iter_conll",
     "lexical_split",

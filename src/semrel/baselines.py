@@ -22,7 +22,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError
-from .pairs import PairRecord
+from .pairs import PairRecord, check_labels
 from .relatedness import cosine_norm
 
 VECTOR_COMBINATIONS = ("concat", "diff", "asym")
@@ -75,9 +75,7 @@ def train_linear(
     if method not in VECTOR_COMBINATIONS:
         raise ValueError(f"method must be one of {VECTOR_COMBINATIONS}")
     labels = tuple(label_set) if label_set is not None else tuple(sorted({r.label for r in records}))
-    stray = sorted({r.label for r in records} - set(labels))
-    if stray:
-        raise DataError(f"training labels outside the label set: {', '.join(stray)}")
+    check_labels(records, labels, "training set")
     features = features_for_pairs(records, table, method)
     gold = np.array([labels.index(r.label) for r in records])
     n_labels = len(labels)

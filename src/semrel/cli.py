@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from ._io import open_lines, write_document
@@ -41,6 +41,8 @@ from .relatedness import load_combiner, predict_related, save_combiner, tune_com
 from .relation_model import (
     RELATEDNESS_PRESET,
     RELATIONS_PRESET,
+    ModelParams,
+    TrainConfig,
     load_model,
     save_model,
     train,
@@ -97,7 +99,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub.add_argument("--learning-rate", type=float)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--hidden-layers", type=int, choices=(0, 1))
-    sub.add_argument("--word-dropout", type=float, dest="word_dropout",
+    sub.add_argument("--word-dropout", type=float, dest="word_dropout_rate",
                      help="probability of replacing a path lemma by the unknown row")
     sub.add_argument("--hidden-dim", type=int)
     sub.add_argument("--mlp-hidden-dim", type=int)
@@ -149,12 +151,13 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, subs
 
 
-def _apply_config_file(sub: _Parser, path: str) -> None:
-    """Turn ``key = value`` lines into parser defaults for one subcommand.
+def _config_flags(sub: _Parser, path: str) -> list[str]:
+    """The flags that the ``key = value`` lines of a config file stand for.
 
-    Keys name long options with dashes or underscores. Values are converted
-    with the option's own type and checked against its choices, so a config
-    file can do exactly what flags can; explicit flags still win.
+    A key is a long option of ``sub`` without its dashes, with ``_`` read as
+    ``-``; the line becomes ``--key=value``, so the parser converts and checks
+    the value as it does on the command line. A switch takes true/false,
+    1/0 or yes/no and becomes its flag or nothing.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -163,8 +166,7 @@ def _apply_config_file(sub: _Parser, path: str) -> None:
         raise _UsageError(f"cannot read config file: {exc}") from None
     except UnicodeDecodeError:
         raise _UsageError(f"cannot read config file {path}: not UTF-8 text") from None
-    actions = {action.dest: action for action in sub._actions}
-    overrides = {}
+    flags = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -172,36 +174,22 @@ def _apply_config_file(sub: _Parser, path: str) -> None:
         if "=" not in line:
             raise _UsageError(f"config line {line_no}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
-        if action is None or dest in ("handler", "config", "help"):
+        flag = "--" + key.replace("_", "-")
+        action = sub._option_string_actions.get(flag)
+        if action is None or flag in ("--config", "--help"):
             raise _UsageError(f"config line {line_no}: unknown setting {key!r}")
-        if action.type is not None:
-            try:
-                value = action.type(value)
-            except ValueError:
-                raise _UsageError(f"config line {line_no}: bad value for {key!r}: {raw.strip()!r}") from None
-        elif isinstance(action.const, bool) or isinstance(action.default, bool):
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes"):
-                value = True
-            elif lowered in ("false", "0", "no"):
-                value = False
-            else:
-                raise _UsageError(f"config line {line_no}: {key!r} expects true or false")
-        if action.choices is not None and value not in action.choices:
-            raise _UsageError(
-                f"config line {line_no}: {key!r} must be one of {tuple(action.choices)}"
-            )
-        overrides[dest] = value
-    sub.set_defaults(**overrides)
+        if action.nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("true", "1", "yes"):
+            flags.append(flag)
+        elif value.lower() not in ("false", "0", "no"):
+            raise _UsageError(f"config line {line_no}: {key!r} expects true or false")
+    return flags
 
 
 def _relatedness_records(records: list[PairRecord], context: str) -> list[PairRecord]:
     """Fold task labels onto RELATED/UNRELATED; unknown labels are an error."""
-    strays = sorted({r.label for r in records} - set(_TO_RELATEDNESS))
-    if strays:
-        raise DataError(f"{context} has labels unusable for relatedness: {', '.join(strays)}")
+    check_labels(records, _TO_RELATEDNESS, context)
     return [replace(r, label=_TO_RELATEDNESS[r.label]) for r in records]
 
 
@@ -224,18 +212,22 @@ def _cmd_extract_paths(args) -> int:
 
 
 def _resolved_config(args, preset):
-    overrides = {
-        "epochs": args.epochs,
-        "learning_rate": args.learning_rate,
-        "seed": args.seed,
-        "hidden_layers": args.hidden_layers,
-        "word_dropout_rate": args.word_dropout,
-        "hidden_dim": args.hidden_dim,
-        "mlp_hidden_dim": args.mlp_hidden_dim,
-        "path_average": args.path_average,
-        "train_word_vectors": args.train_word_vectors,
-    }
-    return replace(preset, **{k: v for k, v in overrides.items() if v is not None})
+    """``preset`` with every TrainConfig field that a flag of the same dest gave."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(TrainConfig)}
+    return replace(preset, **{k: v for k, v in given.items() if v is not None})
+
+
+def _load_model_for(path: str, label_set: tuple[str, ...], table) -> ModelParams:
+    """The model at ``path``, checked against its role's label set and the
+    table's width; a mismatch is a DataError that starts with the path."""
+    params = load_model(path)
+    if params.label_set != label_set:
+        raise DataError(f"{path}: model has labels {', '.join(params.label_set)}, "
+                        f"expected {', '.join(label_set)}")
+    if params.word_dim != table.dimension:
+        raise DataError(f"{path}: model has {params.word_dim}-dim word vectors, "
+                        f"but the embedding table has {table.dimension}")
+    return params
 
 
 def _print_validation_accuracy(epoch: int, accuracy: float) -> None:
@@ -255,6 +247,7 @@ def _cmd_train(args) -> int:
         config = _resolved_config(args, RELATEDNESS_PRESET)
     else:
         check_labels(records, RELATION_LABELS, "training set")
+        check_labels(val, RELATION_LABELS, "validation set")
         kept = [r for r in records if r.label != NEGATIVE_LABEL]
         dropped = len(records) - len(kept)
         if dropped:
@@ -293,7 +286,8 @@ def _cmd_tune(args) -> int:
         if not args.model or not args.index:
             raise _UsageError("--model and --index are required unless --cosine-only is given")
         index = load_index(args.index)
-        config, f1 = tune_combiner(records, table, load_model(args.model), index)
+        params = _load_model_for(args.model, RELATEDNESS_LABELS, table)
+        config, f1 = tune_combiner(records, table, params, index)
     save_combiner(config, args.output, validation_f1=f1)
     print(f"w_C={config.w_c:.2f} w_L={config.w_l:.2f} t={config.t:.2f} (tuning F1 {f1:.3f})")
     return 0
@@ -304,7 +298,8 @@ def _cmd_predict(args) -> int:
     table = load_table(args.embeddings)
     index = load_index(args.index)
     combiner = load_combiner(args.combiner)
-    relatedness_params = load_model(args.relatedness_model) if args.relatedness_model else None
+    relatedness_params = (_load_model_for(args.relatedness_model, RELATEDNESS_LABELS, table)
+                          if args.relatedness_model else None)
     if combiner.w_l != 0.0 and relatedness_params is None:
         raise _UsageError("this combiner has w_L > 0; pass --relatedness-model")
     if args.task == "relatedness":
@@ -314,7 +309,7 @@ def _cmd_predict(args) -> int:
     else:
         if not args.relation_model:
             raise _UsageError("--task relations requires --relation-model")
-        relation_params = load_model(args.relation_model)
+        relation_params = _load_model_for(args.relation_model, RELATED_LABELS, table)
         config = PipelineConfig(
             combiner=combiner,
             syn_margin=args.syn_margin,
@@ -369,8 +364,8 @@ def main(argv=None) -> int:
         if getattr(args, "command", None) is None:
             raise _UsageError("a command is required (see --help)")
         if getattr(args, "config", None):
-            _apply_config_file(subs[args.command], args.config)
-            args = parser.parse_args(argv)
+            flags = _config_flags(subs[args.command], args.config)
+            args = parser.parse_args([args.command, *flags, *argv[1:]])
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

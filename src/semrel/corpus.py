@@ -57,15 +57,8 @@ class SentenceGraph:
 
     tokens: tuple[Token, ...]
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     def token(self, index: int) -> Token:
         return self.tokens[index - 1]
-
-    def lemma_positions(self, lemma: str) -> list[int]:
-        """Indices of tokens whose lemma matches, case-insensitively."""
-        return list(self._positions.get(lemma.lower(), ()))
 
     @cached_property
     def _positions(self) -> dict[str, list[int]]:
@@ -96,11 +89,6 @@ class DependencyPath:
     """Steps from the X endpoint to the Y endpoint, one per node on the walk."""
 
     edges: tuple[PathEdge, ...]
-
-    @property
-    def tree_length(self) -> int:
-        """Number of tree edges between the endpoints."""
-        return len(self.edges) - 1
 
 
 def iter_conll(stream) -> Iterator[SentenceGraph]:

@@ -36,12 +36,6 @@ class EmbeddingTable:
         row = self.rows.get(token.lower())
         return self.unk_vector if row is None else self.matrix[row]
 
-    def __contains__(self, token: str) -> bool:
-        return token.lower() in self.rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 def load_table(source) -> EmbeddingTable:
     """Load a table from a path or an iterable of lines.

@@ -30,12 +30,6 @@ class ScoreReport:
     f1: float
     average: str
 
-    def for_label(self, label: str) -> LabelScores:
-        for row in self.per_label:
-            if row.label == label:
-                return row
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -43,19 +37,6 @@ class ConfusionMatrix:
 
     labels: tuple[str, ...]
     counts: np.ndarray
-
-    def count(self, gold: str, pred: str) -> int:
-        return int(self.counts[self.labels.index(gold), self.labels.index(pred)])
-
-    def support(self, label: str) -> int:
-        return int(self.counts[self.labels.index(label)].sum())
-
-    def row_percentages(self) -> np.ndarray:
-        """Each row as fractions of its gold total; all-zero rows stay zero."""
-        totals = self.counts.sum(axis=1, keepdims=True).astype(float)
-        out = np.zeros(self.counts.shape, dtype=float)
-        np.divide(self.counts, totals, out=out, where=totals > 0)
-        return out
 
 
 def confusion(gold: Sequence[str], pred: Sequence[str], labels: Sequence[str] | None = None) -> ConfusionMatrix:

@@ -23,7 +23,7 @@ from .corpus import PathIndex
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .evaluation import binary_f1
-from .pairs import PairRecord, RELATED, RELATEDNESS_LABELS
+from .pairs import PairRecord, RELATED, RELATEDNESS_LABELS, check_labels
 from .relation_model import ModelParams, pair_distribution
 
 COMBINER_FORMAT = "semrel-combiner"
@@ -130,9 +130,7 @@ def tune_combiner(
     """
     if not val:
         raise DataError("validation set is empty")
-    stray = sorted({r.label for r in val} - set(RELATEDNESS_LABELS))
-    if stray:
-        raise DataError(f"unexpected relatedness labels: {', '.join(stray)}")
+    check_labels(val, RELATEDNESS_LABELS, "validation set")
     gold = np.array([r.label == RELATED for r in val])
     if gold.all() or not gold.any():
         raise DataError("validation set must contain both RELATED and UNRELATED pairs")

@@ -28,7 +28,7 @@ from ._io import read_document, write_document
 from .corpus import DependencyPath, PathIndex
 from .embeddings import EmbeddingTable
 from .errors import DataError
-from .pairs import PairRecord
+from .pairs import PairRecord, check_labels
 from .path_encoder import (
     AVERAGE_MODES,
     INIT_SCALE,
@@ -120,10 +120,6 @@ class ModelParams:
     @property
     def hidden_size(self) -> int:
         return self.rec.hidden_size
-
-    @property
-    def feature_width(self) -> int:
-        return 2 * self.word_dim + self.hidden_size
 
     def label_index(self, label: str) -> int:
         try:
@@ -291,15 +287,15 @@ def init_params(
         table=table if lemma_dim == word_dim else None,
     )
     rec = init_recurrent(vocab.input_width, config.hidden_dim, rng)
-    feature_width = 2 * word_dim + config.hidden_dim
+    n_features = 2 * word_dim + config.hidden_dim
     n_labels = len(label_set)
     if config.hidden_layers == 1:
-        w1 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(config.mlp_hidden_dim, feature_width))
+        w1 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(config.mlp_hidden_dim, n_features))
         b1 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=config.mlp_hidden_dim)
         w2 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(n_labels, config.mlp_hidden_dim))
         b2 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=n_labels)
     else:
-        w1 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(n_labels, feature_width))
+        w1 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(n_labels, n_features))
         b1 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=n_labels)
         w2 = None
         b2 = None
@@ -323,10 +319,6 @@ def init_params(
     )
 
 
-def examples_from_records(records: Sequence[PairRecord], index: PathIndex) -> list[Example]:
-    return [Example(r.x, r.y, index.get(r.x, r.y), r.label) for r in records]
-
-
 def train(
     trainset: Sequence[PairRecord],
     val: Sequence[PairRecord],
@@ -346,11 +338,9 @@ def train(
     if not trainset:
         raise DataError("training set is empty")
     labels = tuple(label_set) if label_set is not None else tuple(sorted({r.label for r in trainset}))
-    stray = sorted({r.label for r in trainset} - set(labels))
-    if stray:
-        raise DataError(f"training labels outside the label set: {', '.join(stray)}")
+    check_labels(trainset, labels, "training set")
     rng = np.random.default_rng(config.seed)
-    examples = examples_from_records(trainset, index)
+    examples = [Example(r.x, r.y, index.get(r.x, r.y), r.label) for r in trainset]
     params = init_params(config, examples, table, labels, rng)
     # A diverging run overflows before its loss turns non-finite; the loss check
     # below is the guard, so numpy's warnings would only add lines to stderr.

@@ -204,7 +204,7 @@ def test_criterion_3_output_distributions(capsys):
         shifted = [replace(params, b1=params.b1 + c) for c in (-7.0, 0.31, 12.5)]
         rng = np.random.default_rng(33)
         for _ in range(10_000):
-            v = rng.normal(size=params.feature_width)
+            v = rng.normal(size=params.w1.shape[1])
             dist = forward(v, params)
             total = float(dist.sum())
             assert abs(total - 1.0) <= 1e-9

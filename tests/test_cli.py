@@ -1,8 +1,12 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import conll_text
 from semrel.cli import main
@@ -195,13 +199,114 @@ def test_explicit_flag_beats_config_file(micro):
 def test_config_file_problems_are_usage_errors(micro, capsys):
     d = micro["dir"]
     cfg = d / "bad.cfg"
-    for text in ("frobnication = 9\n", "epochs = soon\n", "no equals sign\n"):
+    for text, message in [
+        ("frobnication = 9\n", "config line 1: unknown setting 'frobnication'"),
+        ("# note\n\nepoch = 2\n", "config line 3: unknown setting 'epoch'"),
+        ("config = other.cfg\n", "config line 1: unknown setting 'config'"),
+        ("help = true\n", "config line 1: unknown setting 'help'"),
+        ("handler = x\n", "config line 1: unknown setting 'handler'"),
+        ("no equals sign\n", "config line 1: expected key=value"),
+        ("train-word-vectors = maybe\n", "config line 1: 'train-word-vectors' expects true or false"),
+        ("epochs = soon\n", "argument --epochs: invalid int value: 'soon'"),
+        ("path-average = median\n", "argument --path-average: invalid choice: 'median'"),
+    ]:
         cfg.write_text(text)
         code = run("train", "--task", "relatedness", "--pairs", micro["pairs"],
                    "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
                    "--model", d / "rel.json", "--config", cfg)
+        err = capsys.readouterr().err
         assert code == 1, text
-        assert "usage error" in capsys.readouterr().err
+        assert err.startswith(f"usage error: {message}") and err.count("\n") == 1, err
+
+
+# The nine training flags, a value for each that no preset holds, and the
+# TrainConfig field each one sets.
+TRAIN_FLAGS = [
+    ("epochs", "2", "epochs", 2),
+    ("learning-rate", "0.05", "learning_rate", 0.05),
+    ("seed", "21", "seed", 21),
+    ("hidden-layers", "1", "hidden_layers", 1),
+    ("word-dropout", "0.25", "word_dropout_rate", 0.25),
+    ("hidden-dim", "6", "hidden_dim", 6),
+    ("mlp-hidden-dim", "5", "mlp_hidden_dim", 5),
+    ("path-average", "uniform", "path_average", "uniform"),
+    ("train-word-vectors", None, "train_word_vectors", True),
+]
+
+
+@pytest.mark.parametrize("form", ["flags", "dashed keys", "underscored keys"])
+def test_each_training_flag_reaches_the_train_config(micro, form):
+    d = micro["dir"]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    given = []
+    if form == "flags":
+        for flag, value, _, _ in TRAIN_FLAGS:
+            given += [f"--{flag}"] if value is None else [f"--{flag}", value]
+    else:
+        lines = []
+        for flag, value, _, _ in TRAIN_FLAGS:
+            key = flag if form == "dashed keys" else flag.replace("-", "_")
+            lines.append(f"{key} = {'true' if value is None else value}\n")
+        (d / "train.cfg").write_text("".join(lines))
+        given = ["--config", d / "train.cfg"]
+    assert run("train", "--task", "relations", "--pairs", micro["pairs"],
+               "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
+               "--model", d / "four.json", *given) == 0
+    config = json.loads((d / "four.manifest.json").read_text())["config"]
+    assert {field: config[field] for _, _, field, _ in TRAIN_FLAGS} == {
+        field: value for _, _, field, value in TRAIN_FLAGS}
+
+
+def test_config_switches_and_dashed_values(micro, capsys):
+    d = micro["dir"]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    cfg = d / "train.cfg"
+    train = ("train", "--task", "relatedness", "--pairs", micro["pairs"],
+             "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
+             "--model", d / "rel.json", "--config", cfg)
+    for value, expected in [("YES", True), ("1", True), ("no", False), ("0", False)]:
+        cfg.write_text(f"train_word_vectors = {value}\n")
+        assert run(*train) == 0, value
+        config = json.loads((d / "rel.manifest.json").read_text())["config"]
+        assert config["train_word_vectors"] is expected, value
+    cfg.write_text("train_word_vectors = false\n")
+    assert run(*train, "--train-word-vectors") == 0
+    assert json.loads((d / "rel.manifest.json").read_text())["config"]["train_word_vectors"]
+    # A value that starts with a dash stays the value, not a flag.
+    cfg.write_text("learning-rate = -0.5\n")
+    capsys.readouterr()
+    assert run(*train) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "learning_rate" in err and err.count("\n") == 1, err
+
+
+CONFIG_KEYS = ["epochs", "learning-rate", "seed", "hidden_layers", "word-dropout", "hidden-dim",
+               "mlp_hidden_dim", "path-average", "train-word-vectors", "task", "val", "pairs",
+               "config", "help", "handler", "output"]
+CONFIG_LINES = st.one_of(
+    st.text(max_size=30),
+    st.builds(lambda key, value: f"{key} = {value}", st.sampled_from(CONFIG_KEYS),
+              st.text(max_size=12)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(CONFIG_LINES, max_size=5))
+def test_config_reader_fuzz_exits_one_or_two_with_one_line(tmp_path_factory, lines):
+    d = tmp_path_factory.getbasetemp() / "config_fuzz"
+    d.mkdir(exist_ok=True)
+    cfg = d / "fuzz.cfg"
+    cfg.write_text("\n".join(lines), encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run("train", "--task", "relatedness", "--pairs", d / "no-pairs.tsv",
+                   "--index", d / "no-index.tsv", "--embeddings", d / "no-table.txt",
+                   "--model", d / "model.json", "--config", cfg)
+    assert code in (1, 2)
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+    assert not (d / "model.json").exists()
 
 
 # ------------------------------------------------------------ exit codes
@@ -278,6 +383,71 @@ def test_truncated_model_names_its_file(micro, capsys):
     assert code == 2
     assert err.startswith(f"error: {d / 'cut.json'}: invalid JSON") and err.count("\n") == 1, err
     assert not (d / "combiner.json").exists()
+
+
+def _trained_models(micro):
+    """The index, a cosine-only combiner, and a relatedness and a relation
+    model trained on the 4-dim micro table, all under micro["dir"]."""
+    d = micro["dir"]
+    data = ["--index", d / "index.tsv", "--embeddings", micro["embeddings"]]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    run("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
+        "--output", d / "combiner.json", "--cosine-only")
+    run("train", "--task", "relatedness", "--pairs", micro["pairs"], *data,
+        "--model", d / "rel.json", "--epochs", "1")
+    run("train", "--task", "relations", "--pairs", micro["pairs"], *data,
+        "--model", d / "four.json", "--epochs", "1")
+    return d
+
+
+@pytest.mark.parametrize("command,model", [
+    ("predict", "rel.json"),  # a relatedness model as --relation-model
+    ("tune", "four.json"),  # a relation model as the relatedness model
+    ("predict-relatedness", "four.json"),  # a relation model as --relatedness-model
+])
+def test_model_of_the_wrong_kind_exits_two_naming_its_file(micro, capsys, command, model):
+    d = _trained_models(micro)
+    data = ["--pairs", micro["pairs"], "--index", d / "index.tsv",
+            "--embeddings", micro["embeddings"]]
+    argv = {
+        "predict": ("predict", "--task", "relations", *data, "--combiner", d / "combiner.json",
+                    "--relation-model", d / model, "--output", d / "out"),
+        "tune": ("tune", *data, "--model", d / model, "--output", d / "out"),
+        "predict-relatedness": ("predict", "--task", "relatedness", *data,
+                                "--combiner", d / "combiner.json",
+                                "--relatedness-model", d / model, "--output", d / "out"),
+    }[command]
+    capsys.readouterr()
+    code = run(*argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {d / model}: model has labels ") and err.count("\n") == 1, err
+    assert not (d / "out").exists()
+
+
+@pytest.mark.parametrize("command,model", [
+    ("predict", "four.json"), ("predict", "rel.json"), ("tune", "rel.json")])
+def test_model_of_another_width_than_the_table_exits_two_naming_its_file(
+        micro, capsys, command, model):
+    d = _trained_models(micro)
+    narrow = d / "narrow.txt"
+    narrow.write_text("".join(line.rsplit(" ", 1)[0] + "\n"
+                              for line in EMBEDDINGS.splitlines()))
+    data = ["--pairs", micro["pairs"], "--index", d / "index.tsv", "--embeddings", narrow]
+    if command == "tune":
+        argv = ("tune", *data, "--model", d / model, "--output", d / "out")
+    else:
+        flag = "--relation-model" if model == "four.json" else "--relatedness-model"
+        argv = ("predict", "--task", "relations", *data, "--combiner", d / "combiner.json",
+                "--relation-model", d / "four.json", flag, d / model, "--output", d / "out")
+    capsys.readouterr()
+    code = run(*argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: {d / model}: model has 4-dim word vectors, "
+                   f"but the embedding table has 3\n"), err
+    assert not (d / "out").exists()
 
 
 def test_out_of_range_combiner_names_its_file(micro, capsys):
@@ -420,6 +590,21 @@ def test_bad_labels_exit_two(micro, capsys):
                "--model", micro["dir"] / "m.json")
     assert code == 2
     assert "NOT_A_LABEL" in capsys.readouterr().err
+
+
+def test_bad_relation_validation_labels_exit_two(micro, capsys):
+    d = micro["dir"]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    (d / "val.tsv").write_text(PAIRS_TSV.replace("HYPER", "HYPR"))
+    capsys.readouterr()
+    code = run("train", "--task", "relations", "--pairs", micro["pairs"], "--val", d / "val.tsv",
+               "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
+               "--model", d / "four.json")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: invalid labels in validation set: HYPR\n", captured.err
+    assert "epoch" not in captured.out and not (d / "four.json").exists()
 
 
 def test_evaluate_alignment_checks(micro, capsys):

@@ -36,7 +36,7 @@ def cat_sentence():
 
 
 def test_parse_cat_sentence(cat_sentence):
-    assert len(cat_sentence) == 7
+    assert len(cat_sentence.tokens) == 7
     cat = cat_sentence.token(3)
     assert cat.form == "cat" and cat.lemma == "cat" and cat.pos == "NOUN"
     assert cat.head == 4 and cat.deprel == "nsubj"
@@ -55,11 +55,13 @@ def test_blank_line_separates_sentences_and_comments_skipped():
     assert len(parse_conll(text)) == 2
 
 
-def test_lemma_positions_fold_case():
+def test_lemma_matching_folds_case():
     sentence = parse_conll(conll_text([("Cats", "Cat", "NOUN", 2, "nsubj"),
                                        ("sleep", "sleep", "VERB", 0, "root")]))[0]
-    assert sentence.lemma_positions("cat") == [1]
-    assert sentence.lemma_positions("CAT") == [1]
+    expected = DependencyPath((PathEdge("X", "NOUN", "nsubj", "up"),
+                               PathEdge("Y", "VERB", "root", "root")))
+    assert extract_paths(sentence, "cat", "sleep") == Counter({expected: 1})
+    assert extract_paths(sentence, "CAT", "sleep") == Counter({expected: 1})
 
 
 def test_short_row_rejected():
@@ -119,7 +121,7 @@ def test_cat_mouse_path(cat_sentence):
         PathEdge("chase", "VERB", "root", "root"),
         PathEdge("Y", "NOUN", "dobj", "down"),
     )
-    assert path.tree_length == 2
+    assert len(path.edges) - 1 == 2  # tree edges between the endpoints
 
 
 def test_reversed_pair_swaps_directions(cat_sentence):
@@ -147,7 +149,7 @@ def test_adjacent_tokens_share_one_edge(cat_sentence):
         PathEdge("X", "ADJ", "amod", "up"),
         PathEdge("Y", "NOUN", "nsubj", "root"),
     )
-    assert path.tree_length == 1
+    assert len(path.edges) - 1 == 1
 
 
 def test_max_edges_bounds_tree_edges(cat_sentence):
@@ -155,7 +157,7 @@ def test_max_edges_bounds_tree_edges(cat_sentence):
     assert len(extract_paths(cat_sentence, "black", "gray", max_edges=4)) == 1
     assert len(extract_paths(cat_sentence, "black", "gray", max_edges=3)) == 0
     (path,) = extract_paths(cat_sentence, "black", "gray", max_edges=4)
-    assert path.tree_length == 4 and len(path.edges) == 5
+    assert len(path.edges) == 5
 
 
 def test_absent_lemma_gives_empty_multiset(cat_sentence):
@@ -307,7 +309,7 @@ def test_iter_conll_streams_and_parse_conll_lists_it():
 
 def test_iter_conll_yields_good_sentences_before_a_bad_one():
     stream = iter_conll(CAT_CONLL + "\n" + "1\tcat\tcat\n")
-    assert len(next(stream)) == 7
+    assert len(next(stream).tokens) == 7
     with pytest.raises(ParseError, match="line 9"):
         next(stream)
 

@@ -23,7 +23,6 @@ from semrel.relation_model import (
     RELATIONS_PRESET,
     TrainConfig,
     apply_gradients,
-    examples_from_records,
     forward,
     init_params,
     load_model,
@@ -114,7 +113,7 @@ def test_forward_is_a_distribution():
     _, _, _, params = tiny_setup()
     rng = np.random.default_rng(0)
     for _ in range(50):
-        v = rng.normal(size=params.feature_width)
+        v = rng.normal(size=params.w1.shape[1])
         dist = forward(v, params)
         assert dist.shape == (len(LABELS),)
         assert abs(dist.sum() - 1.0) < 1e-12
@@ -124,7 +123,7 @@ def test_forward_is_a_distribution():
 def test_forward_rejects_wrong_width():
     _, _, _, params = tiny_setup()
     with pytest.raises(ValueError):
-        forward(np.zeros(params.feature_width + 1), params)
+        forward(np.zeros(params.w1.shape[1] + 1), params)
 
 
 def test_predict_breaks_exact_ties_toward_first_label():
@@ -298,7 +297,7 @@ def test_training_reduces_loss():
                         deprel_dim=2, dir_dim=1)
     long = TrainConfig(epochs=25, seed=5, hidden_dim=4, lemma_dim=2, pos_dim=2,
                        deprel_dim=2, dir_dim=1)
-    examples = examples_from_records(records, index)
+    examples = [Example(r.x, r.y, index.get(r.x, r.y), r.label) for r in records]
     loss_short = training_loss_from(train(records, [], short, index, table), table, examples)
     loss_long = training_loss_from(train(records, [], long, index, table), table, examples)
     assert loss_long < loss_short
