@@ -5,7 +5,6 @@ from .corpus import (
     PathEdge,
     PathIndex,
     SentenceGraph,
-    Token,
     build_path_index,
     extract_paths,
     iter_conll,
@@ -67,7 +66,6 @@ __all__ = [
     "RELATIONS_PRESET",
     "RELATION_LABELS",
     "SentenceGraph",
-    "Token",
     "TrainConfig",
     "binary_f1",
     "build_path_index",

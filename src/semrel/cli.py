@@ -61,6 +61,7 @@ _TO_RELATEDNESS = {
     NEGATIVE_LABEL: UNRELATED,
     **{label: RELATED for label in RELATED_LABELS},
 }
+_RELATION_LABELS = {label: label for label in RELATION_LABELS}
 
 
 class _UsageError(Exception):
@@ -187,10 +188,13 @@ def _config_flags(sub: _Parser, path: str) -> list[str]:
     return flags
 
 
-def _relatedness_records(records: list[PairRecord], context: str) -> list[PairRecord]:
-    """Fold task labels onto RELATED/UNRELATED; unknown labels are an error."""
-    check_labels(records, _TO_RELATEDNESS, context)
-    return [replace(r, label=_TO_RELATEDNESS[r.label]) for r in records]
+def _read_labelled(path: str, labels: dict[str, str], context: str) -> list[PairRecord]:
+    """The pairs of ``path``, each label mapped through ``labels``; a label
+    outside it is a DataError that starts with the path, as a bad line's is."""
+    with open_lines(path) as lines:
+        records = read_pairs(lines)
+        check_labels(records, labels, context)
+    return [replace(r, label=labels[r.label]) for r in records]
 
 
 def _cmd_extract_paths(args) -> int:
@@ -235,29 +239,27 @@ def _print_validation_accuracy(epoch: int, accuracy: float) -> None:
 
 
 def _cmd_train(args) -> int:
-    records = read_pairs(args.pairs)
-    val = read_pairs(args.val) if args.val else []
-    index = load_index(args.index)
-    table = load_table(args.embeddings)
     dropped = 0
     if args.task == "relatedness":
-        records = _relatedness_records(records, "training set")
-        val = _relatedness_records(val, "validation set") if val else []
+        records = _read_labelled(args.pairs, _TO_RELATEDNESS, "training set")
+        val = _read_labelled(args.val, _TO_RELATEDNESS, "validation set") if args.val else []
         label_set = RELATEDNESS_LABELS
         config = _resolved_config(args, RELATEDNESS_PRESET)
     else:
-        check_labels(records, RELATION_LABELS, "training set")
-        check_labels(val, RELATION_LABELS, "validation set")
+        records = _read_labelled(args.pairs, _RELATION_LABELS, "training set")
+        val = _read_labelled(args.val, _RELATION_LABELS, "validation set") if args.val else []
         kept = [r for r in records if r.label != NEGATIVE_LABEL]
         dropped = len(records) - len(kept)
         if dropped:
             print(f"dropped {dropped} {NEGATIVE_LABEL} pairs; the relation model trains on related pairs only")
-        if not kept:
-            raise DataError("no related pairs left to train on")
         records = kept
         val = [r for r in val if r.label != NEGATIVE_LABEL]
         label_set = RELATED_LABELS
         config = _resolved_config(args, RELATIONS_PRESET)
+    if not records:
+        raise DataError(f"{args.pairs}: no pairs left to train on")
+    index = load_index(args.index)
+    table = load_table(args.embeddings)
     params = train(records, val, config, index, table, label_set=label_set,
                    on_epoch=_print_validation_accuracy)
     save_model(params, args.model)
@@ -278,7 +280,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    records = _relatedness_records(read_pairs(args.pairs), "tuning set")
+    records = _read_labelled(args.pairs, _TO_RELATEDNESS, "tuning set")
     table = load_table(args.embeddings)
     if args.cosine_only:
         config, f1 = tune_combiner(records, table)

@@ -1,9 +1,10 @@
 """Dependency-parsed corpora: CoNLL-style parsing and tree paths between terms.
 
 Corpus files are UTF-8 text with one token per line and blank lines between
-sentences. Token lines carry at least eight tab-separated columns
-(ID, FORM, LEMMA, UPOS, _, _, HEAD, DEPREL, ...); extra columns are ignored
-and lines starting with '#' are comments. HEAD 0 marks the sentence root.
+sentences. Each token line carries at least eight tab-separated columns
+(ID, FORM, LEMMA, UPOS, _, _, HEAD, DEPREL, ...). Columns 1, 3, 4, 7 and 8
+are read; FORM and any extra columns are not. Lines starting with '#' are
+comments. HEAD 0 marks the sentence root.
 
 A path between two terms walks the undirected dependency tree from the x
 occurrence to the y occurrence. Every node on the walk contributes one step
@@ -16,9 +17,9 @@ walk (one less than the number of steps) is what ``max_edges`` bounds.
 
 from __future__ import annotations
 
+import io
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
 
@@ -42,31 +43,20 @@ INDEX_HEADER = "# semrel path index v1"
 
 
 @dataclass(frozen=True)
-class Token:
-    index: int
-    form: str
-    lemma: str
-    pos: str
-    head: int
-    deprel: str
-
-
-@dataclass(frozen=True)
 class SentenceGraph:
-    """One parsed sentence; tokens are 1-indexed and heads form a tree under 0."""
+    """One parsed sentence as columns indexed by token ID; index 0 is the root.
 
-    tokens: tuple[Token, ...]
+    ``heads[i]`` is token i's head (0 for the sentence root), ``lemmas[i]``
+    its lowercased lemma, ``pos[i]`` and ``deprels[i]`` its POS tag and
+    dependency label; the root sentinel holds 0 and empty strings.
+    ``positions`` maps each lemma to the IDs of its tokens, in order.
+    """
 
-    def token(self, index: int) -> Token:
-        return self.tokens[index - 1]
-
-    @cached_property
-    def _positions(self) -> dict[str, list[int]]:
-        """Lowercased lemma -> token indices, built once on first use."""
-        positions: dict[str, list[int]] = {}
-        for t in self.tokens:
-            positions.setdefault(t.lemma.lower(), []).append(t.index)
-        return positions
+    lemmas: tuple[str, ...]
+    pos: tuple[str, ...]
+    deprels: tuple[str, ...]
+    heads: tuple[int, ...]
+    positions: dict[str, list[int]]
 
 
 @dataclass(frozen=True)
@@ -95,15 +85,17 @@ def iter_conll(stream) -> Iterator[SentenceGraph]:
     """Yield the sentence graphs of blank-line-separated CoNLL-style blocks.
 
     Accepts a string, an open file, or any iterable of lines, and reads it
-    one block at a time, so only the current sentence is held in memory.
+    one block at a time, so only the current sentence is held in memory. A
+    string splits into lines where ``open()`` would split it, at "\n", "\r\n"
+    and "\r" only; no line ending reaches a column.
     Raises ParseError, naming the offending line, for short rows, non-numeric
     ID or HEAD fields, or head links that do not form a single-rooted tree;
     the sentences before the bad one have been yielded by then.
     """
-    lines = stream.splitlines() if isinstance(stream, str) else stream
+    lines = io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
     block: list[tuple[int, list[str]]] = []
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+        line = raw.rstrip("\r\n")
         if line.startswith("#"):
             continue
         if not line.strip():
@@ -127,7 +119,9 @@ def parse_conll(stream) -> list[SentenceGraph]:
 
 
 def _build_sentence(block: list[tuple[int, list[str]]]) -> SentenceGraph:
-    tokens = []
+    # Entry i of each list belongs to the token with ID i; entry 0 is the root sentinel.
+    line_of, heads, lemmas, pos, deprels = [0], [0], [""], [""], [""]
+    positions: dict[str, list[int]] = {}
     for position, (line_no, cols) in enumerate(block, start=1):
         try:
             idx = int(cols[0])
@@ -136,15 +130,16 @@ def _build_sentence(block: list[tuple[int, list[str]]]) -> SentenceGraph:
         if idx != position:
             raise ParseError(f"token IDs must run 1..n, found {idx} at line {line_no}")
         try:
-            head = int(cols[6])
+            heads.append(int(cols[6]))
         except ValueError:
             raise ParseError(f"non-numeric HEAD {cols[6]!r} at line {line_no}") from None
-        tokens.append(Token(idx, cols[1], cols[2], cols[3], head, cols[7]))
+        line_of.append(line_no)
+        lemmas.append(cols[2].lower())
+        positions.setdefault(lemmas[idx], []).append(idx)
+        pos.append(cols[3])
+        deprels.append(cols[7])
 
-    # The token with ID i sits on line_of[i]; heads[i] is its head, heads[0] a sentinel.
-    line_of = [0] + [line_no for line_no, _ in block]
-    heads = [0] + [tok.head for tok in tokens]
-    n = len(tokens)
+    n = len(block)
     for idx in range(1, n + 1):
         if heads[idx] == idx:
             raise ParseError(f"self-loop at line {line_of[idx]}")
@@ -168,7 +163,7 @@ def _build_sentence(block: list[tuple[int, list[str]]]) -> SentenceGraph:
             raise ParseError(f"cyclic head links at line {line_of[node]}")
         for visited in walk:
             state[visited] = 2
-    return SentenceGraph(tuple(tokens))
+    return SentenceGraph(tuple(lemmas), tuple(pos), tuple(deprels), tuple(heads), positions)
 
 
 def extract_paths(
@@ -182,26 +177,19 @@ def extract_paths(
     if max_edges < 1:
         raise ValueError("max_edges must be at least 1")
     found: Counter = Counter()
-    positions = sentence._positions
-    xs = positions.get(x_lemma.lower())
-    if not xs:
-        return found
-    ys = positions.get(y_lemma.lower())
-    if not ys:
-        return found
-    heads = [0] + [t.head for t in sentence.tokens]
-    for xi in xs:
+    ys = sentence.positions.get(y_lemma.lower(), ())
+    for xi in sentence.positions.get(x_lemma.lower(), ()):
         for yi in ys:
             if xi == yi:
                 continue
-            nodes = _tree_path(heads, xi, yi)
+            nodes = _tree_path(sentence.heads, xi, yi)
             if len(nodes) - 1 > max_edges:
                 continue
             found[_path_from_nodes(sentence, nodes)] += 1
     return found
 
 
-def _tree_path(heads: list[int], a: int, b: int) -> list[int]:
+def _tree_path(heads: tuple[int, ...], a: int, b: int) -> list[int]:
     """Nodes on the unique tree walk from a to b, inclusive."""
     chain_a = []
     node = a
@@ -218,23 +206,23 @@ def _tree_path(heads: list[int], a: int, b: int) -> list[int]:
 
 
 def _path_from_nodes(sentence: SentenceGraph, nodes: list[int]) -> DependencyPath:
+    heads = sentence.heads
     steps = []
     last = len(nodes) - 1
     for i, node in enumerate(nodes):
-        tok = sentence.token(node)
         if i == 0:
             lemma = X_PLACEHOLDER
         elif i == last:
             lemma = Y_PLACEHOLDER
         else:
-            lemma = tok.lemma.lower()
-        if i < last and tok.head == nodes[i + 1]:
+            lemma = sentence.lemmas[node]
+        if i < last and heads[node] == nodes[i + 1]:
             direction = UP
-        elif i > 0 and tok.head == nodes[i - 1]:
+        elif i > 0 and heads[node] == nodes[i - 1]:
             direction = DOWN
         else:
             direction = ROOT
-        steps.append(PathEdge(lemma, tok.pos, tok.deprel, direction))
+        steps.append(PathEdge(lemma, sentence.pos[node], sentence.deprels[node], direction))
     return DependencyPath(tuple(steps))
 
 
@@ -291,7 +279,7 @@ def build_path_index(
         ys_of.setdefault(x.lower(), set()).add(y.lower())
     index = PathIndex()
     for sentence in corpus:
-        present = sentence._positions.keys()
+        present = sentence.positions.keys()
         for x in present & ys_of.keys():
             for y in present & ys_of[x]:
                 for path, count in extract_paths(sentence, x, y, max_edges).items():
@@ -354,7 +342,7 @@ def load_index(source) -> PathIndex:
     index = PathIndex()
     with open_lines(source) as lines:
         for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\n")
+            line = raw.rstrip("\r\n")
             if not line.strip() or line.startswith("#"):
                 continue
             cols = line.split("\t")

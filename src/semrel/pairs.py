@@ -40,22 +40,24 @@ class PairRecord:
 def read_pairs(source, require_label: bool = True) -> list[PairRecord]:
     """Read pair records from a path or an iterable of lines.
 
-    Lines must carry two or three tab-separated columns; the third column is
-    required when ``require_label`` is true. Blank lines and '#' comments are
-    skipped.
+    Lines must carry two or three tab-separated columns. Neither term may be
+    empty, and neither may the label when ``require_label`` is true; a
+    ParseError names the line. Blank lines and '#' comments are skipped.
     """
     records = []
     with open_lines(source) as lines:
         for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\n")
+            line = raw.rstrip("\r\n")
             if not line.strip() or line.startswith("#"):
                 continue
             cols = line.split("\t")
             if len(cols) < 2:
                 raise ParseError(f"expected at least 2 tab-separated columns at line {line_no}")
-            if require_label and len(cols) < 3:
-                raise ParseError(f"missing label column at line {line_no}")
+            if not cols[0] or not cols[1]:
+                raise ParseError(f"empty term at line {line_no}")
             label = cols[2] if len(cols) >= 3 else ""
+            if require_label and not label:
+                raise ParseError(f"missing label at line {line_no}")
             records.append(PairRecord(cols[0], cols[1], label))
     return records
 

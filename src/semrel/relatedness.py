@@ -96,12 +96,17 @@ def relatedness_scores(
     The classifier term is skipped entirely when w_l is zero, so a pure-cosine
     combiner needs no model at all.
     """
-    scores = config.w_c * _cosines(table, pairs)
+    probs = None
     if config.w_l != 0.0:
         if params is None or index is None:
             raise ValueError("w_l > 0 requires a trained model and a path index")
-        scores += config.w_l * _related_probabilities(params, table, index, pairs)
-    return scores
+        probs = _related_probabilities(params, table, index, pairs)
+    return _blend(config.w_c, config.w_l, _cosines(table, pairs), probs)
+
+
+def _blend(w_c: float, w_l: float, cosines: np.ndarray, probs) -> np.ndarray:
+    """The one score expression of tuning and prediction; no classifier term at w_l = 0."""
+    return w_c * cosines if w_l == 0.0 else w_c * cosines + w_l * probs
 
 
 def predict_related(
@@ -125,8 +130,9 @@ def tune_combiner(
     """Grid-search w_C and t (w_L = 1 - w_C) for the best related-class F1.
 
     Without a model only w_C = 1 is searched, which tunes a pure-cosine
-    threshold. Ties prefer the smaller w_L, then the smaller threshold.
-    Returns the winning configuration together with its validation F1.
+    threshold. Ties prefer the smaller w_L, then the smaller threshold. Each
+    grid point is scored with the w_L it would save, as ``predict_related``
+    scores it. Returns the winning configuration with its validation F1.
     """
     if not val:
         raise DataError("validation set is empty")
@@ -137,7 +143,7 @@ def tune_combiner(
     pairs = [(r.x, r.y) for r in val]
     cosines = _cosines(table, pairs)
     if params is None:
-        w_grid, probs = W_GRID[-1:], 0.0
+        w_grid, probs = W_GRID[-1:], None
     elif index is None:
         raise ValueError("tuning with a model requires a path index")
     else:
@@ -145,13 +151,14 @@ def tune_combiner(
     best = None
     best_key = None
     for w_c in w_grid:
-        scores = w_c * cosines + (1.0 - w_c) * probs
+        w_l = round(1.0 - w_c, 10)
+        scores = _blend(w_c, w_l, cosines, probs)
         for t in T_GRID:
             f1 = binary_f1(gold, scores >= t, True)
-            key = (f1, -(1.0 - w_c), -t)
+            key = (f1, -w_l, -t)
             if best_key is None or key > best_key:
                 best_key = key
-                best = (CombinerConfig(w_c=w_c, w_l=round(1.0 - w_c, 10), t=t), f1)
+                best = (CombinerConfig(w_c=w_c, w_l=w_l, t=t), f1)
     return best
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from semrel.corpus import parse_conll
 from semrel.embeddings import EmbeddingTable
 from semrel.path_encoder import ComponentEmbeddings, EdgeVocab, RecurrentParams
 from semrel.relation_model import ModelParams
@@ -24,6 +25,12 @@ def conll_text(rows):
     for i, (form, lemma, pos, head, deprel) in enumerate(rows, start=1):
         lines.append(f"{i}\t{form}\t{lemma}\t{pos}\t_\t_\t{head}\t{deprel}")
     return "\n".join(lines) + "\n"
+
+
+def parse_rows(rows):
+    """The sentence graph of ``rows``, rendered by ``conll_text`` and parsed."""
+    (sentence,) = parse_conll(conll_text(rows))
+    return sentence
 
 
 def make_table(vectors):

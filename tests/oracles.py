@@ -87,7 +87,7 @@ def brute_force_path_index(corpus, pairs, max_edges):
     index = PathIndex()
     wanted = {(x.lower(), y.lower()) for x, y in pairs}
     for sentence in corpus:
-        present = {t.lemma.lower() for t in sentence.tokens}
+        present = set(sentence.lemmas[1:])
         for x, y in wanted:
             if x in present and y in present:
                 for path, count in extract_paths(sentence, x, y, max_edges).items():

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import constant_model, random_table
+from helpers import constant_model, parse_rows, random_table
 from oracles import bfs_path, central_difference, depth_directions, random_tree, rel_error
 from synthcorpus import generate_world
 
@@ -25,8 +25,6 @@ from semrel.corpus import (
     DependencyPath,
     PathEdge,
     PathIndex,
-    SentenceGraph,
-    Token,
     extract_paths,
 )
 from semrel.evaluation import lexical_split, scores
@@ -158,26 +156,26 @@ def test_criterion_2_paths_against_bfs_oracle(capsys):
         for _ in range(500):
             n = int(rng.integers(2, 11))
             heads = random_tree(rng, n)
-            tokens = tuple(
-                Token(i, f"w{i}", f"w{i}", poses[int(rng.integers(4))], heads[i - 1],
-                      "root" if heads[i - 1] == 0 else deprels[int(rng.integers(5))])
+            rows = [
+                (f"w{i}", f"w{i}", poses[int(rng.integers(4))], heads[i - 1],
+                 "root" if heads[i - 1] == 0 else deprels[int(rng.integers(5))])
                 for i in range(1, n + 1)
-            )
-            sentence = SentenceGraph(tokens)
+            ]
+            sentence = parse_rows(rows)
             a, b = (int(v) + 1 for v in rng.choice(n, size=2, replace=False))
 
             walk = bfs_path(heads, a, b)
             directions = depth_directions(heads, walk)
             edges = []
             for spot, node in enumerate(walk):
-                tok = tokens[node - 1]
+                _, row_lemma, pos, _, deprel = rows[node - 1]
                 if spot == 0:
                     lemma = "X"
                 elif spot == len(walk) - 1:
                     lemma = "Y"
                 else:
-                    lemma = tok.lemma.lower()
-                edges.append(PathEdge(lemma, tok.pos, tok.deprel, directions[spot]))
+                    lemma = row_lemma.lower()
+                edges.append(PathEdge(lemma, pos, deprel, directions[spot]))
             expected = Counter({DependencyPath(tuple(edges)): 1})
 
             got = extract_paths(sentence, f"w{a}", f"w{b}", max_edges=10)

@@ -12,7 +12,7 @@ from helpers import conll_text
 from semrel.cli import main
 from semrel.corpus import build_path_index, load_index, parse_conll
 from semrel.embeddings import load_table
-from semrel.pairs import read_pairs
+from semrel.pairs import RELATION_LABELS, read_pairs
 from semrel.relation_model import load_model, pair_distribution
 
 HYPER_SENT = conll_text([
@@ -309,6 +309,65 @@ def test_config_reader_fuzz_exits_one_or_two_with_one_line(tmp_path_factory, lin
     assert not (d / "model.json").exists()
 
 
+# Arbitrary text, rich in what structures a corpus or a pairs file: tabs,
+# digits, '#', line breaks (blank lines among them), "\r" and "\x85".
+FUZZ_TEXT = st.text(st.one_of(st.sampled_from("\t\t\t0123456789#\n\n\r\x85 _"),
+                              st.characters(blacklist_categories=("Cs",))), max_size=60)
+FUZZ_CELL = st.text(st.sampled_from("01a_#\r\x85"), max_size=2)
+CONLL_ROWS = st.builds(
+    lambda i, lemma, head, deprel: f"{i}\t{lemma}\t{lemma}\tNOUN\t_\t_\t{head}\t{deprel}",
+    st.integers(0, 3), st.sampled_from(["cata", "Feline", "x"]), st.integers(0, 3), FUZZ_CELL)
+FUZZ_LABEL = st.sampled_from(RELATION_LABELS + ("TRUE", "FALSE"))
+PAIR_ROWS = st.one_of(
+    st.lists(st.one_of(FUZZ_CELL, FUZZ_LABEL), min_size=1, max_size=4).map("\t".join),
+    st.builds("{}\t{}\t{}".format, st.sampled_from(["cata", "Feline", "x\x85"]),
+              st.sampled_from(["hot", "cold"]), FUZZ_LABEL))
+
+
+def _assert_one_line_naming(err, code, path):
+    """Exit 0 with nothing on stderr, or exit 2 with one line naming ``path``."""
+    if code == 0:
+        assert err == "", err
+    else:
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(st.one_of(FUZZ_TEXT, CONLL_ROWS, st.just(HYPER_SENT)), max_size=8))
+def test_corpus_reader_fuzz_exits_zero_or_two_with_one_line(tmp_path_factory, lines):
+    d = tmp_path_factory.getbasetemp() / "corpus_fuzz"
+    d.mkdir(exist_ok=True)
+    corpus, pairs, out = d / "fuzz.conll", d / "pairs.tsv", d / "index.tsv"
+    corpus.write_text("\n".join(lines), encoding="utf-8")
+    pairs.write_text("cata\tfeline\nx\tcata\n", encoding="utf-8")
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run("extract-paths", "--corpus", corpus, "--pairs", pairs, "--output", out)
+    _assert_one_line_naming(err.getvalue(), code, corpus)
+    assert out.exists() == (code == 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(st.one_of(FUZZ_TEXT, PAIR_ROWS), max_size=6),
+       task=st.sampled_from(["relatedness", "relations"]))
+def test_pairs_reader_fuzz_exits_zero_or_two_with_one_line(tmp_path_factory, lines, task):
+    d = tmp_path_factory.getbasetemp() / "pairs_fuzz"
+    d.mkdir(exist_ok=True)
+    pairs, index, table, model = d / "fuzz.tsv", d / "index.tsv", d / "table.txt", d / "model.json"
+    pairs.write_text("\n".join(lines), encoding="utf-8")
+    index.write_text("# semrel path index v1\n", encoding="utf-8")
+    table.write_text(EMBEDDINGS, encoding="utf-8")
+    model.unlink(missing_ok=True)
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run("train", "--task", task, "--pairs", pairs, "--index", index,
+                   "--embeddings", table, "--model", model, "--epochs", "1")
+    _assert_one_line_naming(err.getvalue(), code, pairs)
+    assert model.exists() == (code == 0)
+
+
 # ------------------------------------------------------------ exit codes
 
 
@@ -603,7 +662,7 @@ def test_bad_relation_validation_labels_exit_two(micro, capsys):
                "--model", d / "four.json")
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: invalid labels in validation set: HYPR\n", captured.err
+    assert captured.err == f"error: {d / 'val.tsv'}: invalid labels in validation set: HYPR\n", captured.err
     assert "epoch" not in captured.out and not (d / "four.json").exists()
 
 

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CAT_CONLL, conll_text
+from helpers import CAT_CONLL, conll_text, parse_rows
 from oracles import bfs_path, brute_force_path_index, depth_directions, random_tree
 from semrel.corpus import (
     DependencyPath,
     PathEdge,
     PathIndex,
-    SentenceGraph,
-    Token,
     build_path_index,
     extract_paths,
     iter_conll,
@@ -36,11 +34,12 @@ def cat_sentence():
 
 
 def test_parse_cat_sentence(cat_sentence):
-    assert len(cat_sentence.tokens) == 7
-    cat = cat_sentence.token(3)
-    assert cat.form == "cat" and cat.lemma == "cat" and cat.pos == "NOUN"
-    assert cat.head == 4 and cat.deprel == "nsubj"
-    assert cat_sentence.token(4).head == 0
+    # Column i holds token i; index 0 is the root sentinel.
+    assert cat_sentence.lemmas == ("", "the", "black", "cat", "chase", "a", "gray", "mouse")
+    assert cat_sentence.heads == (0, 3, 3, 4, 0, 7, 7, 4)
+    assert cat_sentence.pos[3] == "NOUN" and cat_sentence.deprels[3] == "nsubj"
+    assert cat_sentence.positions == {"the": [1], "black": [2], "cat": [3], "chase": [4],
+                                      "a": [5], "gray": [6], "mouse": [7]}
 
 
 def test_parse_accepts_string_file_and_lines():
@@ -48,6 +47,49 @@ def test_parse_accepts_string_file_and_lines():
     from_file = parse_conll(io.StringIO(CAT_CONLL))
     from_lines = parse_conll(CAT_CONLL.splitlines())
     assert from_string == from_file == from_lines
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\x1c", "\x0b"])
+def test_string_corpus_splits_lines_as_a_file_does(tmp_path, char):
+    text = f"1\tca{char}t\tca{char}t\tNOUN\t_\t_\t0\troot\n"
+    target = tmp_path / "corpus.conll"
+    target.write_text(text, encoding="utf-8")
+    with open(target, encoding="utf-8") as fh:
+        from_file = parse_conll(fh)
+    assert from_file[0].lemmas == ("", f"ca{char}t")
+    assert parse_conll(text) == from_file
+
+
+def test_crlf_line_endings_never_reach_a_column():
+    expected = parse_conll(CAT_CONLL)
+    crlf = CAT_CONLL.replace("\n", "\r\n")
+    assert parse_conll(io.StringIO(crlf)) == expected  # an untranslated stream
+    assert parse_conll(crlf) == expected
+    assert parse_conll(CAT_CONLL.replace("\n", "\r")) == expected
+    with pytest.raises(ParseError, match="line 9"):
+        parse_conll(io.StringIO(crlf + "\r\n1\tcat\tcat\r\n"))
+
+
+# Any text but tabs and line breaks, which would change the layout of a row.
+CELL = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+               max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       cells=st.lists(st.tuples(CELL, CELL, CELL, CELL), min_size=1, max_size=8))
+def test_random_trees_parse_to_their_rows(seed, cells):
+    heads = random_tree(np.random.default_rng(seed), len(cells))
+    rows = [(form, lemma, pos, head, deprel)
+            for (form, lemma, pos, deprel), head in zip(cells, heads)]
+    sentence = parse_rows(rows)
+    assert sentence.heads == (0, *heads)
+    assert sentence.lemmas == ("", *(lemma.lower() for _, lemma, _, _ in cells))
+    assert sentence.pos == ("", *(pos for _, _, pos, _ in cells))
+    assert sentence.deprels == ("", *(deprel for _, _, _, deprel in cells))
+    for lemma, ids in sentence.positions.items():
+        assert ids == [i for i in range(1, len(cells) + 1) if sentence.lemmas[i] == lemma]
+    assert sum(map(len, sentence.positions.values())) == len(cells)
 
 
 def test_blank_line_separates_sentences_and_comments_skipped():
@@ -190,12 +232,11 @@ def test_directions_match_depth_oracle_on_random_trees():
     for _ in range(100):
         n = int(rng.integers(2, 9))
         heads = random_tree(rng, n)
-        tokens = tuple(
-            Token(i, f"w{i}", f"w{i}", pos_tags[i % 3], heads[i - 1],
-                  "root" if heads[i - 1] == 0 else deprels[i % 4])
+        sentence = parse_rows(
+            (f"w{i}", f"w{i}", pos_tags[i % 3], heads[i - 1],
+             "root" if heads[i - 1] == 0 else deprels[i % 4])
             for i in range(1, n + 1)
         )
-        sentence = SentenceGraph(tokens)
         a, b = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         walk = bfs_path(heads, int(a), int(b))
         expected_dirs = depth_directions(heads, walk)
@@ -283,9 +324,9 @@ def test_build_path_index_matches_brute_force(seed, sizes, drawn, max_edges):
     for n in sizes:
         heads = random_tree(rng, n)
         lemmas = [INDEX_LEMMAS[int(rng.integers(len(INDEX_LEMMAS)))] for _ in range(n)]
-        corpus.append(SentenceGraph(tuple(
-            Token(i, lemmas[i - 1], lemmas[i - 1], "NOUN", heads[i - 1], "dep")
-            for i in range(1, n + 1))))
+        corpus.append(parse_rows(
+            (lemmas[i - 1], lemmas[i - 1], "NOUN", heads[i - 1], "dep")
+            for i in range(1, n + 1)))
     # Whatever was drawn, also ask for reversed and duplicate pairs, x == y in
     # mixed case, and a pair whose y occurs while its x never does.
     pairs = drawn + [(y, x) for x, y in drawn] + drawn[:2]
@@ -309,7 +350,7 @@ def test_iter_conll_streams_and_parse_conll_lists_it():
 
 def test_iter_conll_yields_good_sentences_before_a_bad_one():
     stream = iter_conll(CAT_CONLL + "\n" + "1\tcat\tcat\n")
-    assert len(next(stream).tokens) == 7
+    assert next(stream) == parse_conll(CAT_CONLL)[0]
     with pytest.raises(ParseError, match="line 9"):
         next(stream)
 

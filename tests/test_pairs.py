@@ -41,6 +41,29 @@ def test_single_column_rejected_with_line_number():
         read_pairs(io.StringIO("a\tb\tHYPER\njust-one-column\n"))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("\tmouse\tHYPER", "empty term at line 2"),
+    ("cat\t\tHYPER", "empty term at line 2"),
+    ("cat\tmouse\t", "missing label at line 2"),
+    ("cat\tmouse", "missing label at line 2"),
+])
+def test_empty_fields_rejected_with_line_number(line, message):
+    with pytest.raises(ParseError, match=message):
+        read_pairs(io.StringIO("a\tb\tSYN\n" + line + "\n"))
+
+
+def test_empty_label_allowed_when_not_required():
+    records = read_pairs(io.StringIO("cat\tmouse\t\n"), require_label=False)
+    assert records == [PairRecord("cat", "mouse", "")]
+    with pytest.raises(ParseError, match="empty term at line 1"):
+        read_pairs(io.StringIO("cat\t\n"), require_label=False)
+
+
+def test_crlf_line_endings_never_reach_a_column():
+    records = read_pairs(io.StringIO("cat\tanimal\tHYPER\r\nwheel\tcar\r\n"), require_label=False)
+    assert records == [PairRecord("cat", "animal", "HYPER"), PairRecord("wheel", "car", "")]
+
+
 def test_extra_columns_ignored():
     records = read_pairs(io.StringIO("a\tb\tHYPER\tsource=wn\n"))
     assert records == [PairRecord("a", "b", "HYPER")]

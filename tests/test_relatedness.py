@@ -182,6 +182,24 @@ def test_tuned_config_reproduces_its_f1():
     assert binary_f1([r.label == RELATED for r in val], pred, True) == f1
 
 
+def test_tuned_f1_is_what_predict_gets_when_a_score_lands_on_t():
+    # At w_C = 0.7, pair a-b scores 0.7 * 0.5 + w_L * 0.7, which is t = 0.56
+    # with w_L = 1 - 0.7 = 0.30000000000000004 but 0.5599999999999999 with
+    # the saved w_L = 0.3. Pair c-d scores near 0.555 at w_C = 0.7 and at or
+    # above a-b for every w_C above 0.7, so (0.7, 0.56) would be the winner.
+    table = make_table({"a": [0.0, 2.0], "b": [-8.0, 0.0],
+                        "c": [1.0, 0.0], "d": [0.11, math.sqrt(1.0 - 0.11**2)]})
+    model = constant_model(RELATEDNESS_LABELS, [0.7, 0.3], word_dim=2)
+    model.w1[0, 0] = math.log(0.555 * 0.3 / (0.445 * 0.7))  # P(RELATED | c-d) = 0.555
+    val = [PairRecord("a", "b", RELATED), PairRecord("c", "d", UNRELATED)]
+    config, f1 = tune_combiner(val, table, model, PathIndex())
+    saved = io.StringIO()
+    save_combiner(config, saved)
+    pred = predict_related(load_combiner(io.StringIO(saved.getvalue())), table,
+                           [(r.x, r.y) for r in val], model, PathIndex())
+    assert binary_f1([r.label == RELATED for r in val], pred, True) == f1
+
+
 def test_tuning_requires_both_classes():
     table, val, model = tuning_world()
     with pytest.raises(DataError):
@@ -240,8 +258,9 @@ def test_imperfect_separation_still_picks_argmax_f1():
 
 def grid_oracle(val, model, table):
     """(w_C, t, F1) by a plain loop over the grid and the reference F1; ties
-    keep the first point, in order of descending w_C, then ascending t.
-    Without a model only w_C = 1 is searched."""
+    keep the first point, in order of descending w_C, then ascending t. Each
+    point scores with the w_L that a combiner saves, 1 - w_C rounded to ten
+    places. Without a model only w_C = 1 is searched."""
     gold = [r.label == RELATED for r in val]
     cosines = [cosine_norm(table.lookup(r.x), table.lookup(r.y)) for r in val]
     if model is None:
@@ -251,7 +270,8 @@ def grid_oracle(val, model, table):
         probs = [pair_distribution(model, table, PathIndex(), [(r.x, r.y)])[0, 0] for r in val]
     best = None
     for w_c in weights:
-        scores = [w_c * c + (1.0 - w_c) * p for c, p in zip(cosines, probs)]
+        w_l = round(1.0 - w_c, 10)
+        scores = [w_c * c + w_l * p for c, p in zip(cosines, probs)]
         for t in T_GRID:
             f1 = reference_binary_f1(gold, [s >= t for s in scores])
             if best is None or f1 > best[2]:
