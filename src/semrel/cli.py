@@ -197,6 +197,11 @@ def _read_labelled(path: str, labels: dict[str, str], context: str) -> list[Pair
     return [replace(r, label=labels[r.label]) for r in records]
 
 
+def _pair_words(records) -> set[str]:
+    """The x and y words of the records: the table rows that scoring looks up."""
+    return {word for r in records for word in (r.x, r.y)}
+
+
 def _cmd_extract_paths(args) -> int:
     records = read_pairs(args.pairs, require_label=False)
     n_sentences = 0
@@ -259,7 +264,10 @@ def _cmd_train(args) -> int:
     if not records:
         raise DataError(f"{args.pairs}: no pairs left to train on")
     index = load_index(args.index)
-    table = load_table(args.embeddings)
+    # Training looks up the pair words and seeds the lemma rows of the
+    # training pairs' paths from the table by exact token.
+    lemmas = {edge.lemma for r in records for path in index.get(r.x, r.y) for edge in path.edges}
+    table = load_table(args.embeddings, _pair_words(records + val) | lemmas)
     params = train(records, val, config, index, table, label_set=label_set,
                    on_epoch=_print_validation_accuracy)
     save_model(params, args.model)
@@ -281,15 +289,17 @@ def _cmd_train(args) -> int:
 
 def _cmd_tune(args) -> int:
     records = _read_labelled(args.pairs, _TO_RELATEDNESS, "tuning set")
-    table = load_table(args.embeddings)
-    if args.cosine_only:
-        config, f1 = tune_combiner(records, table)
-    else:
+    table = load_table(args.embeddings, _pair_words(records))
+    params = index = None
+    if not args.cosine_only:
         if not args.model or not args.index:
             raise _UsageError("--model and --index are required unless --cosine-only is given")
         index = load_index(args.index)
         params = _load_model_for(args.model, RELATEDNESS_LABELS, table)
+    try:
         config, f1 = tune_combiner(records, table, params, index)
+    except DataError as exc:  # the tuning set is empty or lacks a class
+        raise DataError(f"{args.pairs}: {exc}") from None
     save_combiner(config, args.output, validation_f1=f1)
     print(f"w_C={config.w_c:.2f} w_L={config.w_l:.2f} t={config.t:.2f} (tuning F1 {f1:.3f})")
     return 0
@@ -297,7 +307,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_predict(args) -> int:
     records = read_pairs(args.pairs, require_label=False)
-    table = load_table(args.embeddings)
+    table = load_table(args.embeddings, _pair_words(records))
     index = load_index(args.index)
     combiner = load_combiner(args.combiner)
     relatedness_params = (_load_model_for(args.relatedness_model, RELATEDNESS_LABELS, table)

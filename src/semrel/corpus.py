@@ -354,5 +354,9 @@ def load_index(source) -> PathIndex:
                 raise ParseError(f"non-numeric count {cols[3]!r} at line {line_no}") from None
             if count < 1:
                 raise ParseError(f"count must be positive at line {line_no}")
-            index.add(cols[0], cols[1], path_from_text(cols[2]), count)
+            try:
+                path = path_from_text(cols[2])
+            except ParseError as exc:
+                raise ParseError(f"{exc} at line {line_no}") from None
+            index.add(cols[0], cols[1], path, count)
     return index

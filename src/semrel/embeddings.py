@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import islice
 
@@ -37,7 +38,7 @@ class EmbeddingTable:
         return self.unk_vector if row is None else self.matrix[row]
 
 
-def load_table(source) -> EmbeddingTable:
+def load_table(source, tokens: Iterable[str] | None = None) -> EmbeddingTable:
     """Load a table from a path or an iterable of lines.
 
     Lines are whitespace-separated: a token followed by a fixed number of
@@ -49,28 +50,39 @@ def load_table(source) -> EmbeddingTable:
     The lines are read in chunks of ``CHUNK_LINES``, and numpy parses each
     chunk into rows that are appended to one matrix. A chunk that fails any
     check is read again line by line, which names the first faulty line.
+
+    Given ``tokens``, the matrix keeps only the rows of those tokens (folded
+    to lowercase) and of "<unk>", in file order; every line is still read and
+    checked, so a faulty line raises the same error whether or not it is kept.
     """
+    keep = None if tokens is None else {t.lower() for t in tokens} | {UNK_TOKEN}
     rows: dict[str, int] = {}
+    seen: set[str] = set()
     matrix = np.empty((0, 0))
     dimension = None
     with open_lines(source) as lines:
         lines = iter(lines)
         line_no = 1
         while chunk := list(islice(lines, CHUNK_LINES)):
-            tokens, block = (_parse_chunk(chunk, rows, dimension)
-                             or _read_lines(chunk, line_no, rows, dimension))
+            read, block = (_parse_chunk(chunk, seen, dimension)
+                           or _read_lines(chunk, line_no, seen, dimension))
             line_no += len(chunk)
-            if not tokens:
+            if not read:
                 continue
+            seen.update(read)
             dimension = block.shape[1]
+            if keep is not None:
+                picked = [i for i, token in enumerate(read) if token in keep]
+                read, block = [read[i] for i in picked], block[picked]
             n = len(rows)
             # Growing one buffer by realloc keeps the peak near the table's
-            # size; no view of it exists before the loop ends.
-            matrix.resize((n + len(tokens), dimension), refcheck=False)
+            # size; no view of it exists before the loop ends. The resize runs
+            # even when no row is kept, so the matrix is (0, d), not (0, 0).
+            matrix.resize((n + len(read), dimension), refcheck=False)
             matrix[n:] = block
-            rows.update(zip(tokens, range(n, n + len(tokens))))
-    if dimension is None:
-        raise ParseError("embedding file contains no vectors")
+            rows.update(zip(read, range(n, n + len(read))))
+        if dimension is None:
+            raise ParseError("embedding file contains no vectors")
     matrix.flags.writeable = False
     unk_row = rows.get(UNK_TOKEN)
     if unk_row is None:
@@ -81,7 +93,7 @@ def load_table(source) -> EmbeddingTable:
     return EmbeddingTable(rows, matrix, unk)
 
 
-def _parse_chunk(chunk: list[str], seen: dict[str, int], dimension: int | None):
+def _parse_chunk(chunk: list[str], seen: set[str], dimension: int | None):
     """(tokens, values) of a chunk by numpy's parser, or None when the chunk
     has no rows, a line is faulty or numpy cannot vouch for it."""
     tokens, rests = [], []
@@ -92,7 +104,7 @@ def _parse_chunk(chunk: list[str], seen: dict[str, int], dimension: int | None):
             rests.append(parts[1])
         elif parts:
             return None
-    if not tokens or len(set(tokens)) < len(tokens) or not seen.keys().isdisjoint(tokens):
+    if not tokens or len(set(tokens)) < len(tokens) or not seen.isdisjoint(tokens):
         return None
     try:
         block = np.loadtxt(rests, comments=None, ndmin=2)
@@ -108,7 +120,7 @@ def _parse_chunk(chunk: list[str], seen: dict[str, int], dimension: int | None):
     return tokens, block
 
 
-def _read_lines(chunk: list[str], first_line: int, seen: dict[str, int], dimension: int | None):
+def _read_lines(chunk: list[str], first_line: int, seen: set[str], dimension: int | None):
     """(tokens, values) of a chunk read one line at a time; raises ParseError
     at the first faulty line."""
     tokens, values_rows = [], []

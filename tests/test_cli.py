@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from helpers import conll_text
 from semrel.cli import main
 from semrel.corpus import build_path_index, load_index, parse_conll
 from semrel.embeddings import load_table
-from semrel.pairs import RELATION_LABELS, read_pairs
-from semrel.relation_model import load_model, pair_distribution
+from semrel.pairs import RELATED_LABELS, RELATION_LABELS, read_pairs
+from semrel.relation_model import RELATIONS_PRESET, load_model, pair_distribution, save_model, train
 
 HYPER_SENT = conll_text([
     ("cata", "cata", "NOUN", 4, "nsubj"), ("is", "be", "VERB", 4, "cop"),
@@ -144,6 +145,34 @@ def test_same_seed_training_is_byte_identical(micro):
                    "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
                    "--model", d / name, "--epochs", 2, "--seed", 11) == 0
     assert (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
+
+
+def test_train_writes_the_model_that_the_whole_table_trains(micro, capsys):
+    """The CLI keeps only the table rows that training looks up: the pair
+    words of both sets and the path lemmas that seed the lemma rows."""
+    d = micro["dir"]
+    micro["embeddings"].write_text(EMBEDDINGS + "Kind 0.5 0.5 0.0 0.0\npart 0 0 0.5 0.5\n"
+                                   "be 0.25 0 0 0\nzebra 9 -9 3 1\nquark -5 8 -7 2\nlion 3 3 -9 -9\n")
+    (d / "val.tsv").write_text("Hot\tcold\tANT\nzebra\tcata\tHYPER\nquark\twheel\tPART_OF\n"
+                               "lion\tsofa\tSYN\nzebra\tquark\tANT\nlion\tzebra\tHYPER\n")
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    assert run("train", "--task", "relations", "--pairs", micro["pairs"], "--val", d / "val.tsv",
+               "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
+               "--model", d / "cli.json", "--epochs", 2, "--seed", 5,
+               "--train-word-vectors") == 0
+    records = [r for r in read_pairs(micro["pairs"]) if r.label != "RANDOM"]
+    config = replace(RELATIONS_PRESET, epochs=2, seed=5, train_word_vectors=True)
+    accuracies = []
+    params = train(records, read_pairs(d / "val.tsv"), config, load_index(d / "index.tsv"),
+                   load_table(micro["embeddings"]), label_set=RELATED_LABELS,
+                   on_epoch=lambda epoch, accuracy: accuracies.append(f"{accuracy:.3f}"))
+    save_model(params, d / "api.json")
+    assert (d / "cli.json").read_bytes() == (d / "api.json").read_bytes()
+    printed = [line.rsplit(" ", 1)[1] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("epoch")]
+    assert printed == accuracies and len(printed) == 2
+    assert {"kind", "part"} <= set(params.vocab.lemma.tokens())
 
 
 def test_train_val_prints_validation_accuracy_per_epoch(micro, capsys):
@@ -366,6 +395,65 @@ def test_pairs_reader_fuzz_exits_zero_or_two_with_one_line(tmp_path_factory, lin
                    "--embeddings", table, "--model", model, "--epochs", "1")
     _assert_one_line_naming(err.getvalue(), code, pairs)
     assert model.exists() == (code == 0)
+
+
+# Table lines: rows of the pair words and of other words, at the width of
+# EMBEDDINGS or another, with good and faulty values, and arbitrary text.
+TABLE_WORDS = st.sampled_from(["cata", "Feline", "hot", "cold", "zebra", "Quark", "<unk>"])
+TABLE_VALUES = st.one_of(st.sampled_from(["0", "1.5", "-2e3", "1e-320"]),
+                         st.sampled_from(["nan", "-inf", "1e999", "1.7e308", "x.y", "1_0", ""]))
+TABLE_ROWS = st.builds(lambda word, values, sep: sep.join([word, *values]), TABLE_WORDS,
+                       st.lists(TABLE_VALUES, min_size=0, max_size=5), st.sampled_from([" ", "\t"]))
+COMBINER = '{"format": "semrel-combiner", "version": 1, "w_C": 1.0, "w_L": 0.0, "t": 0.5}\n'
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(st.one_of(TABLE_ROWS, TABLE_ROWS, FUZZ_TEXT), max_size=8),
+       command=st.sampled_from(["tune", "predict"]))
+def test_embeddings_reader_fuzz_exits_zero_or_two_with_one_line(tmp_path_factory, lines, command):
+    d = tmp_path_factory.getbasetemp() / "table_fuzz"
+    d.mkdir(exist_ok=True)
+    table, pairs, out = d / "fuzz.txt", d / "pairs.tsv", d / "out"
+    table.write_text("\n".join(lines), encoding="utf-8")
+    pairs.write_text("cata\tfeline\tHYPER\nhot\tcold\tRANDOM\n", encoding="utf-8")
+    (d / "index.tsv").write_text("# semrel path index v1\n", encoding="utf-8")
+    (d / "combiner.json").write_text(COMBINER, encoding="utf-8")
+    out.unlink(missing_ok=True)
+    argv = {"tune": ("tune", "--pairs", pairs, "--embeddings", table, "--output", out,
+                     "--cosine-only"),
+            "predict": ("predict", "--task", "relatedness", "--pairs", pairs, "--index",
+                        d / "index.tsv", "--embeddings", table, "--combiner",
+                        d / "combiner.json", "--output", out)}[command]
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run(*argv)
+    _assert_one_line_naming(err.getvalue(), code, table)
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "predict"])
+def test_a_bad_value_in_a_row_no_command_uses_exits_two_naming_its_line(micro, capsys, command):
+    d = micro["dir"]
+    data = ["--index", d / "index.tsv", "--embeddings", micro["embeddings"]]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    run("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
+        "--output", d / "combiner.json", "--cosine-only")
+    micro["embeddings"].write_text(EMBEDDINGS + "zebra 0.0 nan 0.0 0.0\n")
+    capsys.readouterr()
+    argv = {
+        "train": ("train", "--task", "relations", "--pairs", micro["pairs"], *data,
+                  "--model", d / "out", "--epochs", "1"),
+        "tune": ("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
+                 "--output", d / "out", "--cosine-only"),
+        "predict": ("predict", "--task", "relatedness", "--pairs", micro["pairs"], *data,
+                    "--combiner", d / "combiner.json", "--output", d / "out"),
+    }[command]
+    code = run(*argv)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {micro['embeddings']}: non-finite or overflowing value at line 11\n")
+    assert not (d / "out").exists()
 
 
 # ------------------------------------------------------------ exit codes
@@ -664,6 +752,20 @@ def test_bad_relation_validation_labels_exit_two(micro, capsys):
     assert code == 2
     assert captured.err == f"error: {d / 'val.tsv'}: invalid labels in validation set: HYPR\n", captured.err
     assert "epoch" not in captured.out and not (d / "four.json").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cata\tfeline\tHYPER\n", "validation set must contain both RELATED and UNRELATED pairs"),
+    ("", "validation set is empty"),
+])
+def test_tune_names_its_pairs_file_on_a_dataset_fault(micro, capsys, text, message):
+    d = micro["dir"]
+    (d / "tune.tsv").write_text(text)
+    code = run("tune", "--pairs", d / "tune.tsv", "--embeddings", micro["embeddings"],
+               "--output", d / "combiner.json", "--cosine-only")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {d / 'tune.tsv'}: {message}\n"
+    assert not (d / "combiner.json").exists()
 
 
 def test_evaluate_alignment_checks(micro, capsys):

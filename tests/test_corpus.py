@@ -381,3 +381,16 @@ def test_load_index_rejects_wrong_header(tmp_path):
     bad.write_text("x\ty\tX/N/r^\t1\n")
     with pytest.raises(ParseError):
         load_index(bad)
+
+
+@pytest.mark.parametrize("path, message", [
+    ("", "empty path text"),
+    ("X/NOUN/nsubj", "malformed path step 'X/NOUN/nsubj'"),
+    ("X/NOUN/nsubj/?", "unknown direction symbol '?' in step 'X/NOUN/nsubj/?'"),
+])
+def test_load_index_names_the_line_of_a_malformed_path(tmp_path, path, message):
+    bad = tmp_path / "badidx.tsv"
+    bad.write_text(f"# semrel path index v1\ncat\tmouse\tX/NOUN/nsubj/<\t1\ncat\tdog\t{path}\t2\n")
+    with pytest.raises(ParseError) as caught:
+        load_index(bad)
+    assert str(caught.value) == f"{bad}: {message} at line 3"

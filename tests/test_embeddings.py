@@ -221,3 +221,54 @@ def test_a_long_table_with_odd_lines_matches_the_line_loop(kind):
     got = loaded(kind, lines)
     assert got == reference_loaded(kind, lines)
     assert got[0] == "table" and got[1][-2:] == ["odd", UNK_TOKEN]
+
+
+# ---------------------------------------------------------- kept-rows load
+
+
+def test_a_table_that_keeps_no_row_keeps_its_width():
+    table = load_table(io.StringIO(SMALL), tokens=["aardvark"])
+    assert table.matrix.shape == (0, 2) and table.dimension == 2 and table.rows == {}
+    assert table.lookup("cat").tolist() == [0.0, 0.0]
+
+
+def test_kept_rows_fold_case_and_keep_the_unk_row():
+    table = load_table(io.StringIO(SMALL + f"{UNK_TOKEN} 9.0 9.0\n"), tokens=["MOUSE", "Cat"])
+    assert list(table.rows) == ["cat", "mouse", UNK_TOKEN]
+    assert table.lookup("dog").tolist() == [9.0, 9.0]
+
+
+@st.composite
+def table_and_tokens(draw):
+    """Table lines and a token set: some of the table's tokens in any case,
+    and some it lacks."""
+    lines = draw(table_lines())
+    words = [line.split()[0] for line in lines if line.split()]
+    tokens = draw(st.lists(st.sampled_from(words), max_size=len(words))) if words else []
+    tokens = [t.swapcase() if draw(st.booleans()) else t for t in tokens]
+    return lines, tokens + draw(st.lists(st.sampled_from(["w0", "nope", UNK_TOKEN]), max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=table_and_tokens(), chunk=st.sampled_from([1, 2, 3, 5, 8]),
+       kind=st.sampled_from(SOURCES), unk=st.booleans())
+def test_a_kept_rows_load_is_the_full_load_restricted_to_its_tokens(drawn, chunk, kind, unk):
+    lines, tokens = drawn
+    widths = [len(line.split()) - 1 for line in lines if line.split()]
+    if unk and widths:
+        lines = [*lines, f"{UNK_TOKEN} " + " ".join(["0.5"] * widths[0]) + "\n"]
+    with mock.patch.object(embeddings, "CHUNK_LINES", chunk):
+        try:
+            full = load_table(make_source(kind, lines))
+        except ParseError as exc:
+            with pytest.raises(ParseError) as caught:
+                load_table(make_source(kind, lines), tokens)
+            assert str(caught.value) == str(exc)
+            return
+        kept = load_table(make_source(kind, lines), tokens)
+    keep = {t.lower() for t in tokens} | {UNK_TOKEN}
+    expected = [t for t in full.rows if t in keep]
+    assert list(kept.rows) == expected and list(kept.rows.values()) == list(range(len(expected)))
+    assert kept.matrix.shape == (len(expected), full.dimension) and not kept.matrix.flags.writeable
+    assert kept.matrix.tobytes() == full.matrix[[full.rows[t] for t in expected]].tobytes()
+    assert kept.unk_vector.tobytes() == full.unk_vector.tobytes()

@@ -15,7 +15,11 @@ strings and nulls) and differ only in numbers, the line gives the largest
 absolute numeric difference, as for a model retrained with other rounding;
 it also sets exit code 1.
 ``--train-args`` adds flags to both ``train`` commands, to compare settings
-that no workload trains.
+that no workload trains. For each workload and seed, one line also gives
+each command's peak resident memory on both sides, read from the command's
+own rusage as bench/run.py reads it, so one run shows both whether the
+artifacts match and where memory moved. All commands run before any artifact
+is compared, so that this process stays as lean as bench/run.py's runner.
 
 Nothing under bench/ is written; worlds and outputs go to a temporary
 directory that is removed at the end.
@@ -40,19 +44,28 @@ from run import ARTIFACTS, workflow  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def run_workflow(src: Path, workload: str, world: Path, out: Path, train_args: list[str]) -> bool:
-    """Run the six commands against ``src``; False after the first failure."""
+def run_workflow(src: Path, workload: str, world: Path, out: Path,
+                 train_args: list[str]) -> dict[str, float]:
+    """Run the six commands against ``src``, stopping after the first failure;
+    returns the peak resident memory in MB of each command that ran, read from
+    its own rusage as bench/run.py reads it."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src))
+    peaks = {}
     for stage, argv in workflow(WORKLOADS[workload], world, out):
         if stage.startswith("train"):
             argv = argv + train_args
-        done = subprocess.run([sys.executable, "-m", "semrel", *argv], env=env, cwd=out,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-        if done.returncode != 0:
-            print(f"{src}: {stage} exited with {done.returncode}: {done.stderr.strip()}")
-            return False
-    return True
+        with tempfile.TemporaryFile("w+") as err:
+            proc = subprocess.Popen([sys.executable, "-m", "semrel", *argv], env=env, cwd=out,
+                                    stdout=subprocess.DEVNULL, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            peaks[stage] = usage.ru_maxrss / 1024.0
+            if proc.returncode != 0:
+                err.seek(0)
+                print(f"{src}: {stage} exited with {proc.returncode}: {err.read().strip()}")
+                break
+    return peaks
 
 
 def _is_number(value) -> bool:
@@ -99,35 +112,41 @@ def main() -> int:
     train_args = shlex.split(args.train_args)
     compared = differ = same_content = 0
     with tempfile.TemporaryDirectory(prefix="compare-artifacts-") as tmp:
-        for workload in args.workloads:
-            for seed in args.seeds:
-                case = Path(tmp) / f"{workload}-{seed}"
-                world = case / "world"
-                subprocess.run([sys.executable, str(ROOT / "bench" / "world.py"), "--workload",
-                                workload, "--seed", str(seed), "--out", str(world)], check=True)
-                for side, src in sides.items():
-                    run_workflow(src, workload, world, case / side, train_args)
-                for name in ARTIFACTS:
-                    compared += 1
-                    a, b = case / "parent" / name, case / "change" / name
-                    if a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False):
-                        continue
-                    differ += 1
-                    if not (a.is_file() and b.is_file()):
-                        state = "missing"
-                    elif name.endswith(".json"):
-                        doc_a, doc_b = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
-                        diff = largest_difference(doc_a, doc_b)
-                        if json.dumps(doc_a) == json.dumps(doc_b):
-                            same_content += 1
-                            state = "differs in bytes, same JSON content"
-                        elif diff is not None:
-                            state = f"differs, same structure, largest numeric difference {diff:.2g}"
-                        else:
-                            state = "differs"
+        cases = [(workload, seed, Path(tmp) / f"{workload}-{seed}")
+                 for workload in args.workloads for seed in args.seeds]
+        # Every command runs before any artifact is read: a child inherits
+        # this process's peak RSS, which loading a large model would raise.
+        for workload, seed, case in cases:
+            world = case / "world"
+            subprocess.run([sys.executable, str(ROOT / "bench" / "world.py"), "--workload",
+                            workload, "--seed", str(seed), "--out", str(world)], check=True)
+            peaks = {side: run_workflow(src, workload, world, case / side, train_args)
+                     for side, src in sides.items()}
+            print(f"{workload} seed {seed}: peak RSS in MB, parent -> change: " + ", ".join(
+                f"{stage} {mb:.1f} -> {peaks['change'][stage]:.1f}"
+                for stage, mb in peaks["parent"].items() if stage in peaks["change"]))
+        for workload, seed, case in cases:
+            for name in ARTIFACTS:
+                compared += 1
+                a, b = case / "parent" / name, case / "change" / name
+                if a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False):
+                    continue
+                differ += 1
+                if not (a.is_file() and b.is_file()):
+                    state = "missing"
+                elif name.endswith(".json"):
+                    doc_a, doc_b = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
+                    diff = largest_difference(doc_a, doc_b)
+                    if json.dumps(doc_a) == json.dumps(doc_b):
+                        same_content += 1
+                        state = "differs in bytes, same JSON content"
+                    elif diff is not None:
+                        state = f"differs, same structure, largest numeric difference {diff:.2g}"
                     else:
                         state = "differs"
-                    print(f"{workload} seed {seed}: {name} {state}")
+                else:
+                    state = "differs"
+                print(f"{workload} seed {seed}: {name} {state}")
     print(f"{compared} artifacts compared, {differ} differ, "
           f"{same_content} of them with the same JSON content")
     return 1 if differ else 0
