@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+import math
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError, ParseError
 
@@ -49,16 +52,56 @@ def write_text(destination, text: str) -> None:
 def write_document(destination, doc: dict) -> None:
     """Write a versioned JSON document to a path or stream, on one line.
 
-    Floats are written in shortest round-trip form. With no indent, json
-    encodes in C; readers ignore whitespace, so indented files still load. A
-    NaN or infinity is not valid JSON, so it raises DataError and nothing is
-    written.
+    The bytes are those of ``json.dumps(doc, allow_nan=False) + "\n"`` with
+    every ndarray given as nested lists: compact, floats in shortest
+    round-trip form. Arrays are encoded a block of rows at a time, so no copy
+    of the whole document is held in memory. A NaN or infinity is not valid
+    JSON, so it raises DataError before the destination is opened.
     """
-    try:
-        text = json.dumps(doc, allow_nan=False)
-    except ValueError:
-        raise DataError(f"refusing to write a non-finite number into a {doc['format']} file") from None
-    write_text(destination, text + "\n")
+    if not _is_finite(doc):
+        raise DataError(f"refusing to write a non-finite number into a {doc['format']} file")
+    if isinstance(destination, (str, Path)):
+        sink = open(destination, "w", encoding="utf-8")
+    else:
+        sink = nullcontext(destination)
+    with sink as fh:
+        fh.writelines(_pieces(doc))
+        fh.write("\n")
+
+
+# About this many values of a matrix are turned into Python floats and
+# encoded at a time: large enough for json's C encoder to set the pace.
+_BLOCK_VALUES = 4096
+
+
+def _pieces(value):
+    """Yield the JSON text of ``value`` as consecutive pieces."""
+    if isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from _pieces(item)
+        yield "}"
+    elif isinstance(value, np.ndarray) and value.ndim == 2:
+        step = max(1, _BLOCK_VALUES // max(1, value.shape[1]))
+        yield "["
+        for start in range(0, len(value), step):
+            yield (", " if start else "") + json.dumps(value[start:start + step].tolist())[1:-1]
+        yield "]"
+    elif isinstance(value, np.ndarray):
+        yield json.dumps(value.tolist())
+    else:
+        yield json.dumps(value)
+
+
+def _is_finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(map(_is_finite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(_is_finite, value))
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 @contextmanager
@@ -72,7 +115,11 @@ def read_document(source, fmt: str, version: int, kind: str):
     with open_lines(source) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply") from None
+        except UnicodeDecodeError:
+            raise  # open_lines reports it as text that is not UTF-8
+        except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
             raise ParseError(f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict) or doc.get("format") != fmt:
             raise DataError(f"not a {kind} file")

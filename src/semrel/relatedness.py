@@ -181,5 +181,5 @@ def load_combiner(source) -> CombinerConfig:
             return CombinerConfig(w_c=float(doc["w_C"]), w_l=float(doc["w_L"]), t=float(doc["t"]))
         except KeyError as exc:
             raise DataError(f"combiner file lacks the {exc.args[0]!r} field") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"combiner file has a bad value: {exc}") from None

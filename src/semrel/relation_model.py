@@ -360,7 +360,7 @@ def train(
 
 
 def _component_doc(comp: ComponentEmbeddings) -> dict:
-    return {"width": comp.width, "tokens": comp.tokens(), "matrix": comp.matrix.tolist()}
+    return {"width": comp.width, "tokens": comp.tokens(), "matrix": comp.matrix}
 
 
 def _array(value, field: str, *shape: int | None) -> np.ndarray:
@@ -370,6 +370,8 @@ def _array(value, field: str, *shape: int | None) -> np.ndarray:
         array = np.array(value, dtype=float)
     except (TypeError, ValueError):
         raise DataError(f"model field {field} is not a numeric array") from None
+    except OverflowError:  # an integer beyond the float range
+        raise DataError(f"model field {field} holds a non-finite number") from None
     if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
         expected = ", ".join("any" if n is None else str(n) for n in shape)
         raise DataError(f"model field {field} has shape {array.shape}, expected ({expected})")
@@ -381,7 +383,7 @@ def _array(value, field: str, *shape: int | None) -> np.ndarray:
 def _int(value, field: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DataError(f"model field {field} is not an integer: {value!r}") from None
 
 
@@ -414,21 +416,21 @@ def save_model(params: ModelParams, destination) -> None:
             "direction": _component_doc(params.vocab.direction),
         },
         "recurrent": {
-            "w_in": params.rec.w_in.tolist(),
-            "w_rec": params.rec.w_rec.tolist(),
-            "bias": params.rec.bias.tolist(),
+            "w_in": params.rec.w_in,
+            "w_rec": params.rec.w_rec,
+            "bias": params.rec.bias,
         },
         "classifier": {
-            "w1": params.w1.tolist(),
-            "b1": params.b1.tolist(),
-            "w2": None if params.w2 is None else params.w2.tolist(),
-            "b2": None if params.b2 is None else params.b2.tolist(),
+            "w1": params.w1,
+            "b1": params.b1,
+            "w2": params.w2,
+            "b2": params.b2,
         },
         "word_vectors": None
         if params.word_vectors is None
         else {
             "tokens": sorted(params.word_vectors.index, key=params.word_vectors.index.get),
-            "matrix": params.word_vectors.matrix.tolist(),
+            "matrix": params.word_vectors.matrix,
         },
     }
     write_document(destination, doc)
@@ -459,6 +461,8 @@ def _params_from_doc(doc: dict) -> ModelParams:
         direction=_component_from_doc(vocab_doc["direction"], "direction"),
     )
     label_set = tuple(doc["label_set"])
+    if not all(isinstance(label, str) for label in label_set):
+        raise DataError("model field label_set holds a label that is not a string")
     word_dim = _int(doc["word_dim"], "word_dim")
     hidden = _int(doc["hidden_dim"], "hidden_dim")
     rec_doc = doc["recurrent"]

@@ -5,6 +5,7 @@ code (breadth-first search instead of ancestor chains, scalar loops instead of
 vectorized numpy) so that agreement between the two is meaningful.
 """
 
+import json
 import math
 from collections import deque
 
@@ -246,3 +247,14 @@ def reference_load_table(source):
         unk = np.zeros(dimension)
         unk.flags.writeable = False
     return entries, unk
+
+
+def reference_document_text(doc):
+    """The one-shot encoding of a model or combiner document: every ndarray
+    as nested lists, the whole document in one ``json.dumps`` call."""
+    def as_lists(value):
+        if isinstance(value, dict):
+            return {key: as_lists(item) for key, item in value.items()}
+        return value.tolist() if hasattr(value, "tolist") else value
+
+    return json.dumps(as_lists(doc), allow_nan=False) + "\n"

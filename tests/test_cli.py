@@ -53,15 +53,19 @@ cloud 0.0 0.0 1.0 -1.0
 """
 
 
+def _write_micro(d):
+    corpus = d / "corpus.conll"
+    corpus.write_text(HYPER_SENT + "\n" + HYPER_SENT + "\n" + PART_SENT + "\n" + ANT_SENT)
+    pairs = d / "pairs.tsv"
+    pairs.write_text(PAIRS_TSV)
+    embeddings = d / "embeddings.txt"
+    embeddings.write_text(EMBEDDINGS)
+    return {"dir": d, "corpus": corpus, "pairs": pairs, "embeddings": embeddings}
+
+
 @pytest.fixture
 def micro(tmp_path):
-    corpus = tmp_path / "corpus.conll"
-    corpus.write_text(HYPER_SENT + "\n" + HYPER_SENT + "\n" + PART_SENT + "\n" + ANT_SENT)
-    pairs = tmp_path / "pairs.tsv"
-    pairs.write_text(PAIRS_TSV)
-    embeddings = tmp_path / "embeddings.txt"
-    embeddings.write_text(EMBEDDINGS)
-    return {"dir": tmp_path, "corpus": corpus, "pairs": pairs, "embeddings": embeddings}
+    return _write_micro(tmp_path)
 
 
 def run(*argv):
@@ -431,6 +435,148 @@ def test_embeddings_reader_fuzz_exits_zero_or_two_with_one_line(tmp_path_factory
     assert out.exists() == (code == 0)
 
 
+@pytest.fixture(scope="module")
+def reader_world(tmp_path_factory):
+    """The micro world with its index, a relatedness model and a combiner
+    that weighs that model by half, for the index, model and combiner fuzz
+    tests, which replace one of these files at a time."""
+    micro = _write_micro(tmp_path_factory.mktemp("readers"))
+    d = _trained_models(micro)
+    (d / "half.json").write_text(
+        '{"format": "semrel-combiner", "version": 1, "w_C": 0.5, "w_L": 0.5, "t": 0.5}\n')
+    return micro
+
+
+def _run_reader(world, fuzzed, **files):
+    """Run ``tune --model`` or ``predict --task relatedness`` on the reader
+    world with the given files swapped in, and check the one-line promise
+    for ``fuzzed``."""
+    d = world["dir"]
+    files = {"index": d / "index.tsv", "model": d / "rel.json", "combiner": d / "half.json",
+             **files}
+    data = ("--pairs", world["pairs"], "--index", files["index"],
+            "--embeddings", world["embeddings"])
+    out = d / "out"
+    out.unlink(missing_ok=True)
+    if files["model"] == fuzzed:
+        argv = ("tune", *data, "--model", fuzzed, "--output", out)
+    else:
+        argv = ("predict", "--task", "relatedness", *data, "--combiner", files["combiner"],
+                "--relatedness-model", files["model"], "--output", out)
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run(*argv)
+    _assert_one_line_naming(err.getvalue(), code, fuzzed)
+    assert out.exists() == (code == 0)
+    return code
+
+
+# Index rows: pair words, paths of fuzzed steps or of up to 300 steps, and
+# counts that are numbers, non-numbers and a 400-digit integer.
+INDEX_STEPS = st.builds("{}/{}/{}/{}".format, st.sampled_from(["cata", "kind", "%2F", "%ZZ", ""]),
+                        st.sampled_from(["NOUN", "X", ""]), st.sampled_from(["nsubj", "a%09b"]),
+                        st.sampled_from(["<", ">", "^", "v", ""]))
+INDEX_ROWS = st.builds(
+    lambda x, y, path, count: f"{x}\t{y}\t{path}\t{count}",
+    st.sampled_from(["cata", "Feline", "hot", "zebra", ""]),
+    st.sampled_from(["feline", "cold", "cata", "x\x85"]),
+    st.one_of(st.lists(INDEX_STEPS, min_size=1, max_size=3).map("::".join),
+              st.integers(1, 300).map(lambda n: "::".join(["cata/NOUN/nsubj/>"] * n)),
+              FUZZ_CELL),
+    st.sampled_from(["1", "3", "0", "-2", "1.5", "nan", "1e3", "٣", " 2", "", "9" * 400]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(st.one_of(INDEX_ROWS, INDEX_ROWS, FUZZ_TEXT), max_size=6))
+def test_index_reader_fuzz_exits_zero_or_two_with_one_line(reader_world, lines):
+    index = reader_world["dir"] / "fuzz.tsv"
+    index.write_text("\n".join(["# semrel path index v1", *lines]), encoding="utf-8")
+    _run_reader(reader_world, index, index=index)
+
+
+# Raw JSON text to put in place of a field or of a whole document: other
+# types, non-numbers, out-of-range and overlong numbers, and nesting on
+# both sides of the parser's depth limit.
+JSON_VALUES = st.one_of(
+    st.sampled_from(["null", "true", '"x"', '"RELATED"', "{}", "[]", "[[]]", '[["a"]]',
+                     '{"a": 1}', '["RELATED", "UNRELATED"]', "NaN", "-Infinity", "1e999",
+                     "1e308", "-0.0", "5e-324", "0", "-1", "2", "0.5", "1" + "0" * 400,
+                     "9" * 5000, "[" * 200_000]),
+    st.integers(1, 3000).map(lambda n: "[" * n + "0" + "]" * n),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False).map(json.dumps),
+)
+
+
+def _json_paths(value, path=()):
+    """The path of every object member of a JSON document and of the first
+    and last element of every array."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list) and value:
+        items = {0: value[0], len(value) - 1: value[-1]}.items()
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from _json_paths(item, path + (key,))
+
+
+def _replaced(text, path, raw):
+    """JSON ``text`` with the value at ``path`` replaced by the raw JSON
+    ``raw``, or dropped when ``raw`` is None."""
+    doc = json.loads(text)
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    if raw is None:
+        del holder[last]
+        return json.dumps(doc)
+    holder[last] = "\0hole"
+    return json.dumps(doc).replace(json.dumps("\0hole"), raw)
+
+
+@st.composite
+def fuzzed_documents(draw, text):
+    """``text`` with one value replaced by raw JSON or dropped, or cut short,
+    or raw JSON in its place."""
+    kind = draw(st.sampled_from(["replace", "replace", "drop", "cut", "whole"]))
+    if kind == "cut":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "whole":
+        return draw(JSON_VALUES)
+    path = draw(st.sampled_from(list(_json_paths(json.loads(text)))))
+    return _replaced(text, path, None if kind == "drop" else draw(JSON_VALUES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), reader=st.sampled_from(["model", "combiner"]))
+def test_model_and_combiner_readers_fuzz_exits_zero_or_two_with_one_line(reader_world, data,
+                                                                         reader):
+    d = reader_world["dir"]
+    source = {"model": d / "rel.json", "combiner": d / "half.json"}[reader]
+    fuzzed = d / f"fuzz-{reader}.json"
+    fuzzed.write_text(data.draw(fuzzed_documents(source.read_text())), encoding="utf-8")
+    _run_reader(reader_world, fuzzed, **{reader: fuzzed})
+
+
+@pytest.mark.parametrize("reader,path,raw", [
+    ("model", ("label_set", 0), "null"),
+    ("model", ("hidden_dim",), "Infinity"),
+    ("model", ("recurrent", "bias", 0), "1" + "0" * 400),
+    ("model", ("seed",), "9" * 5000),
+    ("combiner", ("w_C",), "1" + "0" * 400),
+], ids=["null-label", "infinite-hidden-dim", "huge-bias", "5000-digit-seed", "huge-w_C"])
+def test_a_value_of_the_wrong_kind_or_range_exits_two_naming_its_file(reader_world, reader,
+                                                                      path, raw):
+    d = reader_world["dir"]
+    source = {"model": d / "rel.json", "combiner": d / "half.json"}[reader]
+    bad = d / f"bad-{reader}.json"
+    bad.write_text(_replaced(source.read_text(), path, raw), encoding="utf-8")
+    assert _run_reader(reader_world, bad, **{reader: bad}) == 2
+
+
 @pytest.mark.parametrize("command", ["train", "tune", "predict"])
 def test_a_bad_value_in_a_row_no_command_uses_exits_two_naming_its_line(micro, capsys, command):
     d = micro["dir"]
@@ -530,6 +676,25 @@ def test_truncated_model_names_its_file(micro, capsys):
     assert code == 2
     assert err.startswith(f"error: {d / 'cut.json'}: invalid JSON") and err.count("\n") == 1, err
     assert not (d / "combiner.json").exists()
+
+
+@pytest.mark.parametrize("reader", ["model", "combiner"])
+def test_deeply_nested_json_exits_two_naming_its_file(micro, capsys, reader):
+    d = _trained_models(micro)
+    deep = d / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    data = ["--pairs", micro["pairs"], "--index", d / "index.tsv",
+            "--embeddings", micro["embeddings"]]
+    argv = {
+        "model": ("tune", *data, "--model", deep, "--output", d / "out"),
+        "combiner": ("predict", "--task", "relatedness", *data, "--combiner", deep,
+                     "--output", d / "out"),
+    }[reader]
+    capsys.readouterr()
+    code = run(*argv)
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: {deep}: invalid JSON: nested too deeply\n")
+    assert not (d / "out").exists()
 
 
 def _trained_models(micro):
