@@ -37,7 +37,6 @@ from .relatedness import (
 from .relation_model import (
     RELATEDNESS_PRESET,
     RELATIONS_PRESET,
-    Example,
     ModelParams,
     TrainConfig,
     load_model,
@@ -53,7 +52,6 @@ __all__ = [
     "DataError",
     "DependencyPath",
     "EmbeddingTable",
-    "Example",
     "ModelParams",
     "NEGATIVE_LABEL",
     "PairRecord",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
@@ -40,6 +41,30 @@ class open_lines:
         return False
 
 
+# What int() takes; when it still fails, the number has more digits than it converts.
+_INTEGER = re.compile(r"\s*[+-]?\d+\s*")
+
+
+def excerpt(text: str, limit: int = 40) -> str:
+    """``text`` for a message, cut after ``limit`` characters."""
+    return text if len(text) <= limit else text[:limit] + "…"
+
+
+def int_error(text: str, field: str, line_no: int) -> ParseError:
+    """The error for a ``field`` whose ``text`` int() refused: it names the
+    field and the line and quotes at most 40 characters of the text."""
+    if _INTEGER.fullmatch(text):
+        return ParseError(f"{field} {excerpt(text)!r} has too many digits at line {line_no}")
+    return ParseError(f"non-numeric {field} {excerpt(text)!r} at line {line_no}")
+
+
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"invalid JSON: integer {excerpt(text)!r} has too many digits") from None
+
+
 def write_text(destination, text: str) -> None:
     """Write text to a path or an already-open stream."""
     if isinstance(destination, (str, Path)):
@@ -70,8 +95,10 @@ def write_document(destination, doc: dict) -> None:
 
 
 # About this many values of a matrix are turned into Python floats and
-# encoded at a time: large enough for json's C encoder to set the pace.
-_BLOCK_VALUES = 4096
+# encoded at a time: large enough for json's C encoder to set the pace, and
+# small enough (about 100 KB of lists and text) that a save after training
+# fits in memory the process already holds.
+_BLOCK_VALUES = 1024
 
 
 def _pieces(value):
@@ -114,12 +141,12 @@ def read_document(source, fmt: str, version: int, kind: str):
     """
     with open_lines(source) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_int)
         except RecursionError:
             raise ParseError("invalid JSON: nested too deeply") from None
-        except UnicodeDecodeError:
-            raise  # open_lines reports it as text that is not UTF-8
-        except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
+        except (UnicodeDecodeError, ParseError):
+            raise  # open_lines reports text that is not UTF-8; _json_int's error stands
+        except ValueError as exc:
             raise ParseError(f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict) or doc.get("format") != fmt:
             raise DataError(f"not a {kind} file")

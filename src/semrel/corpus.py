@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
 
-from ._io import open_lines, write_text
+from ._io import excerpt, int_error, open_lines, write_text
 from .errors import ParseError
 
 UP = "up"
@@ -126,13 +126,13 @@ def _build_sentence(block: list[tuple[int, list[str]]]) -> SentenceGraph:
         try:
             idx = int(cols[0])
         except ValueError:
-            raise ParseError(f"non-numeric ID {cols[0]!r} at line {line_no}") from None
+            raise int_error(cols[0], "ID", line_no) from None
         if idx != position:
-            raise ParseError(f"token IDs must run 1..n, found {idx} at line {line_no}")
+            raise ParseError(f"token IDs must run 1..n, found {excerpt(str(idx))} at line {line_no}")
         try:
             heads.append(int(cols[6]))
         except ValueError:
-            raise ParseError(f"non-numeric HEAD {cols[6]!r} at line {line_no}") from None
+            raise int_error(cols[6], "HEAD", line_no) from None
         line_of.append(line_no)
         lemmas.append(cols[2].lower())
         positions.setdefault(lemmas[idx], []).append(idx)
@@ -144,7 +144,8 @@ def _build_sentence(block: list[tuple[int, list[str]]]) -> SentenceGraph:
         if heads[idx] == idx:
             raise ParseError(f"self-loop at line {line_of[idx]}")
         if not 0 <= heads[idx] <= n:
-            raise ParseError(f"HEAD {heads[idx]} out of range 0..{n} at line {line_of[idx]}")
+            raise ParseError(
+                f"HEAD {excerpt(str(heads[idx]))} out of range 0..{n} at line {line_of[idx]}")
     roots = [idx for idx in range(1, n + 1) if heads[idx] == 0]
     if not roots:
         raise ParseError(f"no root token in sentence ending at line {line_of[n]}")
@@ -351,7 +352,7 @@ def load_index(source) -> PathIndex:
             try:
                 count = int(cols[3])
             except ValueError:
-                raise ParseError(f"non-numeric count {cols[3]!r} at line {line_no}") from None
+                raise int_error(cols[3], "count", line_no) from None
             if count < 1:
                 raise ParseError(f"count must be positive at line {line_no}")
             try:

@@ -8,15 +8,17 @@ represents the path. A pair's path multiset is reduced to a single vector by
 a count-weighted (or uniform) average, with the empty multiset mapping to the
 zero vector.
 
-``average_paths_with_cache`` runs a pair's paths in groups of equal step
-count, each group time-major as one (P, D) matrix per step, and keeps one
-record of arrays per group, which ``backprop_average`` walks back to
-accumulate exact gradients for all encoder parameters.
+``compile_paths`` stacks a multiset's row numbers, which the vocabulary looks
+up once per distinct path, in groups of equal step count.
+``average_paths_with_cache`` runs each group time-major as one (P, D) matrix
+per step and keeps one record of arrays per group, which ``backprop_average``
+walks back to accumulate exact gradients for all encoder parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,12 +53,15 @@ class ComponentEmbeddings:
         return [tok for tok, _ in sorted(self.index.items(), key=lambda kv: kv[1])]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeVocab:
+    """The four step components; their tokens and widths are fixed once built."""
+
     lemma: ComponentEmbeddings
     pos: ComponentEmbeddings
     deprel: ComponentEmbeddings
     direction: ComponentEmbeddings
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def components(self) -> tuple[ComponentEmbeddings, ...]:
         return (self.lemma, self.pos, self.deprel, self.direction)
@@ -64,6 +69,22 @@ class EdgeVocab:
     @property
     def input_width(self) -> int:
         return sum(c.width for c in self.components())
+
+    @cached_property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """Each component's (start, end) columns in a step input."""
+        ends = np.cumsum([c.width for c in self.components()]).tolist()
+        return tuple(zip([0] + ends[:-1], ends))
+
+    def path_rows(self, path: DependencyPath) -> np.ndarray:
+        """The path's (T, 4) lemma, POS, deprel and direction row numbers."""
+        rows = self._rows.get(path)
+        if rows is None:
+            rows = np.array([[comp.row(token) for comp, token in
+                              zip(self.components(), (e.lemma, e.pos, e.deprel, e.direction))]
+                             for e in path.edges], dtype=np.intp).reshape(-1, 4)
+            self._rows[path] = rows
+        return rows
 
 
 @dataclass
@@ -138,13 +159,53 @@ def init_recurrent(input_width: int, hidden_size: int, rng: np.random.Generator)
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    ez = np.exp(z[~positive])
-    out[~positive] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # exp(-|z|) never overflows: 1 / (1 + ez) where z >= 0, ez / (1 + ez) below.
+    ez = np.exp(np.copysign(z, -1.0))
+    return np.divide(np.where(z >= 0, 1.0, ez), 1.0 + ez, out=out)
+
+
+@dataclass(slots=True)
+class CompiledPaths:
+    """A path multiset as row numbers of one vocabulary, for one average mode."""
+
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]  # per step count: (T, P, 4) rows, (P,) weights
+    slots: tuple[tuple[int, int], ...]  # each path's group and position, in the multiset's order
+
+    def lemma_rows(self) -> np.ndarray | None:
+        """The sorted lemma rows that the paths' steps read, with the unknown
+        row 0, which word dropout puts in their place; None without a step."""
+        if not any(len(rows) for rows, _ in self.groups):
+            return None
+        rows = {0}.union(*(rows[..., 0].ravel().tolist() for rows, _ in self.groups))
+        return np.array(sorted(rows), dtype=np.intp)
+
+
+def compile_paths(paths: Mapping[DependencyPath, int], vocab: EdgeVocab,
+                  mode: str = WEIGHTED) -> CompiledPaths:
+    """Each path's rows and weight, grouped by step count. "weighted" weights
+    each distinct path by its count; "uniform" ignores counts."""
+    if mode not in AVERAGE_MODES:
+        raise ValueError(f"unknown average mode {mode!r}")
+    items = list(paths.items())
+    if not items:
+        return CompiledPaths((), ())
+    if mode == WEIGHTED:
+        total = sum(count for _, count in items)
+        weights = [count / total for _, count in items]
+    else:
+        weights = [1.0 / len(items)] * len(items)
+    path_rows = [vocab.path_rows(path) for path, _ in items]
+    members: dict[int, list[int]] = {}
+    for n, rows in enumerate(path_rows):
+        members.setdefault(len(rows), []).append(n)
+    groups, slots = [], [(0, 0)] * len(items)
+    for g, ns in enumerate(members.values()):
+        groups.append((np.stack([path_rows[n] for n in ns], axis=1),
+                       np.array([weights[n] for n in ns])))
+        for p, n in enumerate(ns):
+            slots[n] = (g, p)
+    return CompiledPaths(tuple(groups), tuple(slots))
 
 
 @dataclass
@@ -177,19 +238,21 @@ def _run_group(rows: np.ndarray, weights: np.ndarray, vocab: EdgeVocab,
     cs = np.zeros((steps + 1, count, hidden))
     gates = np.empty((steps, count, 4 * hidden))
     tanh_c = np.empty((steps, count, hidden))
+    w_rec_t = rec.w_rec.T
     for t in range(steps):
-        z = z_in[t] + hs[t] @ rec.w_rec.T
-        gate = gates[t]
-        gate[:] = _sigmoid(z)
-        gate[:, g] = np.tanh(z[:, g])
-        cs[t + 1] = gate[:, f] * cs[t] + gate[:, i] * gate[:, g]
-        tanh_c[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = gate[:, o] * tanh_c[t]
+        z = z_in[t] + hs[t] @ w_rec_t
+        gate, c = gates[t], cs[t + 1]
+        _sigmoid(z, gate)
+        np.tanh(z[:, g], out=gate[:, g])
+        np.multiply(gate[:, f], cs[t], out=c)
+        c += gate[:, i] * gate[:, g]
+        np.tanh(c, out=tanh_c[t])
+        np.multiply(gate[:, o], tanh_c[t], out=hs[t + 1])
     return PathCache(rows, xs, hs, cs, gates, tanh_c, weights)
 
 
 def average_paths_with_cache(
-    paths: Mapping[DependencyPath, int],
+    paths: Mapping[DependencyPath, int] | CompiledPaths,
     vocab: EdgeVocab,
     rec: RecurrentParams,
     mode: str = WEIGHTED,
@@ -199,44 +262,25 @@ def average_paths_with_cache(
     """Average of the encoded paths, and one cache per group of paths that
     share a step count.
 
-    The empty multiset gives the zero vector. "weighted" weights each distinct
-    path by its count; "uniform" ignores counts. When ``dropout_rate`` > 0 and
+    ``paths`` is a multiset, or one that ``compile_paths`` compiled with this
+    vocabulary, in which case its weights stand and ``mode`` is not read.
+    The empty multiset gives the zero vector. When ``dropout_rate`` > 0 and
     an rng is given, each step's lemma component is replaced by the unknown
     row with that probability, independently, drawn path by path in the
     multiset's order.
     """
-    if mode not in AVERAGE_MODES:
-        raise ValueError(f"unknown average mode {mode!r}")
+    if not isinstance(paths, CompiledPaths):
+        paths = compile_paths(paths, vocab, mode)
+    groups = paths.groups
+    if dropout_rate > 0.0 and rng is not None:
+        groups = [(rows.copy(), weights) for rows, weights in groups]
+        for g, p in paths.slots:
+            rows = groups[g][0]
+            rows[rng.random(len(rows)) < dropout_rate, p, 0] = 0
+    caches = [_run_group(rows, weights, vocab, rec) for rows, weights in groups]
     pooled = np.zeros(rec.hidden_size)
-    items = list(paths.items())
-    if not items:
-        return pooled, []
-    if mode == WEIGHTED:
-        total = sum(count for _, count in items)
-        weights = [count / total for _, count in items]
-    else:
-        weights = [1.0 / len(items)] * len(items)
-    components = vocab.components()
-    groups: dict[int, list[int]] = {}
-    path_rows = []
-    for n, (path, _) in enumerate(items):
-        rows = np.array([[comp.row(token) for comp, token in
-                          zip(components, (e.lemma, e.pos, e.deprel, e.direction))]
-                         for e in path.edges], dtype=np.intp).reshape(-1, 4)
-        if dropout_rate > 0.0 and rng is not None:
-            rows[rng.random(len(path.edges)) < dropout_rate, 0] = 0
-        path_rows.append(rows)
-        groups.setdefault(len(rows), []).append(n)
-    caches = []
-    final = [None] * len(items)
-    for members in groups.values():
-        cache = _run_group(np.stack([path_rows[n] for n in members], axis=1),
-                           np.array([weights[n] for n in members]), vocab, rec)
-        caches.append(cache)
-        for p, n in enumerate(members):
-            final[n] = cache.hs[-1, p]
-    for weight, h in zip(weights, final):
-        pooled += weight * h
+    for g, p in paths.slots:
+        pooled += caches[g].weights[p] * caches[g].hs[-1, p]
     return pooled, caches
 
 
@@ -248,6 +292,18 @@ def encoder_arrays(vocab: EdgeVocab, rec: RecurrentParams) -> dict[str, np.ndarr
             "bias": rec.bias}
 
 
+@dataclass
+class RowGradient:
+    """The gradient of a matrix on some of its rows; every other row's is zero."""
+
+    rows: np.ndarray  # sorted distinct row numbers
+    values: np.ndarray  # (len(rows), width) the gradient of those rows
+
+    def add_at(self, rows, values: np.ndarray) -> None:
+        """Add ``values`` to the gradient of ``rows``, each of which it holds."""
+        np.add.at(self.values, np.searchsorted(self.rows, rows), values)
+
+
 def backprop_average(
     d_out: np.ndarray,
     cache: Sequence[PathCache],
@@ -256,36 +312,48 @@ def backprop_average(
     grads,
 ) -> None:
     """Accumulate d(loss)/d(params) given d(loss)/d(averaged vector), into
-    the ``grads`` attribute named as in ``encoder_arrays``. Each group walks
-    its steps back with only the recurrent product in the loop, then adds
-    its weight, bias and component-row gradients in one pass."""
+    the ``grads`` attribute named as in ``encoder_arrays``, which for a
+    component may be a ``RowGradient`` holding every row the paths read."""
     hidden = rec.hidden_size
-    i, f, g, o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    ends = np.cumsum([comp.width for comp in vocab.components()]).tolist()
-    spans = list(zip([0] + ends[:-1], ends))
     component_grads = (grads.lemma, grads.pos, grads.deprel, grads.direction)
     for group in cache:
         steps, count = group.rows.shape[:2]
         if steps == 0:
             continue
+        # Each gate's dz is ((d * a) * b) * c, d being d_ct or, for the output
+        # gate, dh: the products of its formula in their order. Input
+        # d_ct·g_g·g_i·(1-g_i), forget d_ct·c_prev·g_f·(1-g_f), candidate
+        # d_ct·g_i·(1-g_g²)·1, output dh·tanh(c)·g_o·(1-g_o). a, b and c do
+        # not depend on the step before, so they are built once per group.
+        gates = group.gates.reshape(steps, count, 4, hidden)
+        gi, gf, gg, go = (gates[:, :, k] for k in range(4))
+        a = np.empty_like(gates)
+        a[:, :, 0], a[:, :, 1], a[:, :, 2], a[:, :, 3] = gg, group.cs[:-1], gi, group.tanh_c
+        b = gates.copy()
+        b[:, :, 2] = 1.0 - gg**2
+        c = 1.0 - gates
+        c[:, :, 2] = 1.0
+        d_tanh_c = 1.0 - group.tanh_c**2
         dh = group.weights[:, None] * d_out
         dc = np.zeros((count, hidden))
         dzs = np.empty((steps, count, 4 * hidden))
         for t in reversed(range(steps)):
-            gate, tanh_c, dz = group.gates[t], group.tanh_c[t], dzs[t]
-            gi, gf, gg, go = gate[:, i], gate[:, f], gate[:, g], gate[:, o]
-            d_ct = dh * go * (1.0 - tanh_c**2) + dc
-            dz[:, i] = d_ct * gg * gi * (1.0 - gi)
-            dz[:, f] = d_ct * group.cs[t] * gf * (1.0 - gf)
-            dz[:, g] = d_ct * gi * (1.0 - gg**2)
-            dz[:, o] = dh * tanh_c * go * (1.0 - go)
-            dc = d_ct * gf
-            dh = dz @ rec.w_rec
+            d_ct = dh * go[t] * d_tanh_c[t] + dc
+            dz = dzs[t].reshape(count, 4, hidden)
+            np.multiply(d_ct[:, None], a[t, :, :3], out=dz[:, :3])
+            np.multiply(dh, a[t, :, 3], out=dz[:, 3])
+            dz *= b[t]
+            dz *= c[t]
+            dc = d_ct * gf[t]
+            dh = dzs[t] @ rec.w_rec
         dz_all = dzs.reshape(steps * count, -1)
         grads.w_in += dz_all.T @ group.xs.reshape(steps * count, -1)
         grads.w_rec += dz_all.T @ group.hs[:-1].reshape(steps * count, -1)
         grads.bias += dz_all.sum(axis=0)
         dx = dz_all @ rec.w_in
         rows = group.rows.reshape(steps * count, 4)
-        for k, (comp_grad, (start, end)) in enumerate(zip(component_grads, spans)):
-            np.add.at(comp_grad, rows[:, k], dx[:, start:end])
+        for k, (comp_grad, (start, end)) in enumerate(zip(component_grads, vocab.spans)):
+            if isinstance(comp_grad, RowGradient):
+                comp_grad.add_at(rows[:, k], dx[:, start:end])
+            else:
+                np.add.at(comp_grad, rows[:, k], dx[:, start:end])

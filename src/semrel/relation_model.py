@@ -9,7 +9,8 @@ recurrent unit, and the edge-component embeddings. Word vectors for x and y
 are frozen table lookups unless ``train_word_vectors`` is switched on, in
 which case the model keeps its own trainable copies for the training-set
 terms. ``trainable_arrays`` is the one list of trainable arrays: gradients
-and updates follow its names and order.
+and updates follow its names and order. A step updates only the arrays, and
+the lemma and word-vector rows, that its compiled example used.
 
 All randomness (initialization, example order, word dropout) flows from the
 single seed in TrainConfig, so a fixed seed reproduces parameters bit for bit.
@@ -24,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._io import read_document, write_document
+from ._io import excerpt, read_document, write_document
 from .corpus import DependencyPath, PathIndex
 from .embeddings import EmbeddingTable
 from .errors import DataError
@@ -33,12 +34,15 @@ from .path_encoder import (
     AVERAGE_MODES,
     INIT_SCALE,
     WEIGHTED,
+    CompiledPaths,
     ComponentEmbeddings,
     EdgeVocab,
     RecurrentParams,
+    RowGradient,
     average_paths_with_cache,
     backprop_average,
     build_edge_vocab,
+    compile_paths,
     encoder_arrays,
     init_recurrent,
 )
@@ -135,14 +139,31 @@ class ModelParams:
         return table.lookup(token)
 
 
-@dataclass
+@dataclass(slots=True)
 class Example:
-    """A pair with its path multiset, ready for scoring or training."""
+    """A labelled pair compiled against a model for training; see
+    ``compile_example``."""
 
     x: str
     y: str
-    paths: Mapping[DependencyPath, int]
-    label: str | None = None
+    gold: int  # the label's position in the model's label set
+    paths: CompiledPaths
+    lemma_rows: np.ndarray | None  # the lemma rows a step reads; None without a path step
+    word_rows: np.ndarray | None  # the pair's rows in the trainable word vectors, if any
+
+
+def compile_example(params: ModelParams, x: str, y: str, paths: Mapping[DependencyPath, int],
+                    label: str | None) -> Example:
+    """The pair, its paths and its label in the row numbers of ``params``.
+    An unlabelled pair raises ValueError, a label outside the set DataError."""
+    if label is None:
+        raise ValueError(f"example ({x}, {y}) has no label")
+    compiled = compile_paths(paths, params.vocab, params.path_average)
+    word_rows = None
+    if params.word_vectors is not None:
+        held = {params.word_vectors.row(x), params.word_vectors.row(y)} - {None}
+        word_rows = np.array(sorted(held), dtype=np.intp)
+    return Example(x, y, params.label_index(label), compiled, compiled.lemma_rows(), word_rows)
 
 
 def forward(v_xy: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -172,7 +193,7 @@ def pair_distribution(
 
 
 def _features(params: ModelParams, table: EmbeddingTable, x: str, y: str,
-              paths: Mapping[DependencyPath, int], dropout_rate: float,
+              paths: Mapping[DependencyPath, int] | CompiledPaths, dropout_rate: float,
               rng: np.random.Generator | None) -> tuple[np.ndarray, list]:
     """The feature vector [x ; averaged paths ; y] and the path caches that
     ``backprop_average`` walks."""
@@ -213,70 +234,100 @@ def loss_and_gradients(
     """Mean negative log-likelihood over the batch, with exact gradients: one
     attribute per ``trainable_arrays`` entry, under the same name.
 
-    Word dropout (config.word_dropout_rate > 0 with an rng supplied) replaces
-    step lemmas by the unknown row, independently per step; with rate 0 the
-    result is deterministic.
+    The encoder's are None when no example has a path step, and the lemma and
+    word-vector gradients are ``RowGradient``s over the examples' rows. Word
+    dropout (config.word_dropout_rate > 0 with an rng supplied) replaces step
+    lemmas by the unknown row, independently per step; with rate 0 the result
+    is deterministic.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
     rate = config.word_dropout_rate if config is not None else 0.0
-    # np.zeros, not zeros_like: it costs several times less per call, on every SGD step.
-    arrays = trainable_arrays(params)
-    grads = SimpleNamespace(**{name: np.zeros(a.shape) for name, a in arrays.items()})
+    grads = _zero_gradients(params, batch)
     hidden = params.hidden_size
     d = params.word_dim
     scale = 1.0 / len(batch)
     total = 0.0
     for ex in batch:
-        if ex.label is None:
-            raise ValueError(f"example ({ex.x}, {ex.y}) has no label")
-        gold = params.label_index(ex.label)
         v, cache = _features(params, table, ex.x, ex.y, ex.paths, rate, rng)
         hval, logits = _classify(v, params)
         shifted = logits - logits.max()
         log_z = np.log(np.exp(shifted).sum())
-        total += float(log_z - shifted[gold])
+        total += float(log_z - shifted[ex.gold])
 
-        probs = np.exp(shifted - log_z)
-        dlogits = probs.copy()
-        dlogits[gold] -= 1.0
+        dlogits = np.exp(shifted - log_z)  # the softmax, less one at the gold label
+        dlogits[ex.gold] -= 1.0
         dlogits *= scale
         if hval is not None:
-            grads.w2 += np.outer(dlogits, hval)
+            grads.w2 += dlogits[:, None] * hval
             grads.b2 += dlogits
             d_a = (params.w2.T @ dlogits) * (1.0 - hval**2)
         else:
             d_a = dlogits
-        grads.w1 += np.outer(d_a, v)
+        grads.w1 += d_a[:, None] * v
         grads.b1 += d_a
         d_v = params.w1.T @ d_a
         backprop_average(d_v[d : d + hidden], cache, params.vocab, params.rec, grads)
         if params.word_vectors is not None:
             row_x = params.word_vectors.row(ex.x)
             if row_x is not None:
-                grads.word_vectors[row_x] += d_v[:d]
+                grads.word_vectors.add_at(row_x, d_v[:d])
             row_y = params.word_vectors.row(ex.y)
             if row_y is not None:
-                grads.word_vectors[row_y] += d_v[d + hidden :]
+                grads.word_vectors.add_at(row_y, d_v[d + hidden :])
     return total * scale, grads
 
 
+def _zero_gradients(params: ModelParams, batch: Sequence[Example]) -> SimpleNamespace:
+    """Zero gradients of what the batch reads, as ``loss_and_gradients`` gives them."""
+    stepped = [ex.lemma_rows for ex in batch if ex.lemma_rows is not None]
+    rows = {"lemma": _union(stepped) if stepped else None}
+    if params.word_vectors is not None:
+        rows["word_vectors"] = _union([ex.word_rows for ex in batch])
+    encoder = encoder_arrays(params.vocab, params.rec)
+    grads = {}
+    for name, array in trainable_arrays(params).items():
+        if name in encoder and not stepped:
+            grads[name] = None
+        elif name in rows:
+            grads[name] = RowGradient(rows[name], np.zeros((len(rows[name]), array.shape[1])))
+        else:
+            # np.zeros, not zeros_like: it costs several times less per call.
+            grads[name] = np.zeros(array.shape)
+    return SimpleNamespace(**grads)
+
+
+def _union(rows: list[np.ndarray]) -> np.ndarray:
+    if len(rows) == 1:
+        return rows[0]
+    return np.array(sorted(set().union(*(r.tolist() for r in rows))), dtype=np.intp)
+
+
 def apply_gradients(params: ModelParams, grads: SimpleNamespace, learning_rate: float) -> None:
+    """Step each trainable array against its gradient; a None gradient, or a
+    row a ``RowGradient`` lacks, leaves it as a zero gradient would."""
     held = vars(grads)
-    for name, arr in trainable_arrays(params).items():
-        arr -= learning_rate * held[name]
+    for name, array in trainable_arrays(params).items():
+        grad = held[name]
+        if isinstance(grad, RowGradient):
+            array[grad.rows] -= learning_rate * grad.values
+        elif grad is not None:
+            array -= learning_rate * grad
 
 
 def init_params(
     config: TrainConfig,
-    examples: Sequence[Example],
+    pairs: Sequence[tuple[str, str]],
+    index: PathIndex,
     table: EmbeddingTable,
     label_set: Sequence[str],
     rng: np.random.Generator,
 ) -> ModelParams:
+    """A new model for the (x, y) training pairs: an edge vocabulary from
+    their paths in ``index``, and word vectors for their terms when trained."""
     word_dim = table.dimension
     lemma_dim = config.lemma_dim if config.lemma_dim is not None else word_dim
-    all_paths = (path for ex in examples for path in ex.paths)
+    all_paths = (path for x, y in pairs for path in index.get(x, y))
     vocab = build_edge_vocab(
         all_paths,
         lemma_dim=lemma_dim,
@@ -301,7 +352,7 @@ def init_params(
         b2 = None
     word_vectors = None
     if config.train_word_vectors:
-        tokens = sorted({t.lower() for ex in examples for t in (ex.x, ex.y)})
+        tokens = sorted({t.lower() for pair in pairs for t in pair})
         matrix = np.stack([np.array(table.lookup(t)) for t in tokens])
         word_vectors = TrainableWordVectors({t: i for i, t in enumerate(tokens)}, matrix)
     return ModelParams(
@@ -340,8 +391,9 @@ def train(
     labels = tuple(label_set) if label_set is not None else tuple(sorted({r.label for r in trainset}))
     check_labels(trainset, labels, "training set")
     rng = np.random.default_rng(config.seed)
-    examples = [Example(r.x, r.y, index.get(r.x, r.y), r.label) for r in trainset]
-    params = init_params(config, examples, table, labels, rng)
+    params = init_params(config, [(r.x, r.y) for r in trainset], index, table, labels, rng)
+    examples = [compile_example(params, r.x, r.y, index.get(r.x, r.y), r.label)
+                for r in trainset]
     # A diverging run overflows before its loss turns non-finite; the loss check
     # below is the guard, so numpy's warnings would only add lines to stderr.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -373,7 +425,7 @@ def _array(value, field: str, *shape: int | None) -> np.ndarray:
     except OverflowError:  # an integer beyond the float range
         raise DataError(f"model field {field} holds a non-finite number") from None
     if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
-        expected = ", ".join("any" if n is None else str(n) for n in shape)
+        expected = ", ".join("any" if n is None else excerpt(str(n)) for n in shape)
         raise DataError(f"model field {field} has shape {array.shape}, expected ({expected})")
     if not np.isfinite(array).all():
         raise DataError(f"model field {field} holds a non-finite number")
@@ -384,7 +436,7 @@ def _int(value, field: str) -> int:
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):
-        raise DataError(f"model field {field} is not an integer: {value!r}") from None
+        raise DataError(f"model field {field} is not an integer: {excerpt(repr(value))}") from None
 
 
 def _component_from_doc(doc: dict, name: str) -> ComponentEmbeddings:

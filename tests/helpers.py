@@ -4,8 +4,8 @@ import numpy as np
 
 from semrel.corpus import parse_conll
 from semrel.embeddings import EmbeddingTable
-from semrel.path_encoder import ComponentEmbeddings, EdgeVocab, RecurrentParams
-from semrel.relation_model import ModelParams
+from semrel.path_encoder import ComponentEmbeddings, EdgeVocab, RecurrentParams, RowGradient
+from semrel.relation_model import ModelParams, trainable_arrays
 
 # "The black cat chased a gray mouse."
 CAT_CONLL = """\
@@ -75,3 +75,18 @@ def constant_model(labels, probs, word_dim=2, hidden_dim=2):
         label_set=tuple(labels),
         word_dim=word_dim,
     )
+
+
+def dense_gradients(params, grads):
+    """Each gradient that ``loss_and_gradients`` gives, as a full array of its
+    parameter's shape: zeros for None and for rows a RowGradient lacks."""
+    out = {}
+    for name, array in trainable_arrays(params).items():
+        grad = getattr(grads, name)
+        full = np.zeros(array.shape)
+        if isinstance(grad, RowGradient):
+            full[grad.rows] = grad.values
+        elif grad is not None:
+            full[...] = grad
+        out[name] = full
+    return out

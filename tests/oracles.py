@@ -125,6 +125,165 @@ def reference_lstm(w_in, w_rec, bias, inputs):
     return h
 
 
+def _reference_sigmoid(z):
+    import numpy as np
+
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    ez = np.exp(z[~positive])
+    out[~positive] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_encode(paths, vocab, rec, mode, rate, rng):
+    """The averaged path vector and one (rows, xs, hs, cs, gates, tanh_c,
+    weights) tuple per group of paths of equal step count: each path's rows
+    looked up token by token on every call, with word dropout drawn path by
+    path in the multiset's order."""
+    import numpy as np
+
+    hidden = rec.hidden_size
+    items = list(paths.items())
+    if not items:
+        return np.zeros(hidden), []
+    if mode == "weighted":
+        total = sum(count for _, count in items)
+        weights = [count / total for _, count in items]
+    else:
+        weights = [1.0 / len(items)] * len(items)
+    groups, path_rows = {}, []
+    for n, (path, _) in enumerate(items):
+        rows = np.array([[comp.index.get(token, 0) for comp, token in
+                          zip(vocab.components(), (e.lemma, e.pos, e.deprel, e.direction))]
+                         for e in path.edges], dtype=np.intp).reshape(-1, 4)
+        if rate > 0.0 and rng is not None:
+            rows[rng.random(len(path.edges)) < rate, 0] = 0
+        path_rows.append(rows)
+        groups.setdefault(len(rows), []).append(n)
+    caches, final = [], [None] * len(items)
+    for members in groups.values():
+        rows = np.stack([path_rows[n] for n in members], axis=1)
+        steps, count = rows.shape[:2]
+        xs = np.concatenate([comp.matrix[rows[..., k]] for k, comp in enumerate(vocab.components())],
+                            axis=2)
+        z_in = (xs.reshape(steps * count, xs.shape[2]) @ rec.w_in.T + rec.bias)
+        z_in = z_in.reshape(steps, count, 4 * hidden)
+        hs = np.zeros((steps + 1, count, hidden))
+        cs = np.zeros((steps + 1, count, hidden))
+        gates = np.empty((steps, count, 4 * hidden))
+        tanh_c = np.empty((steps, count, hidden))
+        for t in range(steps):
+            z = z_in[t] + hs[t] @ rec.w_rec.T
+            gates[t] = _reference_sigmoid(z)
+            gates[t, :, 2 * hidden:3 * hidden] = np.tanh(z[:, 2 * hidden:3 * hidden])
+            g_i, g_f, g_g, g_o = (gates[t, :, k * hidden:(k + 1) * hidden] for k in range(4))
+            cs[t + 1] = g_f * cs[t] + g_i * g_g
+            tanh_c[t] = np.tanh(cs[t + 1])
+            hs[t + 1] = g_o * tanh_c[t]
+        caches.append((rows, xs, hs, cs, gates, tanh_c, np.array([weights[n] for n in members])))
+        for p, n in enumerate(members):
+            final[n] = hs[-1, p]
+    pooled = np.zeros(hidden)
+    for weight, h in zip(weights, final):
+        pooled += weight * h
+    return pooled, caches
+
+
+def _reference_backprop(d_out, caches, vocab, rec, grads):
+    """Dense gradients of every encoder array, one gate at a time."""
+    import numpy as np
+
+    hidden = rec.hidden_size
+    i, f, g, o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    ends = np.cumsum([comp.width for comp in vocab.components()]).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    for rows, xs, hs, cs, gates, tanh_cs, weights in caches:
+        steps, count = rows.shape[:2]
+        if steps == 0:
+            continue
+        dh = weights[:, None] * d_out
+        dc = np.zeros((count, hidden))
+        dzs = np.empty((steps, count, 4 * hidden))
+        for t in reversed(range(steps)):
+            gate, tanh_c, dz = gates[t], tanh_cs[t], dzs[t]
+            gi, gf, gg, go = gate[:, i], gate[:, f], gate[:, g], gate[:, o]
+            d_ct = dh * go * (1.0 - tanh_c**2) + dc
+            dz[:, i] = d_ct * gg * gi * (1.0 - gi)
+            dz[:, f] = d_ct * cs[t] * gf * (1.0 - gf)
+            dz[:, g] = d_ct * gi * (1.0 - gg**2)
+            dz[:, o] = dh * tanh_c * go * (1.0 - go)
+            dc = d_ct * gf
+            dh = dz @ rec.w_rec
+        dz_all = dzs.reshape(steps * count, -1)
+        grads["w_in"] += dz_all.T @ xs.reshape(steps * count, -1)
+        grads["w_rec"] += dz_all.T @ hs[:-1].reshape(steps * count, -1)
+        grads["bias"] += dz_all.sum(axis=0)
+        dx = dz_all @ rec.w_in
+        flat = rows.reshape(steps * count, 4)
+        for k, (name, (start, end)) in enumerate(zip(("lemma", "pos", "deprel", "direction"),
+                                                     spans)):
+            np.add.at(grads[name], flat[:, k], dx[:, start:end])
+
+
+def reference_sgd_step(params, table, x, y, paths, label, config, rng):
+    """One per-example SGD step as it was taken before steps were compiled:
+    the pair's paths encoded from its multiset, and a full gradient of every
+    trainable array allocated and subtracted. Returns the loss."""
+    import numpy as np
+
+    from semrel.relation_model import trainable_arrays
+
+    arrays = trainable_arrays(params)
+    grads = {name: np.zeros(array.shape) for name, array in arrays.items()}
+    d, hidden = params.word_dim, params.hidden_size
+    v_paths, caches = _reference_encode(paths, params.vocab, params.rec, params.path_average,
+                                        config.word_dropout_rate, rng)
+    v = np.concatenate([params.word_vector(x, table), v_paths, params.word_vector(y, table)])
+    a = params.w1 @ v + params.b1
+    hval = None if params.w2 is None else np.tanh(a)
+    logits = a if hval is None else params.w2 @ hval + params.b2
+    gold = params.label_set.index(label)
+    shifted = logits - logits.max()
+    log_z = np.log(np.exp(shifted).sum())
+    dlogits = np.exp(shifted - log_z)
+    dlogits[gold] -= 1.0
+    if hval is not None:
+        grads["w2"] += np.outer(dlogits, hval)
+        grads["b2"] += dlogits
+        d_a = (params.w2.T @ dlogits) * (1.0 - hval**2)
+    else:
+        d_a = dlogits
+    grads["w1"] += np.outer(d_a, v)
+    grads["b1"] += d_a
+    d_v = params.w1.T @ d_a
+    _reference_backprop(d_v[d:d + hidden], caches, params.vocab, params.rec, grads)
+    if params.word_vectors is not None:
+        for token, part in ((x, d_v[:d]), (y, d_v[d + hidden:])):
+            row = params.word_vectors.row(token)
+            if row is not None:
+                grads["word_vectors"][row] += part
+    for name, array in arrays.items():
+        array -= config.learning_rate * grads[name]
+    return float(log_z - shifted[gold])
+
+
+def reference_train(records, config, index, table, label_set):
+    """``relation_model.train`` as a loop over ``reference_sgd_step``: the
+    same initialization, example order and dropout draws from one seed."""
+    import numpy as np
+
+    from semrel.relation_model import init_params
+
+    rng = np.random.default_rng(config.seed)
+    params = init_params(config, [(r.x, r.y) for r in records], index, table, label_set, rng)
+    for _ in range(config.epochs):
+        for position in rng.permutation(len(records)):
+            r = records[int(position)]
+            reference_sgd_step(params, table, r.x, r.y, index.get(r.x, r.y), r.label, config, rng)
+    return params
+
+
 def rel_error(a, b, floor=1e-4):
     return abs(a - b) / max(abs(a), abs(b), floor)
 

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import constant_model, parse_rows, random_table
+from helpers import constant_model, dense_gradients, parse_rows, random_table
 from oracles import bfs_path, central_difference, depth_directions, random_tree, rel_error
 from synthcorpus import generate_world
 
@@ -45,8 +45,8 @@ from semrel.relatedness import (
     tune_combiner,
 )
 from semrel.relation_model import (
-    Example,
     TrainConfig,
+    compile_example,
     forward,
     init_params,
     loss_and_gradients,
@@ -108,11 +108,12 @@ def test_criterion_1_gradients(capsys):
         for trial in range(20):
             rng = np.random.default_rng(1000 + trial)
             paths = [_random_path(rng, int(rng.integers(2, 4))) for _ in range(2)]
-            examples = [
-                Example("w0", "w1", {paths[0]: 2, paths[1]: 1}, "ANT"),
-                Example("w2", "w3", {paths[1]: 1}, "HYPER"),
-                Example("w1", "w2", {}, "SYN"),
-            ]
+            index = PathIndex()
+            for x, y, path, count in [("w0", "w1", paths[0], 2), ("w0", "w1", paths[1], 1),
+                                      ("w2", "w3", paths[1], 1)]:
+                index.add(x, y, path, count)
+            records = [PairRecord("w0", "w1", "ANT"), PairRecord("w2", "w3", "HYPER"),
+                       PairRecord("w1", "w2", "SYN")]
             config = TrainConfig(
                 hidden_layers=trial % 2,
                 hidden_dim=2, mlp_hidden_dim=2, lemma_dim=2,
@@ -120,8 +121,10 @@ def test_criterion_1_gradients(capsys):
                 seed=trial,
                 train_word_vectors=(trial % 3 == 0),
             )
-            params = init_params(config, examples, table, ("ANT", "HYPER", "SYN"),
-                                 np.random.default_rng(trial))
+            params = init_params(config, [(r.x, r.y) for r in records], index, table,
+                                 ("ANT", "HYPER", "SYN"), np.random.default_rng(trial))
+            examples = [compile_example(params, r.x, r.y, index.get(r.x, r.y), r.label)
+                        for r in records]
             n_params = sum(arr.size for arr in trainable_arrays(params).values())
             assert n_params <= 200, f"model has {n_params} parameters"
 
@@ -130,8 +133,9 @@ def test_criterion_1_gradients(capsys):
             def total():
                 return loss_and_gradients(examples, params, table)[0]
 
+            assert list(vars(grads)) == list(trainable_arrays(params))
             for (name, param), (gname, grad) in zip(trainable_arrays(params).items(),
-                                                    vars(grads).items()):
+                                                    dense_gradients(params, grads).items()):
                 assert name == gname
                 flat_p = param.reshape(-1)
                 flat_g = grad.reshape(-1)
@@ -194,10 +198,10 @@ def test_criterion_3_output_distributions(capsys):
     desc = "softmax outputs are distributions and the argmax ignores bias shifts"
     with criterion(3, desc, capsys):
         table = random_table(["a", "b"], 4, seed=3)
-        paths = [_random_path(np.random.default_rng(3), 3)]
-        examples = [Example("a", "b", {paths[0]: 1}, "ANT")]
+        index = PathIndex()
+        index.add("a", "b", _random_path(np.random.default_rng(3), 3), 1)
         config = TrainConfig(hidden_layers=0, hidden_dim=8, lemma_dim=4, seed=3)
-        params = init_params(config, examples, table, RELATED_LABELS,
+        params = init_params(config, [("a", "b")], index, table, RELATED_LABELS,
                              np.random.default_rng(3))
         shifted = [replace(params, b1=params.b1 + c) for c in (-7.0, 0.31, 12.5)]
         rng = np.random.default_rng(33)
@@ -236,9 +240,8 @@ def test_criterion_4_combiner_equivalences(capsys):
             if i % 2 == 0:
                 index.add(x, y, _random_path(rng, int(rng.integers(2, 4))),
                           int(rng.integers(1, 4)))
-        examples = [Example(x, y, index.get(x, y)) for x, y in pairs[:10]]
         config = TrainConfig(hidden_dim=5, lemma_dim=6, seed=4)
-        params = init_params(config, examples, table, RELATEDNESS_LABELS,
+        params = init_params(config, pairs[:10], index, table, RELATEDNESS_LABELS,
                              np.random.default_rng(4))
         model_only = CombinerConfig(w_c=0.0, w_l=1.0, t=0.5)
         by_threshold = predict_related(model_only, table, pairs, params, index)

@@ -1,9 +1,11 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -956,6 +958,44 @@ def test_help_exits_zero(capsys):
     assert run("train", "--help") == 0
     out = capsys.readouterr().out
     assert "extract-paths" in out
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_the_benchmark_tracer_finds_every_function_it_wraps(micro, tmp_path, command):
+    """bench/tracing.py wraps package functions by name and reads their
+    arguments; a traced command must still record the path encoder's spans
+    and, in training, the gradient step's."""
+    d = _trained_models(micro)
+    data = ["--pairs", micro["pairs"], "--index", d / "index.tsv",
+            "--embeddings", micro["embeddings"]]
+    argv = {
+        "train": ["train", "--task", "relations", *data, "--model", d / "traced.json",
+                  "--epochs", "2"],
+        "predict": ["predict", "--task", "relations", *data, "--combiner", d / "combiner.json",
+                    "--relatedness-model", d / "rel.json", "--relation-model", d / "four.json",
+                    "--output", d / "traced.tsv"],
+    }[command]
+    spans_file = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, str(ROOT / "bench" / "tracing.py"), str(spans_file),
+                             *map(str, argv)], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(spans_file.read_text())
+    assert set(doc["missing"]) <= {"cli.main"}
+    names = {span[0] for span in doc["spans"]}
+    expected = {"path_encoder.average_paths_with_cache"}
+    if command == "train":
+        expected |= {"path_encoder.backprop_average", "relation_model.loss_and_gradients",
+                     "relation_model.apply_gradients"}
+    assert expected <= names
+    encodes = [span[4] for span in doc["spans"] if span[0] == "path_encoder.average_paths_with_cache"]
+    if command == "predict":
+        assert all(counts["paths"] >= counts["new"] for counts in encodes)
+        assert sum(counts["steps"] for counts in encodes) > 0
 
 
 def test_module_entry_point():

@@ -117,6 +117,29 @@ def test_non_numeric_id():
         parse_conll(bad)
 
 
+LONG_NUMBER = "9" * 5000
+LONG_QUOTE = repr("9" * 40 + "…")
+
+
+@pytest.mark.parametrize("column, field", [(0, "ID"), (6, "HEAD")])
+def test_an_integer_of_too_many_digits_is_named_with_its_line(column, field):
+    rows = CAT_CONLL.splitlines()
+    cols = rows[2].split("\t")
+    cols[column] = LONG_NUMBER
+    rows[2] = "\t".join(cols)
+    with pytest.raises(ParseError) as caught:
+        parse_conll("\n".join(rows) + "\n")
+    assert str(caught.value) == f"{field} {LONG_QUOTE} has too many digits at line 3"
+
+
+def test_an_id_out_of_order_is_quoted_short():
+    rows = conll_text([("a", "a", "X", 0, "root")]).replace("1\t", "1" * 4000 + "\t", 1)
+    with pytest.raises(ParseError) as caught:
+        parse_conll(rows)
+    assert str(caught.value) == (
+        f"token IDs must run 1..n, found {'1' * 40}… at line 1")
+
+
 def test_ids_must_run_from_one():
     rows = conll_text([("a", "a", "X", 0, "root")]).replace("1\t", "2\t", 1)
     with pytest.raises(ParseError, match="IDs must run 1..n"):
@@ -374,6 +397,14 @@ def test_index_save_load_round_trip(tmp_path, cat_sentence):
     assert load_index(target) == index
     # pairs without paths do not appear at all
     assert "dog" not in target.read_text()
+
+
+def test_load_index_names_a_count_of_too_many_digits(tmp_path):
+    bad = tmp_path / "badidx.tsv"
+    bad.write_text(f"# semrel path index v1\ncat\tmouse\tX/NOUN/nsubj/<\t{LONG_NUMBER}\n")
+    with pytest.raises(ParseError) as caught:
+        load_index(bad)
+    assert str(caught.value) == f"{bad}: count {LONG_QUOTE} has too many digits at line 2"
 
 
 def test_load_index_rejects_wrong_header(tmp_path):

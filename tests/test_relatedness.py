@@ -325,6 +325,16 @@ def test_load_combiner_names_the_file_of_a_bad_value(tmp_path, field, value):
     assert str(caught.value).startswith(f"{target}: ")
 
 
+def test_load_combiner_quotes_an_integer_of_too_many_digits(tmp_path):
+    target = tmp_path / "combiner.json"
+    target.write_text('{"format": "semrel-combiner", "version": 1, "w_C": %s, "w_L": 0.0, '
+                      '"t": 0.5}' % ("9" * 5000), encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        load_combiner(target)
+    assert str(caught.value) == (
+        f"{target}: invalid JSON: integer {repr('9' * 40 + '…')} has too many digits")
+
+
 def test_load_combiner_rejects_wrong_format():
     with pytest.raises(DataError):
         load_combiner(io.StringIO('{"format": "nope", "w_C": 1.0}'))

@@ -3,14 +3,17 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_model, make_table, random_table
-from oracles import central_difference, rel_error
+from helpers import constant_model, dense_gradients, make_table, random_table
+from oracles import central_difference, reference_sgd_step, reference_train, rel_error
+import copy
+
 from semrel.corpus import DependencyPath, PathEdge, PathIndex
 from semrel.errors import DataError
 from semrel.pairs import PairRecord
@@ -19,11 +22,11 @@ from semrel.pipeline import syn_heuristic
 from semrel.relation_model import (
     MODEL_FORMAT,
     MODEL_VERSION,
-    Example,
     RELATEDNESS_PRESET,
     RELATIONS_PRESET,
     TrainConfig,
     apply_gradients,
+    compile_example,
     forward,
     init_params,
     load_model,
@@ -44,22 +47,24 @@ P2 = DependencyPath((PathEdge("X", "NOUN", "conj", "up"), PathEdge("Y", "NOUN", 
 LABELS = ("ANT", "HYPER", "SYN")
 
 
-def tiny_examples():
-    return [
-        Example("cat", "mouse", {P1: 2, P2: 1}, "HYPER"),
-        Example("dog", "cat", {P2: 3}, "SYN"),
-        Example("mouse", "dog", {}, "ANT"),
-    ]
+TINY_RECORDS = [PairRecord("cat", "mouse", "HYPER"), PairRecord("dog", "cat", "SYN"),
+                PairRecord("mouse", "dog", "ANT")]
+
+
+def compile_examples(params, index, records):
+    return [compile_example(params, r.x, r.y, index.get(r.x, r.y), r.label) for r in records]
 
 
 def tiny_setup(hidden_layers=0, seed=7, train_word_vectors=False):
+    """Two pairs with paths, in one or two length groups, and one without."""
     table = random_table(["cat", "mouse", "dog"], 3, seed=1)
     config = TrainConfig(hidden_layers=hidden_layers, hidden_dim=4, mlp_hidden_dim=3,
                          lemma_dim=2, pos_dim=2, deprel_dim=2, dir_dim=1, seed=seed,
                          train_word_vectors=train_word_vectors)
-    examples = tiny_examples()
-    params = init_params(config, examples, table, LABELS, np.random.default_rng(seed))
-    return table, config, examples, params
+    index = make_index()
+    params = init_params(config, [(r.x, r.y) for r in TINY_RECORDS], index, table, LABELS,
+                         np.random.default_rng(seed))
+    return table, config, compile_examples(params, index, TINY_RECORDS), params
 
 
 def make_index():
@@ -206,7 +211,9 @@ def test_gradients_match_finite_differences(hidden_layers):
     def total():
         return loss_and_gradients(examples, params, table)[0]
 
-    for (name, param), (gname, grad) in zip(trainable_arrays(params).items(), vars(grads).items()):
+    assert list(vars(grads)) == list(trainable_arrays(params))
+    for (name, param), (gname, grad) in zip(trainable_arrays(params).items(),
+                                            dense_gradients(params, grads).items()):
         assert name == gname
         flat_p = param.reshape(-1)
         flat_g = grad.reshape(-1)
@@ -221,8 +228,8 @@ def test_loss_is_mean_negative_log_probability():
     loss, _ = loss_and_gradients(examples, params, table)
     per_example = []
     for ex in examples:
-        [dist] = pair_distribution(params, table, index if ex.paths else PathIndex(), [(ex.x, ex.y)])
-        per_example.append(-math.log(dist[params.label_index(ex.label)]))
+        [dist] = pair_distribution(params, table, index, [(ex.x, ex.y)])
+        per_example.append(-math.log(dist[ex.gold]))
     assert loss == pytest.approx(sum(per_example) / len(per_example), rel=1e-12)
 
 
@@ -233,9 +240,9 @@ def test_empty_batch_rejected():
 
 
 def test_unlabelled_example_rejected():
-    table, _, _, params = tiny_setup()
+    _, _, _, params = tiny_setup()
     with pytest.raises(ValueError):
-        loss_and_gradients([Example("cat", "mouse", {})], params, table)
+        compile_example(params, "cat", "mouse", {}, None)
 
 
 def test_apply_gradients_moves_against_gradient():
@@ -260,13 +267,81 @@ def test_apply_gradients_steps_every_trainable_array(hidden_layers, train_word_v
     assert list(vars(grads)) == list(trainable_arrays(params))
     before = {name: arr.copy() for name, arr in trainable_arrays(params).items()}
     apply_gradients(params, grads, 0.3)
-    for name, arr in trainable_arrays(params).items():
-        grad = vars(grads)[name]
+    for name, grad in dense_gradients(params, grads).items():
+        arr = trainable_arrays(params)[name]
         assert grad.any(), name
         assert np.array_equal(arr, before[name] - 0.3 * grad), name
 
 
 # -------------------------------------------------------------- training
+
+
+def oracle_world():
+    """Pairs with paths of two lengths, with one path, with two paths of one
+    length, with only an edgeless path, and with none."""
+    index = make_index()
+    for x, y, path, count in [("owl", "cat", P1, 1), ("owl", "cat", P3, 2),
+                              ("owl", "dog", DependencyPath(()), 1)]:
+        index.add(x, y, path, count)
+    records = [PairRecord("cat", "mouse", "HYPER"), PairRecord("dog", "cat", "SYN"),
+               PairRecord("owl", "cat", "HYPER"), PairRecord("owl", "dog", "ANT"),
+               PairRecord("mouse", "dog", "ANT")]
+    return index, records, random_table(["cat", "mouse", "dog", "owl"], 3, seed=1)
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, dict(hidden_layers=1), dict(train_word_vectors=True), dict(word_dropout_rate=0.3),
+    dict(path_average="uniform"),
+], ids=["default", "hidden_layer", "word_vectors", "word_dropout", "uniform"])
+def test_training_gives_the_bytes_of_the_dense_reference_step(overrides):
+    index, records, table = oracle_world()
+    config = TrainConfig(epochs=4, seed=5, hidden_dim=4, mlp_hidden_dim=3, lemma_dim=2,
+                         pos_dim=2, deprel_dim=2, dir_dim=1, **overrides)
+    got = trainable_arrays(train(records, [], config, index, table, LABELS))
+    expected = trainable_arrays(reference_train(records, config, index, table, LABELS))
+    assert list(got) == list(expected)
+    for name, array in got.items():
+        assert array.tobytes() == expected[name].tobytes(), name
+
+
+def test_a_step_on_a_large_lemma_matrix_writes_only_its_rows():
+    """A step on a 50,000 x 50 lemma matrix (20 MB) traces well under 1 MB,
+    where a dense gradient and its update would take 40 MB, and it leaves the
+    bytes that the dense reference step leaves."""
+    params = model_with_lemma_rows(50_000, 50)
+    config = TrainConfig(learning_rate=0.5)
+    path = DependencyPath((PathEdge("lemma7", "NOUN", "nsubj", "up"),
+                           PathEdge("lemma49999", "VERB", "root", "root"),
+                           PathEdge("lemma7", "NOUN", "dobj", "down")))
+    table = random_table(["cat", "mouse", "dog"], 3, seed=1)
+    expected = copy.deepcopy(params)
+    reference_sgd_step(expected, table, "cat", "mouse", {path: 2, P2: 1}, "HYPER", config, None)
+    example = compile_example(params, "cat", "mouse", {path: 2, P2: 1}, "HYPER")
+    assert example.lemma_rows.tolist() == [0, 7, 49999]
+    tracemalloc.start()
+    try:
+        _, grads = loss_and_gradients([example], params, table)
+        apply_gradients(params, grads, config.learning_rate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    for name, array in trainable_arrays(params).items():
+        assert array.tobytes() == trainable_arrays(expected)[name].tobytes(), name
+
+
+def test_a_step_without_a_path_step_leaves_the_encoder_alone():
+    table, _, _, params = tiny_setup(hidden_layers=1, train_word_vectors=True)
+    encoder = ("lemma", "pos", "deprel", "direction", "w_in", "w_rec", "bias")
+    before = {name: trainable_arrays(params)[name].tobytes() for name in encoder}
+    for paths in ({}, {DependencyPath(()): 2}):
+        example = compile_example(params, "mouse", "dog", paths, "ANT")
+        assert example.lemma_rows is None
+        _, grads = loss_and_gradients([example], params, table)
+        assert all(getattr(grads, name) is None for name in encoder)
+        apply_gradients(params, grads, 0.5)
+        assert {name: trainable_arrays(params)[name].tobytes() for name in encoder} == before
+        assert grads.w1.any() and grads.word_vectors.values.any()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -298,9 +373,10 @@ def test_training_reduces_loss():
                         deprel_dim=2, dir_dim=1)
     long = TrainConfig(epochs=25, seed=5, hidden_dim=4, lemma_dim=2, pos_dim=2,
                        deprel_dim=2, dir_dim=1)
-    examples = [Example(r.x, r.y, index.get(r.x, r.y), r.label) for r in records]
-    loss_short = training_loss_from(train(records, [], short, index, table), table, examples)
-    loss_long = training_loss_from(train(records, [], long, index, table), table, examples)
+    short_model = train(records, [], short, index, table)
+    long_model = train(records, [], long, index, table)
+    loss_short = training_loss_from(short_model, table, compile_examples(short_model, index, records))
+    loss_long = training_loss_from(long_model, table, compile_examples(long_model, index, records))
     assert loss_long < loss_short
 
 
@@ -514,6 +590,30 @@ def test_load_names_the_file_and_field_of_a_non_integer_width(tmp_path):
     assert str(caught.value).startswith(f"{target}: ")
 
 
+@pytest.mark.parametrize("field", ["seed", "hidden_dim"])
+def test_load_quotes_an_integer_of_too_many_digits(tmp_path, field):
+    doc = full_model_doc()
+    doc[field] = "\0hole"
+    target = tmp_path / "model.json"
+    target.write_text(json.dumps(doc).replace('"\\u0000hole"', "9" * 5000), encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        load_model(target)
+    assert str(caught.value) == (
+        f"{target}: invalid JSON: integer {repr('9' * 40 + '…')} has too many digits")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("word_dim", int("9" * 4000), r"classifier\.w1 has shape \(3, 10\), expected \(any, 20{39}…\)$"),
+    ("hidden_dim", int("9" * 4000), r"recurrent\.w_in has shape \(16, 7\), expected \(39{39}…, 7\)$"),
+    ("word_dim", "x" * 5000, r"word_dim is not an integer: 'x{39}…$"),
+])
+def test_load_quotes_a_long_value_in_a_shape_or_type_error(field, value, message):
+    doc = full_model_doc()
+    doc[field] = value
+    with pytest.raises(DataError, match=message):
+        load_model(io.StringIO(json.dumps(doc)))
+
+
 def test_load_rejects_a_non_finite_number():
     doc = full_model_doc()
     doc["recurrent"]["w_rec"][0][0] = float("inf")
@@ -551,8 +651,8 @@ def model_with_lemma_rows(rows, width):
     lemma matrix grown to ``rows`` tokens of ``width`` random values."""
     _, _, _, params = tiny_setup(hidden_layers=1, train_word_vectors=True)
     rng = np.random.default_rng(3)
-    params.vocab.lemma = ComponentEmbeddings({f"lemma{i}": i for i in range(1, rows + 1)},
-                                             rng.normal(size=(rows + 1, width)))
+    params.vocab = replace(params.vocab, lemma=ComponentEmbeddings(
+        {f"lemma{i}": i for i in range(1, rows + 1)}, rng.normal(size=(rows + 1, width))))
     params.rec.w_in = rng.normal(size=(params.rec.w_in.shape[0], params.vocab.input_width))
     return params
 
@@ -586,7 +686,7 @@ def test_save_refuses_a_non_finite_value(tmp_path):
 
 @pytest.mark.parametrize("destination", ["path", "stream"])
 def test_save_load_reproduces_every_array_bit_for_bit(tmp_path, destination):
-    params = model_with_lemma_rows(5000, 2)  # three blocks of the writer
+    params = model_with_lemma_rows(5000, 2)  # ten blocks of the writer
     params.vocab.lemma.matrix[-1] = [-0.0, 5e-324]
     params.w1.flat[:3] = [1.7976931348623157e308, -0.0, -5e-324]
     params.word_vectors.matrix[0, 0] = -1.7976931348623157e308
