@@ -151,5 +151,5 @@ def read_document(source, fmt: str, version: int, kind: str):
         if not isinstance(doc, dict) or doc.get("format") != fmt:
             raise DataError(f"not a {kind} file")
         if doc.get("version") != version:
-            raise DataError(f"unsupported {kind} version {doc.get('version')!r}")
+            raise DataError(f"unsupported {kind} version {excerpt(repr(doc.get('version')))}")
         yield doc

@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from ._io import open_lines, write_document
+from ._io import excerpt, open_lines, write_document
 from .corpus import DEFAULT_MAX_EDGES, build_path_index, iter_conll, load_index, save_index
 from .embeddings import load_table
 from .errors import DataError
@@ -173,12 +173,12 @@ def _config_flags(sub: _Parser, path: str) -> list[str]:
         if not line:
             continue
         if "=" not in line:
-            raise _UsageError(f"config line {line_no}: expected key=value, got {line!r}")
+            raise _UsageError(f"config line {line_no}: expected key=value, got {excerpt(line)!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
         action = sub._option_string_actions.get(flag)
         if action is None or flag in ("--config", "--help"):
-            raise _UsageError(f"config line {line_no}: unknown setting {key!r}")
+            raise _UsageError(f"config line {line_no}: unknown setting {excerpt(key)!r}")
         if action.nargs != 0:
             flags.append(f"{flag}={value}")
         elif value.lower() in ("true", "1", "yes"):
@@ -231,7 +231,7 @@ def _load_model_for(path: str, label_set: tuple[str, ...], table) -> ModelParams
     table's width; a mismatch is a DataError that starts with the path."""
     params = load_model(path)
     if params.label_set != label_set:
-        raise DataError(f"{path}: model has labels {', '.join(params.label_set)}, "
+        raise DataError(f"{path}: model has labels {excerpt(', '.join(params.label_set))}, "
                         f"expected {', '.join(label_set)}")
     if params.word_dim != table.dimension:
         raise DataError(f"{path}: model has {params.word_dim}-dim word vectors, "
@@ -337,15 +337,19 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    gold = read_pairs(args.pairs)
     pred = read_pairs(args.predictions)
+    relatedness = {r.label in RELATEDNESS_LABELS for r in pred}
+    if relatedness == {True, False}:
+        raise DataError(f"{args.predictions}: predictions mix RELATED/UNRELATED with other labels")
+    # Relatedness predictions are scored against gold labels folded as train and tune fold them.
+    gold = (_read_labelled(args.pairs, _TO_RELATEDNESS, "gold set") if relatedness == {True}
+            else read_pairs(args.pairs))
     if len(gold) != len(pred):
         raise DataError(f"gold file has {len(gold)} pairs but predictions file has {len(pred)}")
     for position, (g, p) in enumerate(zip(gold, pred), start=1):
         if (g.x, g.y) != (p.x, p.y):
-            raise DataError(
-                f"pair {position} differs: gold ({g.x}, {g.y}) vs prediction ({p.x}, {p.y})"
-            )
+            raise DataError(f"pair {position} differs: gold ({excerpt(g.x)}, {excerpt(g.y)}) "
+                            f"vs prediction ({excerpt(p.x)}, {excerpt(p.y)})")
     if args.exclude:
         exclude = tuple(args.exclude)
     elif args.no_auto_exclude:

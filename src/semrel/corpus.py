@@ -317,10 +317,10 @@ def path_from_text(text: str) -> DependencyPath:
     for step in text.split(_STEP_SEP):
         fields = step.split("/")
         if len(fields) != 4:
-            raise ParseError(f"malformed path step {step!r}")
+            raise ParseError(f"malformed path step {excerpt(step)!r}")
         direction = _SYMBOL_TO_DIR.get(fields[3])
         if direction is None:
-            raise ParseError(f"unknown direction symbol {fields[3]!r} in step {step!r}")
+            raise ParseError(f"unknown direction symbol {excerpt(fields[3])!r} in step {excerpt(step)!r}")
         edges.append(PathEdge(unquote(fields[0]), unquote(fields[1]), unquote(fields[2]), direction))
     return DependencyPath(tuple(edges))
 

@@ -9,7 +9,7 @@ from itertools import islice
 
 import numpy as np
 
-from ._io import open_lines
+from ._io import excerpt, open_lines
 from .errors import ParseError
 
 UNK_TOKEN = "<unk>"
@@ -137,7 +137,7 @@ def _read_lines(chunk: list[str], first_line: int, seen: set[str], dimension: in
         elif len(values) != dimension:
             raise ParseError(f"dimension mismatch at line {line_no}")
         if token in seen or token in in_chunk:
-            raise ParseError(f"duplicate token {parts[0]!r} at line {line_no}")
+            raise ParseError(f"duplicate token {excerpt(parts[0])!r} at line {line_no}")
         try:
             row = [float(v) for v in values]
         except ValueError:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._io import open_lines, write_text
+from ._io import excerpt, open_lines, write_text
 from .errors import DataError, ParseError
 
 RELATED_LABELS = ("ANT", "HYPER", "PART_OF", "SYN")
@@ -70,7 +70,7 @@ def write_pairs(records: Iterable[PairRecord], destination) -> None:
 
 
 def check_labels(records: Sequence[PairRecord], allowed: Iterable[str], context: str = "dataset") -> None:
-    """Raise DataError naming every label that falls outside ``allowed``."""
+    """Raise DataError naming the labels outside ``allowed``, cut to 40 characters."""
     bad = sorted({r.label for r in records} - set(allowed))
     if bad:
-        raise DataError(f"invalid labels in {context}: {', '.join(bad)}")
+        raise DataError(f"invalid labels in {context}: {excerpt(', '.join(bad))}")

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import read_document, write_document
+from ._io import excerpt, read_document, write_document
 from .corpus import PathIndex
 from .embeddings import EmbeddingTable
 from .errors import DataError
@@ -178,8 +178,15 @@ def save_combiner(config: CombinerConfig, destination, validation_f1: float | No
 def load_combiner(source) -> CombinerConfig:
     with read_document(source, COMBINER_FORMAT, COMBINER_VERSION, "combiner") as doc:
         try:
-            return CombinerConfig(w_c=float(doc["w_C"]), w_l=float(doc["w_L"]), t=float(doc["t"]))
+            return CombinerConfig(*(_number(doc, key) for key in ("w_C", "w_L", "t")))
         except KeyError as exc:
             raise DataError(f"combiner file lacks the {exc.args[0]!r} field") from None
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise DataError(f"combiner file has a bad value: {exc}") from None
+
+
+def _number(doc: dict, key: str) -> float:
+    try:
+        return float(doc[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} {excerpt(repr(doc[key]))} is not a number") from None

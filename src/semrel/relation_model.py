@@ -225,69 +225,60 @@ def trainable_arrays(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def loss_and_gradients(
-    batch: Sequence[Example],
+    example: Example,
     params: ModelParams,
     table: EmbeddingTable,
     config: TrainConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, SimpleNamespace]:
-    """Mean negative log-likelihood over the batch, with exact gradients: one
+    """The example's negative log-likelihood, with exact gradients: one
     attribute per ``trainable_arrays`` entry, under the same name.
 
-    The encoder's are None when no example has a path step, and the lemma and
-    word-vector gradients are ``RowGradient``s over the examples' rows. Word
-    dropout (config.word_dropout_rate > 0 with an rng supplied) replaces step
-    lemmas by the unknown row, independently per step; with rate 0 the result
-    is deterministic.
+    The encoder's are None when the example has no path step, and the lemma
+    and word-vector gradients are ``RowGradient``s over the example's rows.
+    Word dropout (config.word_dropout_rate > 0 with an rng supplied) replaces
+    step lemmas by the unknown row, independently per step; with rate 0 the
+    result is deterministic.
     """
-    if not batch:
-        raise ValueError("batch must be nonempty")
     rate = config.word_dropout_rate if config is not None else 0.0
-    grads = _zero_gradients(params, batch)
+    grads = _zero_gradients(params, example)
     hidden = params.hidden_size
     d = params.word_dim
-    scale = 1.0 / len(batch)
-    total = 0.0
-    for ex in batch:
-        v, cache = _features(params, table, ex.x, ex.y, ex.paths, rate, rng)
-        hval, logits = _classify(v, params)
-        shifted = logits - logits.max()
-        log_z = np.log(np.exp(shifted).sum())
-        total += float(log_z - shifted[ex.gold])
+    v, cache = _features(params, table, example.x, example.y, example.paths, rate, rng)
+    hval, logits = _classify(v, params)
+    shifted = logits - logits.max()
+    log_z = np.log(np.exp(shifted).sum())
+    loss = float(log_z - shifted[example.gold])
 
-        dlogits = np.exp(shifted - log_z)  # the softmax, less one at the gold label
-        dlogits[ex.gold] -= 1.0
-        dlogits *= scale
-        if hval is not None:
-            grads.w2 += dlogits[:, None] * hval
-            grads.b2 += dlogits
-            d_a = (params.w2.T @ dlogits) * (1.0 - hval**2)
-        else:
-            d_a = dlogits
-        grads.w1 += d_a[:, None] * v
-        grads.b1 += d_a
-        d_v = params.w1.T @ d_a
-        backprop_average(d_v[d : d + hidden], cache, params.vocab, params.rec, grads)
-        if params.word_vectors is not None:
-            row_x = params.word_vectors.row(ex.x)
-            if row_x is not None:
-                grads.word_vectors.add_at(row_x, d_v[:d])
-            row_y = params.word_vectors.row(ex.y)
-            if row_y is not None:
-                grads.word_vectors.add_at(row_y, d_v[d + hidden :])
-    return total * scale, grads
-
-
-def _zero_gradients(params: ModelParams, batch: Sequence[Example]) -> SimpleNamespace:
-    """Zero gradients of what the batch reads, as ``loss_and_gradients`` gives them."""
-    stepped = [ex.lemma_rows for ex in batch if ex.lemma_rows is not None]
-    rows = {"lemma": _union(stepped) if stepped else None}
+    dlogits = np.exp(shifted - log_z)  # the softmax, less one at the gold label
+    dlogits[example.gold] -= 1.0
+    if hval is not None:
+        grads.w2 += dlogits[:, None] * hval
+        grads.b2 += dlogits
+        d_a = (params.w2.T @ dlogits) * (1.0 - hval**2)
+    else:
+        d_a = dlogits
+    grads.w1 += d_a[:, None] * v
+    grads.b1 += d_a
+    d_v = params.w1.T @ d_a
+    backprop_average(d_v[d : d + hidden], cache, params.vocab, params.rec, grads)
     if params.word_vectors is not None:
-        rows["word_vectors"] = _union([ex.word_rows for ex in batch])
+        row_x = params.word_vectors.row(example.x)
+        if row_x is not None:
+            grads.word_vectors.add_at(row_x, d_v[:d])
+        row_y = params.word_vectors.row(example.y)
+        if row_y is not None:
+            grads.word_vectors.add_at(row_y, d_v[d + hidden :])
+    return loss, grads
+
+
+def _zero_gradients(params: ModelParams, example: Example) -> SimpleNamespace:
+    """Zero gradients of what the example reads, as ``loss_and_gradients`` gives them."""
+    rows = {"lemma": example.lemma_rows, "word_vectors": example.word_rows}
     encoder = encoder_arrays(params.vocab, params.rec)
     grads = {}
     for name, array in trainable_arrays(params).items():
-        if name in encoder and not stepped:
+        if name in encoder and example.lemma_rows is None:
             grads[name] = None
         elif name in rows:
             grads[name] = RowGradient(rows[name], np.zeros((len(rows[name]), array.shape[1])))
@@ -295,12 +286,6 @@ def _zero_gradients(params: ModelParams, batch: Sequence[Example]) -> SimpleName
             # np.zeros, not zeros_like: it costs several times less per call.
             grads[name] = np.zeros(array.shape)
     return SimpleNamespace(**grads)
-
-
-def _union(rows: list[np.ndarray]) -> np.ndarray:
-    if len(rows) == 1:
-        return rows[0]
-    return np.array(sorted(set().union(*(r.tolist() for r in rows))), dtype=np.intp)
 
 
 def apply_gradients(params: ModelParams, grads: SimpleNamespace, learning_rate: float) -> None:
@@ -400,7 +385,7 @@ def train(
         for epoch in range(config.epochs):
             for position in rng.permutation(len(examples)):
                 ex = examples[int(position)]
-                loss, grads = loss_and_gradients([ex], params, table, config=config, rng=rng)
+                loss, grads = loss_and_gradients(ex, params, table, config=config, rng=rng)
                 if not math.isfinite(loss):
                     raise DataError(f"training diverged: non-finite loss in epoch {epoch + 1}")
                 apply_gradients(params, grads, config.learning_rate)
@@ -553,5 +538,5 @@ def _params_from_doc(doc: dict) -> ModelParams:
         seed=doc.get("seed"),
     )
     if params.path_average not in AVERAGE_MODES:
-        raise DataError(f"unknown path_average mode {params.path_average!r} in model file")
+        raise DataError(f"unknown path_average mode {excerpt(repr(params.path_average))} in model file")
     return params

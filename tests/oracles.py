@@ -369,7 +369,7 @@ def reference_load_table(source):
     """
     import numpy as np
 
-    from semrel._io import open_lines
+    from semrel._io import excerpt, open_lines
     from semrel.embeddings import UNK_TOKEN
     from semrel.errors import ParseError
 
@@ -388,7 +388,7 @@ def reference_load_table(source):
             elif len(values) != dimension:
                 raise ParseError(f"dimension mismatch at line {line_no}")
             if token in entries:
-                raise ParseError(f"duplicate token {parts[0]!r} at line {line_no}")
+                raise ParseError(f"duplicate token {excerpt(parts[0])!r} at line {line_no}")
             try:
                 row = [float(v) for v in values]
             except ValueError:

@@ -128,21 +128,23 @@ def test_criterion_1_gradients(capsys):
             n_params = sum(arr.size for arr in trainable_arrays(params).values())
             assert n_params <= 200, f"model has {n_params} parameters"
 
-            _, grads = loss_and_gradients(examples, params, table)
+            for ex in examples:
+                _, grads = loss_and_gradients(ex, params, table)
 
-            def total():
-                return loss_and_gradients(examples, params, table)[0]
+                def loss():
+                    return loss_and_gradients(ex, params, table)[0]
 
-            assert list(vars(grads)) == list(trainable_arrays(params))
-            for (name, param), (gname, grad) in zip(trainable_arrays(params).items(),
-                                                    dense_gradients(params, grads).items()):
-                assert name == gname
-                flat_p = param.reshape(-1)
-                flat_g = grad.reshape(-1)
-                for i in range(flat_p.size):
-                    fd = central_difference(total, flat_p, i, eps=1e-5)
-                    err = rel_error(fd, flat_g[i])
-                    assert err < 1e-4, f"trial {trial}, {name}[{i}]: rel err {err:.2e}"
+                assert list(vars(grads)) == list(trainable_arrays(params))
+                for (name, param), (gname, grad) in zip(trainable_arrays(params).items(),
+                                                        dense_gradients(params, grads).items()):
+                    assert name == gname
+                    flat_p = param.reshape(-1)
+                    flat_g = grad.reshape(-1)
+                    for i in range(flat_p.size):
+                        fd = central_difference(loss, flat_p, i, eps=1e-5)
+                        err = rel_error(fd, flat_g[i])
+                        assert err < 1e-4, (f"trial {trial}, ({ex.x}, {ex.y}), {name}[{i}]: "
+                                            f"rel err {err:.2e}")
         elapsed = time.monotonic() - start
         assert elapsed < 30.0, f"gradient checks took {elapsed:.1f}s"
 

@@ -579,6 +579,71 @@ def test_a_value_of_the_wrong_kind_or_range_exits_two_naming_its_file(reader_wor
     assert _run_reader(reader_world, bad, **{reader: bad}) == 2
 
 
+LONG = "Q" * 3000
+INDEX_HEADER = "# semrel path index v1\n"
+
+
+def _rel_model_with(d, field, value):
+    return _replaced((d / "rel.json").read_text(), (field,), json.dumps(value))
+
+
+# A file of the reader world with a 3,000-character value in it: the role of
+# the file, its text, and the exit code and message of the command reading it.
+LONG_VALUE_CASES = {
+    "label": ("pairs", lambda d: f"cata\tfeline\t{LONG}\n", 2, "invalid labels in training set"),
+    "duplicate-token": ("embeddings", lambda d: EMBEDDINGS + f"{LONG} 1 0 0 0\n" * 2, 2,
+                        "duplicate token"),
+    "path-step": ("index", lambda d: f"{INDEX_HEADER}cata\tfeline\t{LONG}\t1\n", 2,
+                  "malformed path step"),
+    "direction": ("index", lambda d: f"{INDEX_HEADER}cata\tfeline\tcata/NOUN/nsubj/{LONG}\t1\n",
+                  2, "unknown direction symbol"),
+    "pair-differs": ("predictions", lambda d: PAIRS_TSV.replace("cata", LONG), 2,
+                     "pair 1 differs"),
+    "config-no-equals": ("config", lambda d: LONG + "\n", 1, "expected key=value"),
+    "config-unknown": ("config", lambda d: f"{LONG} = 1\n", 1, "unknown setting"),
+    "version": ("model", lambda d: _rel_model_with(d, "version", LONG), 2,
+                "unsupported relation model version"),
+    "model-labels": ("model", lambda d: _rel_model_with(d, "label_set", [LONG, "UNRELATED"]), 2,
+                     "model has labels"),
+    "path-average": ("model", lambda d: _rel_model_with(d, "path_average", LONG), 2,
+                     "unknown path_average mode"),
+    "combiner-value": ("combiner", lambda d: _replaced((d / "half.json").read_text(), ("t",),
+                                                       json.dumps(LONG)), 2, "bad value"),
+}
+
+
+@pytest.mark.parametrize("case", list(LONG_VALUE_CASES))
+def test_a_message_quotes_at_most_40_characters_of_a_long_value(reader_world, case):
+    d = reader_world["dir"]
+    role, text, expected_code, message = LONG_VALUE_CASES[case]
+    bad = d / f"long-{case}"
+    bad.write_text(text(d))
+    files = {"pairs": d / "pairs.tsv", "index": d / "index.tsv",
+             "embeddings": d / "embeddings.txt", "model": d / "rel.json",
+             "combiner": d / "half.json", role: bad}
+    data = ("--pairs", files["pairs"], "--index", files["index"],
+            "--embeddings", files["embeddings"])
+    out = d / "out"
+    argv = {
+        "pairs": ("train", "--task", "relations", *data, "--model", out),
+        "config": ("train", "--task", "relations", *data, "--model", out, "--config", bad),
+        "embeddings": ("tune", *data, "--output", out, "--cosine-only"),
+        "model": ("tune", *data, "--model", files["model"], "--output", out),
+        "index": ("predict", "--task", "relatedness", *data, "--combiner", files["combiner"],
+                  "--relatedness-model", files["model"], "--output", out),
+        "predictions": ("evaluate", "--pairs", files["pairs"], "--predictions", bad),
+    }
+    argv["combiner"] = argv["index"]
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run(*argv[role])
+    err = err.getvalue()
+    assert code == expected_code, err[:300]
+    assert message in err and err.count("\n") == 1, err[:300]
+    assert "Q" * 20 in err and "Q" * 41 not in err, err[:300]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "tune", "predict"])
 def test_a_bad_value_in_a_row_no_command_uses_exits_two_naming_its_line(micro, capsys, command):
     d = micro["dir"]
@@ -945,6 +1010,33 @@ def test_evaluate_alignment_checks(micro, capsys):
     assert "pair 2" in err
 
 
+def test_evaluate_scores_relatedness_predictions_as_tune_does(micro, capsys):
+    """Relatedness predictions are scored against the gold labels folded as
+    train and tune fold them: the report's RELATED row is tune's F1."""
+    d = micro["dir"]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    assert run("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
+               "--output", d / "combiner.json", "--cosine-only") == 0
+    assert run("predict", "--task", "relatedness", "--pairs", micro["pairs"],
+               "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
+               "--combiner", d / "combiner.json", "--output", d / "pred.tsv") == 0
+    capsys.readouterr()
+    assert run("evaluate", "--pairs", micro["pairs"], "--predictions", d / "pred.tsv") == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows] == ["label", "RELATED", "weighted"]
+    tuned = json.loads((d / "combiner.json").read_text())["validation_f1"]
+    assert rows[1][3] == f"{tuned:.6f}" and rows[1][4] == "4"
+
+
+def test_evaluate_rejects_predictions_that_mix_the_two_label_spaces(micro, capsys):
+    d = micro["dir"]
+    (d / "pred.tsv").write_text(PAIRS_TSV.replace("RANDOM", "UNRELATED"))
+    assert run("evaluate", "--pairs", micro["pairs"], "--predictions", d / "pred.tsv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {d / 'pred.tsv'}: ") and err.count("\n") == 1, err
+
+
 def test_evaluate_names_the_malformed_file(micro, capsys):
     d = micro["dir"]
     (d / "pred.tsv").write_text("cata\tfeline\tHYPER\nwheel\n")
@@ -996,6 +1088,36 @@ def test_the_benchmark_tracer_finds_every_function_it_wraps(micro, tmp_path, com
     if command == "predict":
         assert all(counts["paths"] >= counts["new"] for counts in encodes)
         assert sum(counts["steps"] for counts in encodes) > 0
+
+
+def test_trained_models_do_not_depend_on_the_openblas_thread_count(tmp_path):
+    """Both train tasks write the same bytes with one OpenBLAS thread as with
+    the default count, on the vocab world of bench/world.py, seed 1, with the
+    epochs that the benchmark trains there."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    world = tmp_path / "world"
+    subprocess.run([sys.executable, str(ROOT / "bench" / "world.py"), "--workload", "vocab",
+                    "--seed", "1", "--out", str(world)], check=True, env=env)
+    index = tmp_path / "index.tsv"
+    subprocess.run([sys.executable, "-m", "semrel", "extract-paths", "--corpus",
+                    str(world / "corpus.conll"), "--pairs", str(world / "all_pairs.tsv"),
+                    "--output", str(index)], check=True, env=env, stdout=subprocess.DEVNULL)
+    default = {k: v for k, v in env.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    runs = {}
+    for threads, run_env in (("one", dict(default, OPENBLAS_NUM_THREADS="1")),
+                             ("default", default)):
+        for task, epochs in (("relatedness", "1"), ("relations", "2")):
+            model = tmp_path / f"{task}-{threads}.json"
+            runs[model] = subprocess.Popen(
+                [sys.executable, "-m", "semrel", "train", "--task", task, "--pairs",
+                 str(world / "train.tsv"), "--index", str(index), "--embeddings",
+                 str(world / "embeddings.txt"), "--model", str(model), "--seed", "7",
+                 "--epochs", epochs], env=run_env, stdout=subprocess.DEVNULL)
+    assert [proc.wait() for proc in runs.values()] == [0] * 4
+    for task in ("relatedness", "relations"):
+        single, multi = (tmp_path / f"{task}-{t}.json" for t in ("one", "default"))
+        assert single.read_bytes() == multi.read_bytes(), task
 
 
 def test_module_entry_point():

@@ -1,0 +1,40 @@
+"""tools/compare_artifacts.py: the comparison of two JSON documents behind its
+"0 differ" and its largest numeric difference."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_artifacts.py"
+_SPEC = importlib.util.spec_from_file_location("compare_artifacts", _PATH)
+compare_artifacts = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_artifacts)
+largest_difference = compare_artifacts.largest_difference
+
+MODEL = {"format": "m", "w": [[0.5, -1.0], [2.0, 3.0]], "meta": {"seed": 7, "tokens": ["a"]},
+         "w2": None, "flag": True}
+
+
+def test_equal_documents_differ_by_zero():
+    assert largest_difference(MODEL, {**MODEL}) == 0.0
+
+
+def test_the_largest_numeric_difference_is_found_in_nested_lists_and_dicts():
+    other = {**MODEL, "w": [[0.5, -1.0], [2.0, 3.0 + 1e-12]], "meta": {"seed": 9, "tokens": ["a"]}}
+    assert largest_difference(MODEL, other) == 2.0
+    other["meta"] = MODEL["meta"]
+    assert largest_difference(MODEL, other) == pytest.approx(1e-12, rel=1e-3)
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: dict(reversed(list(doc.items()))),  # another key order
+    lambda doc: {**doc, "w": doc["w"][:1]},  # another list length
+    lambda doc: {**doc, "flag": 1},  # True against 1
+    lambda doc: {**doc, "format": "n"},  # another string
+    lambda doc: {**doc, "w2": 0.0},  # null against a number
+], ids=["key-order", "list-length", "true-vs-1", "string", "null"])
+def test_documents_of_another_structure_have_no_numeric_difference(change):
+    other = change(MODEL)
+    assert largest_difference(MODEL, other) is None
+    assert largest_difference(other, MODEL) is None

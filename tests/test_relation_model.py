@@ -206,37 +206,34 @@ def test_a_pair_scores_the_same_bits_whatever_pairs_share_the_call(hidden_layers
 @pytest.mark.parametrize("hidden_layers", [0, 1])
 def test_gradients_match_finite_differences(hidden_layers):
     table, _, examples, params = tiny_setup(hidden_layers=hidden_layers)
-    loss, grads = loss_and_gradients(examples, params, table)
+    for ex in examples:
+        _, grads = loss_and_gradients(ex, params, table)
 
-    def total():
-        return loss_and_gradients(examples, params, table)[0]
+        def loss():
+            return loss_and_gradients(ex, params, table)[0]
 
-    assert list(vars(grads)) == list(trainable_arrays(params))
-    for (name, param), (gname, grad) in zip(trainable_arrays(params).items(),
-                                            dense_gradients(params, grads).items()):
-        assert name == gname
-        flat_p = param.reshape(-1)
-        flat_g = grad.reshape(-1)
-        for i in range(flat_p.size):
-            fd = central_difference(total, flat_p, i)
-            assert rel_error(fd, flat_g[i]) < 1e-4, name
+        assert list(vars(grads)) == list(trainable_arrays(params))
+        for (name, param), (gname, grad) in zip(trainable_arrays(params).items(),
+                                                dense_gradients(params, grads).items()):
+            assert name == gname
+            flat_p = param.reshape(-1)
+            flat_g = grad.reshape(-1)
+            for i in range(flat_p.size):
+                fd = central_difference(loss, flat_p, i)
+                assert rel_error(fd, flat_g[i]) < 1e-4, (ex.x, ex.y, name)
 
 
 def test_loss_is_mean_negative_log_probability():
     table, _, examples, params = tiny_setup()
     index = make_index()
-    loss, _ = loss_and_gradients(examples, params, table)
     per_example = []
     for ex in examples:
+        loss, _ = loss_and_gradients(ex, params, table)
         [dist] = pair_distribution(params, table, index, [(ex.x, ex.y)])
-        per_example.append(-math.log(dist[ex.gold]))
-    assert loss == pytest.approx(sum(per_example) / len(per_example), rel=1e-12)
-
-
-def test_empty_batch_rejected():
-    table, _, _, params = tiny_setup()
-    with pytest.raises(ValueError):
-        loss_and_gradients([], params, table)
+        assert loss == pytest.approx(-math.log(dist[ex.gold]), rel=1e-12)
+        per_example.append(loss)
+    assert training_loss_from(params, table, examples) == pytest.approx(
+        sum(per_example) / len(per_example), rel=1e-12)
 
 
 def test_unlabelled_example_rejected():
@@ -247,15 +244,16 @@ def test_unlabelled_example_rejected():
 
 def test_apply_gradients_moves_against_gradient():
     table, _, examples, params = tiny_setup()
-    before = training_loss_from(params, table, examples)
-    _, grads = loss_and_gradients(examples, params, table)
-    apply_gradients(params, grads, 0.5)
-    after = training_loss_from(params, table, examples)
-    assert after < before
+    for ex in examples:
+        before, grads = loss_and_gradients(ex, params, table)
+        apply_gradients(params, grads, 0.5)
+        after, _ = loss_and_gradients(ex, params, table)
+        assert after < before, (ex.x, ex.y)
 
 
 def training_loss_from(params, table, examples):
-    return loss_and_gradients(examples, params, table)[0]
+    """The mean of the examples' losses."""
+    return sum(loss_and_gradients(ex, params, table)[0] for ex in examples) / len(examples)
 
 
 @pytest.mark.parametrize("hidden_layers", [0, 1])
@@ -263,7 +261,8 @@ def training_loss_from(params, table, examples):
 def test_apply_gradients_steps_every_trainable_array(hidden_layers, train_word_vectors):
     table, _, examples, params = tiny_setup(hidden_layers=hidden_layers,
                                             train_word_vectors=train_word_vectors)
-    _, grads = loss_and_gradients(examples, params, table)
+    # (cat, mouse) has paths of two lengths, so every array gets a gradient.
+    _, grads = loss_and_gradients(examples[0], params, table)
     assert list(vars(grads)) == list(trainable_arrays(params))
     before = {name: arr.copy() for name, arr in trainable_arrays(params).items()}
     apply_gradients(params, grads, 0.3)
@@ -320,7 +319,7 @@ def test_a_step_on_a_large_lemma_matrix_writes_only_its_rows():
     assert example.lemma_rows.tolist() == [0, 7, 49999]
     tracemalloc.start()
     try:
-        _, grads = loss_and_gradients([example], params, table)
+        _, grads = loss_and_gradients(example, params, table)
         apply_gradients(params, grads, config.learning_rate)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -337,7 +336,7 @@ def test_a_step_without_a_path_step_leaves_the_encoder_alone():
     for paths in ({}, {DependencyPath(()): 2}):
         example = compile_example(params, "mouse", "dog", paths, "ANT")
         assert example.lemma_rows is None
-        _, grads = loss_and_gradients([example], params, table)
+        _, grads = loss_and_gradients(example, params, table)
         assert all(getattr(grads, name) is None for name in encoder)
         apply_gradients(params, grads, 0.5)
         assert {name: trainable_arrays(params)[name].tobytes() for name in encoder} == before
