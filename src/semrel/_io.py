@@ -13,32 +13,24 @@ import numpy as np
 from .errors import DataError, ParseError
 
 
-class open_lines:
+@contextmanager
+def open_lines(source):
     """Context manager yielding lines from a path or from an open stream.
 
     Given a path, a DataError raised inside the block is raised again with the
     path in front of its message, and text that is not UTF-8 raises a
     ParseError that names the path, so every read error names its file.
     """
-
-    def __init__(self, source):
-        self.source = source
-        self._fh = None
-
-    def __enter__(self):
-        if isinstance(self.source, (str, Path)):
-            self._fh = open(self.source, encoding="utf-8")
-            return self._fh
-        return self.source
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._fh is not None:
-            self._fh.close()
-            if isinstance(exc, DataError):
-                raise type(exc)(f"{self.source}: {exc}") from None
-            if isinstance(exc, UnicodeDecodeError):
-                raise ParseError(f"{self.source}: not UTF-8 text ({exc.reason})") from None
-        return False
+    if not isinstance(source, (str, Path)):
+        yield source
+        return
+    with open(source, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except DataError as exc:
+            raise type(exc)(f"{source}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
 
 
 # What int() takes; when it still fails, the number has more digits than it converts.

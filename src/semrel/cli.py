@@ -21,7 +21,7 @@ from ._io import excerpt, open_lines, write_document
 from .corpus import DEFAULT_MAX_EDGES, build_path_index, iter_conll, load_index, save_index
 from .embeddings import load_table
 from .errors import DataError
-from .evaluation import report_tsv, scores
+from .evaluation import AVERAGES, report_tsv, scores
 from .pairs import (
     BINARY_FALSE,
     BINARY_TRUE,
@@ -61,7 +61,14 @@ _TO_RELATEDNESS = {
     NEGATIVE_LABEL: UNRELATED,
     **{label: RELATED for label in RELATED_LABELS},
 }
-_RELATION_LABELS = {label: label for label in RELATION_LABELS}
+
+# What sets the two tasks apart in training: how a pair's label folds, the
+# model's label set, and the preset. A pair whose folded label the model
+# lacks (RANDOM, for relations) is read and checked but not trained on.
+_TASKS = {
+    "relatedness": (_TO_RELATEDNESS, RELATEDNESS_LABELS, RELATEDNESS_PRESET),
+    "relations": ({label: label for label in RELATION_LABELS}, RELATED_LABELS, RELATIONS_PRESET),
+}
 
 
 class _UsageError(Exception):
@@ -90,7 +97,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     subs["extract-paths"] = sub
 
     sub = commands.add_parser("train", help="train a relatedness or relation classifier")
-    sub.add_argument("--task", required=True, choices=("relatedness", "relations"))
+    sub.add_argument("--task", required=True, choices=tuple(_TASKS))
     sub.add_argument("--pairs", required=True, help="labelled training pairs (TSV)")
     sub.add_argument("--index", required=True, help="path index from extract-paths")
     sub.add_argument("--embeddings", required=True, help="word vector table (text format)")
@@ -122,7 +129,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     subs["tune"] = sub
 
     sub = commands.add_parser("predict", help="label pairs with a trained model")
-    sub.add_argument("--task", required=True, choices=("relatedness", "relations"))
+    sub.add_argument("--task", required=True, choices=tuple(_TASKS))
     sub.add_argument("--pairs", required=True, help="pairs to label (third column ignored)")
     sub.add_argument("--index", required=True)
     sub.add_argument("--embeddings", required=True)
@@ -130,9 +137,9 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub.add_argument("--relatedness-model", help="needed whenever the combiner has w_L > 0")
     sub.add_argument("--relation-model", help="four-class model (required for --task relations)")
     sub.add_argument("--output", required=True, help="TSV predictions to write")
-    sub.add_argument("--syn-margin", type=float, default=0.2)
-    sub.add_argument("--syn-max-paths", type=int, default=3)
-    sub.add_argument("--path-count", choices=PATH_COUNT_MODES, default="total")
+    sub.add_argument("--syn-margin", type=float, default=PipelineConfig.syn_margin)
+    sub.add_argument("--syn-max-paths", type=int, default=PipelineConfig.syn_max_paths)
+    sub.add_argument("--path-count", choices=PATH_COUNT_MODES, default=PipelineConfig.path_count_mode)
     sub.add_argument("--config", help="file of key=value lines overriding defaults")
     sub.set_defaults(handler=_cmd_predict)
     subs["predict"] = sub
@@ -141,7 +148,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub.add_argument("--pairs", required=True, help="gold-labelled pairs (TSV)")
     sub.add_argument("--predictions", required=True, help="predictions from predict")
     sub.add_argument("--output", help="optional report file (TSV)")
-    sub.add_argument("--average", choices=("weighted", "macro"), default="weighted")
+    sub.add_argument("--average", choices=AVERAGES, default=AVERAGES[0])
     sub.add_argument("--exclude", action="append", default=None, metavar="LABEL",
                      help="drop a label from scoring (repeatable; default: the negative class)")
     sub.add_argument("--no-auto-exclude", action="store_true",
@@ -244,23 +251,15 @@ def _print_validation_accuracy(epoch: int, accuracy: float) -> None:
 
 
 def _cmd_train(args) -> int:
-    dropped = 0
-    if args.task == "relatedness":
-        records = _read_labelled(args.pairs, _TO_RELATEDNESS, "training set")
-        val = _read_labelled(args.val, _TO_RELATEDNESS, "validation set") if args.val else []
-        label_set = RELATEDNESS_LABELS
-        config = _resolved_config(args, RELATEDNESS_PRESET)
-    else:
-        records = _read_labelled(args.pairs, _RELATION_LABELS, "training set")
-        val = _read_labelled(args.val, _RELATION_LABELS, "validation set") if args.val else []
-        kept = [r for r in records if r.label != NEGATIVE_LABEL]
-        dropped = len(records) - len(kept)
-        if dropped:
-            print(f"dropped {dropped} {NEGATIVE_LABEL} pairs; the relation model trains on related pairs only")
-        records = kept
-        val = [r for r in val if r.label != NEGATIVE_LABEL]
-        label_set = RELATED_LABELS
-        config = _resolved_config(args, RELATIONS_PRESET)
+    folding, label_set, preset = _TASKS[args.task]
+    read = _read_labelled(args.pairs, folding, "training set")
+    val = _read_labelled(args.val, folding, "validation set") if args.val else []
+    records = [r for r in read if r.label in label_set]
+    val = [r for r in val if r.label in label_set]
+    dropped = len(read) - len(records)
+    if dropped:
+        print(f"dropped {dropped} {NEGATIVE_LABEL} pairs; the relation model trains on related pairs only")
+    config = _resolved_config(args, preset)
     if not records:
         raise DataError(f"{args.pairs}: no pairs left to train on")
     index = load_index(args.index)
@@ -350,6 +349,13 @@ def _cmd_evaluate(args) -> int:
         if (g.x, g.y) != (p.x, p.y):
             raise DataError(f"pair {position} differs: gold ({excerpt(g.x)}, {excerpt(g.y)}) "
                             f"vs prediction ({excerpt(p.x)}, {excerpt(p.y)})")
+    # Either model's labels may be predicted where the gold file lacks them; any other
+    # label that the gold file lacks would be scored as a class that nothing belongs to.
+    try:
+        check_labels(pred, {r.label for r in gold}.union(RELATION_LABELS, RELATEDNESS_LABELS),
+                     "predictions")
+    except DataError as exc:
+        raise DataError(f"{args.predictions}: {exc}") from None
     if args.exclude:
         exclude = tuple(args.exclude)
     elif args.no_auto_exclude:

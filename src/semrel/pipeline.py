@@ -41,7 +41,7 @@ class PipelineConfig:
             raise ValueError(f"path_count_mode must be one of {PATH_COUNT_MODES}")
 
 
-def path_count(index: PathIndex, x: str, y: str, mode: str = "total") -> int:
+def path_count(index: PathIndex, x: str, y: str, mode: str = PipelineConfig.path_count_mode) -> int:
     """Attested paths for a pair: occurrences by default, types if 'distinct'."""
     paths = index.get(x, y)
     if mode == "total":
@@ -51,9 +51,9 @@ def path_count(index: PathIndex, x: str, y: str, mode: str = "total") -> int:
     raise ValueError(f"path_count mode must be one of {PATH_COUNT_MODES}")
 
 
-def syn_heuristic(
-    labels: Sequence[str], scores: np.ndarray, n_paths: int, margin: float = 0.2, max_paths: int = 3
-) -> str:
+def syn_heuristic(labels: Sequence[str], scores: np.ndarray, n_paths: int,
+                  margin: float = PipelineConfig.syn_margin,
+                  max_paths: int = PipelineConfig.syn_max_paths) -> str:
     """Demote a weak SYN prediction when path evidence is thin.
 
     ``scores`` is aligned with ``labels``. If SYN wins but leads the runner-up

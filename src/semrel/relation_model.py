@@ -320,7 +320,7 @@ def init_params(
         deprel_dim=config.deprel_dim,
         dir_dim=config.dir_dim,
         rng=rng,
-        table=table if lemma_dim == word_dim else None,
+        table=table,
     )
     rec = init_recurrent(vocab.input_width, config.hidden_dim, rng)
     n_features = 2 * word_dim + config.hidden_dim

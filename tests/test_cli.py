@@ -142,6 +142,28 @@ def test_train_writes_manifest_without_paths(micro):
     assert str(d) not in (d / "rel.manifest.json").read_text()
 
 
+@pytest.mark.parametrize("task, n_train, n_val, dropped", [
+    ("relations", 4, 2, 1),  # the RANDOM rows are left out of both sets
+    ("relatedness", 5, 3, 0),  # RANDOM folds to UNRELATED and is kept
+])
+def test_the_training_manifest_counts_the_pairs_each_task_trains_on(micro, capsys, task,
+                                                                     n_train, n_val, dropped):
+    d = micro["dir"]
+    (d / "val.tsv").write_text("cata\tfeline\tHYPER\nhot\tcold\tANT\npencil\tcloud\tRANDOM\n")
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    capsys.readouterr()
+    assert run("train", "--task", task, "--pairs", micro["pairs"], "--val", d / "val.tsv",
+               "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
+               "--model", d / "model.json", "--epochs", 1) == 0
+    manifest = json.loads((d / "model.manifest.json").read_text())
+    assert (manifest["n_train"], manifest["n_val"], manifest["dropped_negative"]) == (
+        n_train, n_val, dropped)
+    drop_lines = [line for line in capsys.readouterr().out.splitlines() if "dropped" in line]
+    assert drop_lines == ([f"dropped {dropped} RANDOM pairs; the relation model trains on "
+                           "related pairs only"] if dropped else [])
+
+
 def test_same_seed_training_is_byte_identical(micro):
     d = micro["dir"]
     run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
@@ -1035,6 +1057,22 @@ def test_evaluate_rejects_predictions_that_mix_the_two_label_spaces(micro, capsy
     assert run("evaluate", "--pairs", micro["pairs"], "--predictions", d / "pred.tsv") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {d / 'pred.tsv'}: ") and err.count("\n") == 1, err
+
+
+def test_evaluate_rejects_a_predicted_label_outside_the_gold_and_model_labels(tmp_path, capsys):
+    (tmp_path / "gold.tsv").write_text("a\tb\tHYPER\nc\td\tSYN\n")
+    (tmp_path / "pred.tsv").write_text("a\tb\tHYPR\nc\td\tSYN\n")
+    assert run("evaluate", "--pairs", tmp_path / "gold.tsv",
+               "--predictions", tmp_path / "pred.tsv") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {tmp_path / 'pred.tsv'}: ") and err.count("\n") == 1, err
+    assert "HYPR" in err
+    # A label of either model that the gold file lacks is a wrong prediction, not a stray one.
+    for first, second in (("PART_OF", "RANDOM"), ("RELATED", "UNRELATED")):
+        (tmp_path / "pred.tsv").write_text(f"a\tb\t{first}\nc\td\t{second}\n")
+        assert run("evaluate", "--pairs", tmp_path / "gold.tsv",
+                   "--predictions", tmp_path / "pred.tsv") == 0
 
 
 def test_evaluate_names_the_malformed_file(micro, capsys):

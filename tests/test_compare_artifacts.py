@@ -1,5 +1,6 @@
 """tools/compare_artifacts.py: the comparison of two JSON documents behind its
-"0 differ" and its largest numeric difference."""
+"0 differ" and its largest numeric difference, and the masking of each side's
+output directory in what the commands print."""
 
 import importlib.util
 from pathlib import Path
@@ -11,6 +12,7 @@ _SPEC = importlib.util.spec_from_file_location("compare_artifacts", _PATH)
 compare_artifacts = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_artifacts)
 largest_difference = compare_artifacts.largest_difference
+masked_output = compare_artifacts.masked_output
 
 MODEL = {"format": "m", "w": [[0.5, -1.0], [2.0, 3.0]], "meta": {"seed": 7, "tokens": ["a"]},
          "w2": None, "flag": True}
@@ -38,3 +40,16 @@ def test_documents_of_another_structure_have_no_numeric_difference(change):
     other = change(MODEL)
     assert largest_difference(MODEL, other) is None
     assert largest_difference(other, MODEL) is None
+
+
+def test_each_sides_output_directory_is_masked_and_the_rest_of_the_text_kept():
+    world, parent, change = Path("/w/acc-1/world"), Path("/w/acc-1/parent"), Path("/w/acc-1/change")
+
+    def printed(out):
+        return (f"trained relations model on 4 pairs (5 epochs, seed 7) -> {out / 'relations.json'}\n"
+                f"read {world / 'val.tsv'}; wrote 3 predictions -> {out / 'pred.tsv'}\n")
+
+    assert masked_output(printed(parent), parent) == masked_output(printed(change), change) == (
+        "trained relations model on 4 pairs (5 epochs, seed 7) -> <out>/relations.json\n"
+        "read /w/acc-1/world/val.tsv; wrote 3 predictions -> <out>/pred.tsv\n")
+    assert masked_output(printed(parent), parent) != masked_output(printed(parent), change)

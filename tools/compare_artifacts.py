@@ -5,11 +5,15 @@
 For each workload and seed it writes the benchmark world once with
 bench/world.py, then runs the six commands of bench/run.py's ``workflow`` as
 ``python3 -m semrel`` with PYTHONPATH set to PARENT_SRC and to CHANGE_SRC in
-turn, and compares the eight artifacts of the two runs. Every artifact that
-differs, or that one side did not write, gets a line; the exit code is 1 if
-any does and 0 otherwise. A .json artifact whose bytes differ but whose
-document is the same, as when only the layout changed, is reported as "same
-JSON content" and counted apart in the summary; it still sets exit code 1.
+turn, and compares the eight artifacts of the two runs. It also compares what
+each command printed: a command's standard output goes to ``<stage>.stdout``
+beside its artifacts, and that side's output directory is replaced in it by
+the token ``<out>`` before the two sides are compared. Every artifact or
+output that differs, or that one side did not write, gets a line; the exit
+code is 1 if any does and 0 otherwise. A .json artifact whose bytes differ
+but whose document is the same, as when only the layout changed, is reported
+as "same JSON content" and counted apart in the summary; it still sets exit
+code 1.
 When the two documents have the same structure (the same keys, list lengths,
 strings and nulls) and differ only in numbers, the line gives the largest
 absolute numeric difference, as for a model retrained with other rounding;
@@ -40,7 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
-from run import ARTIFACTS, workflow  # noqa: E402
+from run import ARTIFACTS, STAGES, workflow  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -48,16 +52,17 @@ def run_workflow(src: Path, workload: str, world: Path, out: Path,
                  train_args: list[str]) -> dict[str, float]:
     """Run the six commands against ``src``, stopping after the first failure;
     returns the peak resident memory in MB of each command that ran, read from
-    its own rusage as bench/run.py reads it."""
+    its own rusage as bench/run.py reads it. A command's standard output goes
+    to a file, not a pipe, since the command is waited for with os.wait4."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src))
     peaks = {}
     for stage, argv in workflow(WORKLOADS[workload], world, out):
         if stage.startswith("train"):
             argv = argv + train_args
-        with tempfile.TemporaryFile("w+") as err:
+        with open(out / f"{stage}.stdout", "w") as stdout, tempfile.TemporaryFile("w+") as err:
             proc = subprocess.Popen([sys.executable, "-m", "semrel", *argv], env=env, cwd=out,
-                                    stdout=subprocess.DEVNULL, stderr=err)
+                                    stdout=stdout, stderr=err)
             _, status, usage = os.wait4(proc.pid, 0)
             proc.returncode = os.waitstatus_to_exitcode(status)
             peaks[stage] = usage.ru_maxrss / 1024.0
@@ -66,6 +71,17 @@ def run_workflow(src: Path, workload: str, world: Path, out: Path,
                 print(f"{src}: {stage} exited with {proc.returncode}: {err.read().strip()}")
                 break
     return peaks
+
+
+def masked_output(text: str, out: Path) -> str:
+    """A command's printed ``text`` with its side's output directory ``out``
+    replaced by a token, so that the two sides' texts can be compared."""
+    return text.replace(str(out), "<out>")
+
+
+def _read_output(out: Path, stage: str) -> str | None:
+    path = out / f"{stage}.stdout"
+    return masked_output(path.read_text(encoding="utf-8"), out) if path.is_file() else None
 
 
 def _is_number(value) -> bool:
@@ -110,7 +126,7 @@ def main() -> int:
         if not (src / "semrel" / "cli.py").is_file():
             parser.error(f"{src} holds no semrel package")
     train_args = shlex.split(args.train_args)
-    compared = differ = same_content = 0
+    compared = differ = same_content = outputs_compared = outputs_differ = 0
     with tempfile.TemporaryDirectory(prefix="compare-artifacts-") as tmp:
         cases = [(workload, seed, Path(tmp) / f"{workload}-{seed}")
                  for workload in args.workloads for seed in args.seeds]
@@ -147,9 +163,18 @@ def main() -> int:
                 else:
                     state = "differs"
                 print(f"{workload} seed {seed}: {name} {state}")
+            for stage in STAGES:
+                outputs_compared += 1
+                a, b = (_read_output(case / side, stage) for side in sides)
+                if a is not None and a == b:
+                    continue
+                outputs_differ += 1
+                state = "missing" if a is None or b is None else "differs"
+                print(f"{workload} seed {seed}: output of {stage} {state}")
     print(f"{compared} artifacts compared, {differ} differ, "
-          f"{same_content} of them with the same JSON content")
-    return 1 if differ else 0
+          f"{same_content} of them with the same JSON content; "
+          f"{outputs_compared} command outputs compared, {outputs_differ} differ")
+    return 1 if differ or outputs_differ else 0
 
 
 if __name__ == "__main__":
