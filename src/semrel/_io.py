@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -14,23 +15,31 @@ from .errors import DataError, ParseError
 
 
 @contextmanager
+def naming(path):
+    """Context manager that puts ``path: `` in front of a DataError raised
+    inside it; any other error passes unchanged."""
+    try:
+        yield
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+@contextmanager
 def open_lines(source):
     """Context manager yielding lines from a path or from an open stream.
 
-    Given a path, a DataError raised inside the block is raised again with the
-    path in front of its message, and text that is not UTF-8 raises a
-    ParseError that names the path, so every read error names its file.
+    Given a path, a DataError raised inside the block is named with the path,
+    and text that is not UTF-8 raises a ParseError, so every read error names
+    its file.
     """
     if not isinstance(source, (str, Path)):
         yield source
         return
-    with open(source, encoding="utf-8") as fh:
+    with naming(source), open(source, encoding="utf-8") as fh:
         try:
             yield fh
-        except DataError as exc:
-            raise type(exc)(f"{source}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
+            raise ParseError(f"not UTF-8 text ({exc.reason})") from None
 
 
 # What int() takes; when it still fails, the number has more digits than it converts.
@@ -57,13 +66,13 @@ def _json_int(text: str) -> int:
         raise ParseError(f"invalid JSON: integer {excerpt(text)!r} has too many digits") from None
 
 
-def write_text(destination, text: str) -> None:
-    """Write text to a path or an already-open stream."""
+def write_pieces(destination, pieces) -> None:
+    """Write an iterable of strings to a path or an already-open stream."""
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        destination.write(text)
+        destination.writelines(pieces)
 
 
 def write_document(destination, doc: dict) -> None:
@@ -77,13 +86,7 @@ def write_document(destination, doc: dict) -> None:
     """
     if not _is_finite(doc):
         raise DataError(f"refusing to write a non-finite number into a {doc['format']} file")
-    if isinstance(destination, (str, Path)):
-        sink = open(destination, "w", encoding="utf-8")
-    else:
-        sink = nullcontext(destination)
-    with sink as fh:
-        fh.writelines(_pieces(doc))
-        fh.write("\n")
+    write_pieces(destination, chain(_pieces(doc), "\n"))
 
 
 # About this many values of a matrix are turned into Python floats and

@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-from ._io import excerpt, open_lines, write_document
+from ._io import excerpt, naming, open_lines, write_document, write_pieces
 from .corpus import DEFAULT_MAX_EDGES, build_path_index, iter_conll, load_index, save_index
 from .embeddings import load_table
 from .errors import DataError
@@ -85,7 +85,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="semrel", description="Semantic relation classification.")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
-    subs: dict[str, _Parser] = {}
 
     sub = commands.add_parser("extract-paths", help="build a dependency-path index for word pairs")
     sub.add_argument("--corpus", required=True, help="parsed corpus in tab-separated CoNLL layout")
@@ -94,7 +93,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES,
                      help="longest tree path to keep, in edges (default %(default)s)")
     sub.set_defaults(handler=_cmd_extract_paths)
-    subs["extract-paths"] = sub
 
     sub = commands.add_parser("train", help="train a relatedness or relation classifier")
     sub.add_argument("--task", required=True, choices=tuple(_TASKS))
@@ -115,7 +113,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub.add_argument("--train-word-vectors", action="store_true", default=None)
     sub.add_argument("--config", help="file of key=value lines overriding the task preset")
     sub.set_defaults(handler=_cmd_train)
-    subs["train"] = sub
 
     sub = commands.add_parser("tune", help="grid-search the relatedness combiner on labelled pairs")
     sub.add_argument("--pairs", required=True, help="labelled validation pairs (TSV)")
@@ -126,7 +123,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub.add_argument("--cosine-only", action="store_true",
                      help="tune only a cosine threshold (w_C=1, no classifier term)")
     sub.set_defaults(handler=_cmd_tune)
-    subs["tune"] = sub
 
     sub = commands.add_parser("predict", help="label pairs with a trained model")
     sub.add_argument("--task", required=True, choices=tuple(_TASKS))
@@ -142,7 +138,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub.add_argument("--path-count", choices=PATH_COUNT_MODES, default=PipelineConfig.path_count_mode)
     sub.add_argument("--config", help="file of key=value lines overriding defaults")
     sub.set_defaults(handler=_cmd_predict)
-    subs["predict"] = sub
 
     sub = commands.add_parser("evaluate", help="score predictions against gold labels")
     sub.add_argument("--pairs", required=True, help="gold-labelled pairs (TSV)")
@@ -154,9 +149,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub.add_argument("--no-auto-exclude", action="store_true",
                      help="score every label, including the negative class")
     sub.set_defaults(handler=_cmd_evaluate)
-    subs["evaluate"] = sub
 
-    return parser, subs
+    return parser, commands.choices
 
 
 def _config_flags(sub: _Parser, path: str) -> list[str]:
@@ -253,12 +247,13 @@ def _print_validation_accuracy(epoch: int, accuracy: float) -> None:
 def _cmd_train(args) -> int:
     folding, label_set, preset = _TASKS[args.task]
     read = _read_labelled(args.pairs, folding, "training set")
-    val = _read_labelled(args.val, folding, "validation set") if args.val else []
-    records = [r for r in read if r.label in label_set]
-    val = [r for r in val if r.label in label_set]
+    read_val = _read_labelled(args.val, folding, "validation set") if args.val else []
+    records, val = ([r for r in rs if r.label in label_set] for rs in (read, read_val))
     dropped = len(read) - len(records)
     if dropped:
         print(f"dropped {dropped} {NEGATIVE_LABEL} pairs; the relation model trains on related pairs only")
+    if len(val) < len(read_val):
+        print(f"dropped {len(read_val) - len(val)} {NEGATIVE_LABEL} pairs from the validation set")
     config = _resolved_config(args, preset)
     if not records:
         raise DataError(f"{args.pairs}: no pairs left to train on")
@@ -295,10 +290,8 @@ def _cmd_tune(args) -> int:
             raise _UsageError("--model and --index are required unless --cosine-only is given")
         index = load_index(args.index)
         params = _load_model_for(args.model, RELATEDNESS_LABELS, table)
-    try:
+    with naming(args.pairs):  # the tuning set may be empty or lack a class
         config, f1 = tune_combiner(records, table, params, index)
-    except DataError as exc:  # the tuning set is empty or lacks a class
-        raise DataError(f"{args.pairs}: {exc}") from None
     save_combiner(config, args.output, validation_f1=f1)
     print(f"w_C={config.w_c:.2f} w_L={config.w_l:.2f} t={config.t:.2f} (tuning F1 {f1:.3f})")
     return 0
@@ -343,19 +336,19 @@ def _cmd_evaluate(args) -> int:
     # Relatedness predictions are scored against gold labels folded as train and tune fold them.
     gold = (_read_labelled(args.pairs, _TO_RELATEDNESS, "gold set") if relatedness == {True}
             else read_pairs(args.pairs))
-    if len(gold) != len(pred):
-        raise DataError(f"gold file has {len(gold)} pairs but predictions file has {len(pred)}")
-    for position, (g, p) in enumerate(zip(gold, pred), start=1):
-        if (g.x, g.y) != (p.x, p.y):
-            raise DataError(f"pair {position} differs: gold ({excerpt(g.x)}, {excerpt(g.y)}) "
-                            f"vs prediction ({excerpt(p.x)}, {excerpt(p.y)})")
-    # Either model's labels may be predicted where the gold file lacks them; any other
-    # label that the gold file lacks would be scored as a class that nothing belongs to.
-    try:
+    if not gold:
+        raise DataError(f"{args.pairs}: no pairs to score")
+    with naming(args.predictions):
+        if len(gold) != len(pred):
+            raise DataError(f"gold file has {len(gold)} pairs but predictions file has {len(pred)}")
+        for position, (g, p) in enumerate(zip(gold, pred), start=1):
+            if (g.x, g.y) != (p.x, p.y):
+                raise DataError(f"pair {position} differs: gold ({excerpt(g.x)}, {excerpt(g.y)}) "
+                                f"vs prediction ({excerpt(p.x)}, {excerpt(p.y)})")
+        # Either model's labels may be predicted where the gold file lacks them; any other
+        # label that the gold file lacks would be scored as a class that nothing belongs to.
         check_labels(pred, {r.label for r in gold}.union(RELATION_LABELS, RELATEDNESS_LABELS),
                      "predictions")
-    except DataError as exc:
-        raise DataError(f"{args.predictions}: {exc}") from None
     if args.exclude:
         exclude = tuple(args.exclude)
     elif args.no_auto_exclude:
@@ -373,20 +366,20 @@ def _cmd_evaluate(args) -> int:
     text = report_tsv(report)
     print(text, end="")
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        write_pieces(args.output, [text])
     return 0
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser, subs = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             raise _UsageError("a command is required (see --help)")
         if getattr(args, "config", None):
-            flags = _config_flags(subs[args.command], args.config)
+            flags = _config_flags(commands[args.command], args.config)
             args = parser.parse_args([args.command, *flags, *argv[1:]])
         return args.handler(args)
     except _UsageError as exc:
@@ -394,8 +387,10 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help and friends
         return exc.code if isinstance(exc.code, int) else 0
-    except (DataError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        named = isinstance(exc, OSError) and exc.filename is not None
+        message = f"{exc.filename}: {exc.strerror}" if named else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
 
-from ._io import excerpt, int_error, open_lines, write_text
+from ._io import excerpt, int_error, open_lines, write_pieces
 from .errors import ParseError
 
 UP = "up"
@@ -331,11 +332,9 @@ def _quote(field: str) -> str:
 
 def save_index(index: PathIndex, destination) -> None:
     """Write an index as sorted ``x<TAB>y<TAB>path<TAB>count`` lines."""
-    lines = [INDEX_HEADER]
-    for x, y in index.pair_keys():
-        rows = sorted((path_to_text(p), c) for p, c in index.get(x, y).items())
-        lines.extend(f"{x}\t{y}\t{text}\t{count}" for text, count in rows)
-    write_text(destination, "\n".join(lines) + "\n")
+    rows = (f"{x}\t{y}\t{text}\t{count}\n" for x, y in index.pair_keys()
+            for text, count in sorted((path_to_text(p), c) for p, c in index.get(x, y).items()))
+    write_pieces(destination, chain([INDEX_HEADER + "\n"], rows))
 
 
 def load_index(source) -> PathIndex:

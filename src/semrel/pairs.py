@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._io import excerpt, open_lines, write_text
+from ._io import excerpt, open_lines, write_pieces
 from .errors import DataError, ParseError
 
 RELATED_LABELS = ("ANT", "HYPER", "PART_OF", "SYN")
@@ -64,9 +64,7 @@ def read_pairs(source, require_label: bool = True) -> list[PairRecord]:
 
 def write_pairs(records: Iterable[PairRecord], destination) -> None:
     """Write records as three-column TSV, one per line, in the given order."""
-    lines = [f"{r.x}\t{r.y}\t{r.label}" for r in records]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    write_text(destination, text)
+    write_pieces(destination, (f"{r.x}\t{r.y}\t{r.label}\n" for r in records))
 
 
 def check_labels(records: Sequence[PairRecord], allowed: Iterable[str], context: str = "dataset") -> None:

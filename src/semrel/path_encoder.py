@@ -8,8 +8,8 @@ represents the path. A pair's path multiset is reduced to a single vector by
 a count-weighted (or uniform) average, with the empty multiset mapping to the
 zero vector.
 
-``compile_paths`` stacks a multiset's row numbers, which the vocabulary looks
-up once per distinct path, in groups of equal step count.
+``compile_paths`` stacks a multiset's row numbers in groups of equal step
+count.
 ``average_paths_with_cache`` runs each group time-major as one (P, D) matrix
 per step and keeps one record of arrays per group, which ``backprop_average``
 walks back to accumulate exact gradients for all encoder parameters.
@@ -17,7 +17,7 @@ walks back to accumulate exact gradients for all encoder parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -61,7 +61,6 @@ class EdgeVocab:
     pos: ComponentEmbeddings
     deprel: ComponentEmbeddings
     direction: ComponentEmbeddings
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def components(self) -> tuple[ComponentEmbeddings, ...]:
         return (self.lemma, self.pos, self.deprel, self.direction)
@@ -78,13 +77,9 @@ class EdgeVocab:
 
     def path_rows(self, path: DependencyPath) -> np.ndarray:
         """The path's (T, 4) lemma, POS, deprel and direction row numbers."""
-        rows = self._rows.get(path)
-        if rows is None:
-            rows = np.array([[comp.row(token) for comp, token in
-                              zip(self.components(), (e.lemma, e.pos, e.deprel, e.direction))]
-                             for e in path.edges], dtype=np.intp).reshape(-1, 4)
-            self._rows[path] = rows
-        return rows
+        return np.array([[comp.row(token) for comp, token in
+                          zip(self.components(), (e.lemma, e.pos, e.deprel, e.direction))]
+                         for e in path.edges], dtype=np.intp).reshape(-1, 4)
 
 
 @dataclass

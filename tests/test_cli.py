@@ -161,7 +161,8 @@ def test_the_training_manifest_counts_the_pairs_each_task_trains_on(micro, capsy
         n_train, n_val, dropped)
     drop_lines = [line for line in capsys.readouterr().out.splitlines() if "dropped" in line]
     assert drop_lines == ([f"dropped {dropped} RANDOM pairs; the relation model trains on "
-                           "related pairs only"] if dropped else [])
+                           "related pairs only",
+                           "dropped 1 RANDOM pairs from the validation set"] if dropped else [])
 
 
 def test_same_seed_training_is_byte_identical(micro):
@@ -721,6 +722,21 @@ def test_missing_file_exits_two(micro, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_a_missing_input_file_is_named_with_the_reason(micro, capsys):
+    d = micro["dir"]
+    assert run("evaluate", "--pairs", d / "missing.tsv", "--predictions", micro["pairs"]) == 2
+    assert capsys.readouterr().err == f"error: {d / 'missing.tsv'}: No such file or directory\n"
+
+
+def test_an_unwritable_output_file_is_named_with_the_reason(micro, capsys):
+    d = micro["dir"]
+    assert run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+               "--output", d / "nodir" / "index.tsv") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {d / 'nodir' / 'index.tsv'}: No such file or directory\n"
+    assert captured.out == ""
+
+
 def test_malformed_data_exits_two(micro, capsys):
     bad = micro["dir"] / "bad.tsv"
     bad.write_text("only-one-column\n")
@@ -1030,6 +1046,23 @@ def test_evaluate_alignment_checks(micro, capsys):
     assert run("evaluate", "--pairs", micro["pairs"], "--predictions", d / "misaligned.tsv") == 2
     err = capsys.readouterr().err
     assert "pair 2" in err
+
+
+@pytest.mark.parametrize("gold, pred, blamed, message", [
+    ("a\tb\tHYPER\nc\td\tSYN\n", "a\tb\tHYPER\n", "pred.tsv",
+     "gold file has 2 pairs but predictions file has 1"),
+    ("a\tb\tHYPER\nc\td\tSYN\n", "a\tb\tHYPER\nc\te\tSYN\n", "pred.tsv",
+     "pair 2 differs: gold (c, d) vs prediction (c, e)"),
+    ("", "", "gold.tsv", "no pairs to score"),
+    ("# only a comment\n", "a\tb\tHYPER\n", "gold.tsv", "no pairs to score"),
+])
+def test_evaluate_names_the_file_of_a_count_alignment_or_empty_fault(tmp_path, capsys, gold,
+                                                                       pred, blamed, message):
+    (tmp_path / "gold.tsv").write_text(gold)
+    (tmp_path / "pred.tsv").write_text(pred)
+    assert run("evaluate", "--pairs", tmp_path / "gold.tsv",
+               "--predictions", tmp_path / "pred.tsv") == 2
+    assert capsys.readouterr() == ("", f"error: {tmp_path / blamed}: {message}\n")
 
 
 def test_evaluate_scores_relatedness_predictions_as_tune_does(micro, capsys):
