@@ -42,6 +42,15 @@ def open_lines(source):
             raise ParseError(f"not UTF-8 text ({exc.reason})") from None
 
 
+def data_lines(lines):
+    """``(line_no, columns)`` for each line that is neither blank nor a '#'
+    comment: the line without its line ending, split at tabs."""
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if line.strip() and not line.startswith("#"):
+            yield line_no, line.split("\t")
+
+
 # What int() takes; when it still fails, the number has more digits than it converts.
 _INTEGER = re.compile(r"\s*[+-]?\d+\s*")
 
@@ -132,7 +141,8 @@ def read_document(source, fmt: str, version: int, kind: str):
 
     The document must be a JSON object whose "format" is ``fmt`` and whose
     "version" is ``version``. As with ``open_lines``, a DataError raised
-    inside the block, by the caller's decoding too, names the file.
+    inside the block names the file; so does a KeyError (a missing field) or
+    a TypeError (a mistyped one), each turned into a DataError.
     """
     with open_lines(source) as fh:
         try:
@@ -147,4 +157,9 @@ def read_document(source, fmt: str, version: int, kind: str):
             raise DataError(f"not a {kind} file")
         if doc.get("version") != version:
             raise DataError(f"unsupported {kind} version {excerpt(repr(doc.get('version')))}")
-        yield doc
+        try:
+            yield doc
+        except KeyError as exc:
+            raise DataError(f"{kind} file lacks the {exc.args[0]!r} field") from None
+        except TypeError:
+            raise DataError(f"{kind} file has a field of the wrong type") from None

@@ -23,7 +23,7 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .pairs import PairRecord, check_labels
-from .relatedness import cosine_norm
+from .relatedness import CombinerConfig, predict_related
 
 VECTOR_COMBINATIONS = ("concat", "diff", "asym")
 
@@ -109,7 +109,7 @@ def baseline_classify(
     y: str,
     negative_label: str,
 ) -> str:
-    """Cosine gate plus linear classifier: the baseline twin of the pipeline."""
-    if cosine_norm(table.lookup(x), table.lookup(y)) < threshold:
+    """The pipeline's gate with the cosine alone, then the linear classifier."""
+    if not predict_related(CombinerConfig(1.0, 0.0, threshold), table, [(x, y)])[0]:
         return negative_label
     return predict_linear(model, table, x, y)

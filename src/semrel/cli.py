@@ -13,6 +13,7 @@ malformed files, inconsistent datasets, invalid hyperparameter values).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -198,12 +199,23 @@ def _read_labelled(path: str, labels: dict[str, str], context: str) -> list[Pair
     return [replace(r, label=labels[r.label]) for r in records]
 
 
+def _check_output_dir(path: str | None) -> None:
+    """Raise, before any input is read, the OSError that writing ``path``
+    would raise for want of its directory; nothing is created or opened."""
+    if path is not None:
+        try:  # with a trailing separator, a file fails as "Not a directory"
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def _pair_words(records) -> set[str]:
     """The x and y words of the records: the table rows that scoring looks up."""
     return {word for r in records for word in (r.x, r.y)}
 
 
 def _cmd_extract_paths(args) -> int:
+    _check_output_dir(args.output)
     records = read_pairs(args.pairs, require_label=False)
     n_sentences = 0
 
@@ -245,6 +257,7 @@ def _print_validation_accuracy(epoch: int, accuracy: float) -> None:
 
 
 def _cmd_train(args) -> int:
+    _check_output_dir(args.model)  # the manifest goes next to the model
     folding, label_set, preset = _TASKS[args.task]
     read = _read_labelled(args.pairs, folding, "training set")
     read_val = _read_labelled(args.val, folding, "validation set") if args.val else []
@@ -282,6 +295,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    _check_output_dir(args.output)
     records = _read_labelled(args.pairs, _TO_RELATEDNESS, "tuning set")
     table = load_table(args.embeddings, _pair_words(records))
     params = index = None
@@ -298,6 +312,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    _check_output_dir(args.output)
     records = read_pairs(args.pairs, require_label=False)
     table = load_table(args.embeddings, _pair_words(records))
     index = load_index(args.index)
@@ -329,6 +344,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_output_dir(args.output)
     pred = read_pairs(args.predictions)
     relatedness = {r.label in RELATEDNESS_LABELS for r in pred}
     if relatedness == {True, False}:
@@ -360,9 +376,9 @@ def _cmd_evaluate(args) -> int:
             if candidate in gold_labels:
                 exclude = (candidate,)
                 break
-    report = scores(
-        [r.label for r in gold], [r.label for r in pred], average=args.average, exclude=exclude
-    )
+    with naming(args.pairs):  # every label of the gold file may be excluded
+        report = scores([r.label for r in gold], [r.label for r in pred], average=args.average,
+                        exclude=exclude)
     text = report_tsv(report)
     print(text, end="")
     if args.output:

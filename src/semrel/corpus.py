@@ -24,7 +24,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
 
-from ._io import excerpt, int_error, open_lines, write_pieces
+from ._io import data_lines, excerpt, int_error, open_lines, write_pieces
 from .errors import ParseError
 
 UP = "up"
@@ -341,11 +341,7 @@ def load_index(source) -> PathIndex:
     """Read an index written by ``save_index``."""
     index = PathIndex()
     with open_lines(source) as lines:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cols = line.split("\t")
+        for line_no, cols in data_lines(lines):
             if len(cols) != 4:
                 raise ParseError(f"expected 4 columns at line {line_no}")
             try:

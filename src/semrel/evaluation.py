@@ -7,6 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._io import excerpt
 from .errors import DataError
 from .pairs import PairRecord
 
@@ -80,7 +81,7 @@ def scores(
     matrix = confusion(gold, pred, labels)
     included = [label for label in matrix.labels if label not in set(exclude)]
     if not included:
-        raise DataError("all labels were excluded from scoring")
+        raise DataError(f"all labels were excluded from scoring: {excerpt(', '.join(matrix.labels))}")
     rows = []
     for label in included:
         i = matrix.labels.index(label)

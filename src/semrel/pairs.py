@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._io import excerpt, open_lines, write_pieces
+from ._io import data_lines, excerpt, open_lines, write_pieces
 from .errors import DataError, ParseError
 
 RELATED_LABELS = ("ANT", "HYPER", "PART_OF", "SYN")
@@ -46,11 +46,7 @@ def read_pairs(source, require_label: bool = True) -> list[PairRecord]:
     """
     records = []
     with open_lines(source) as lines:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            cols = line.split("\t")
+        for line_no, cols in data_lines(lines):
             if len(cols) < 2:
                 raise ParseError(f"expected at least 2 tab-separated columns at line {line_no}")
             if not cols[0] or not cols[1]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -53,6 +54,11 @@ class ComponentEmbeddings:
         return [tok for tok, _ in sorted(self.index.items(), key=lambda kv: kv[1])]
 
 
+# The step components, as PathEdge and EdgeVocab name them, in step-input and model-file order.
+STEP_COMPONENTS = ("lemma", "pos", "deprel", "direction")
+_in_step_order = attrgetter(*STEP_COMPONENTS)  # a PathEdge's tokens or an EdgeVocab's components
+
+
 @dataclass(frozen=True)
 class EdgeVocab:
     """The four step components; their tokens and widths are fixed once built."""
@@ -63,7 +69,7 @@ class EdgeVocab:
     direction: ComponentEmbeddings
 
     def components(self) -> tuple[ComponentEmbeddings, ...]:
-        return (self.lemma, self.pos, self.deprel, self.direction)
+        return _in_step_order(self)
 
     @property
     def input_width(self) -> int:
@@ -76,9 +82,9 @@ class EdgeVocab:
         return tuple(zip([0] + ends[:-1], ends))
 
     def path_rows(self, path: DependencyPath) -> np.ndarray:
-        """The path's (T, 4) lemma, POS, deprel and direction row numbers."""
+        """The path's (T, 4) row numbers, one column per step component."""
         return np.array([[comp.row(token) for comp, token in
-                          zip(self.components(), (e.lemma, e.pos, e.deprel, e.direction))]
+                          zip(self.components(), _in_step_order(e))]
                          for e in path.edges], dtype=np.intp).reshape(-1, 4)
 
 
@@ -282,9 +288,8 @@ def average_paths_with_cache(
 def encoder_arrays(vocab: EdgeVocab, rec: RecurrentParams) -> dict[str, np.ndarray]:
     """The encoder's trainable arrays by name, in a fixed order; a gradient
     accumulator for ``backprop_average`` has an attribute of each name."""
-    return {"lemma": vocab.lemma.matrix, "pos": vocab.pos.matrix, "deprel": vocab.deprel.matrix,
-            "direction": vocab.direction.matrix, "w_in": rec.w_in, "w_rec": rec.w_rec,
-            "bias": rec.bias}
+    arrays = {name: comp.matrix for name, comp in zip(STEP_COMPONENTS, vocab.components())}
+    return {**arrays, "w_in": rec.w_in, "w_rec": rec.w_rec, "bias": rec.bias}
 
 
 @dataclass
@@ -310,7 +315,7 @@ def backprop_average(
     the ``grads`` attribute named as in ``encoder_arrays``, which for a
     component may be a ``RowGradient`` holding every row the paths read."""
     hidden = rec.hidden_size
-    component_grads = (grads.lemma, grads.pos, grads.deprel, grads.direction)
+    component_grads = [getattr(grads, name) for name in STEP_COMPONENTS]
     for group in cache:
         steps, count = group.rows.shape[:2]
         if steps == 0:

@@ -33,6 +33,7 @@ from .pairs import PairRecord, check_labels
 from .path_encoder import (
     AVERAGE_MODES,
     INIT_SCALE,
+    STEP_COMPONENTS,
     WEIGHTED,
     CompiledPaths,
     ComponentEmbeddings,
@@ -153,11 +154,9 @@ class Example:
 
 
 def compile_example(params: ModelParams, x: str, y: str, paths: Mapping[DependencyPath, int],
-                    label: str | None) -> Example:
+                    label: str) -> Example:
     """The pair, its paths and its label in the row numbers of ``params``.
-    An unlabelled pair raises ValueError, a label outside the set DataError."""
-    if label is None:
-        raise ValueError(f"example ({x}, {y}) has no label")
+    A label outside the set, None too, raises DataError."""
     compiled = compile_paths(paths, params.vocab, params.path_average)
     word_rows = None
     if params.word_vectors is not None:
@@ -424,10 +423,15 @@ def _int(value, field: str) -> int:
         raise DataError(f"model field {field} is not an integer: {excerpt(repr(value))}") from None
 
 
-def _component_from_doc(doc: dict, name: str) -> ComponentEmbeddings:
-    tokens = list(doc["tokens"])
-    matrix = _array(doc["matrix"], f"edge_vocab.{name}.matrix", len(tokens) + 1, doc["width"])
-    return ComponentEmbeddings({tok: i for i, tok in enumerate(tokens, start=1)}, matrix)
+def _vocabulary(doc: dict, field: str, first_row: int, width) -> tuple[dict[str, int], np.ndarray]:
+    """The index and matrix of a ``tokens``/``matrix`` pair whose distinct
+    string tokens own the rows from ``first_row`` on, else a DataError."""
+    tokens = doc["tokens"]
+    if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)
+            and len(set(tokens)) == len(tokens)):
+        raise DataError(f"model field {field}.tokens is not a list of distinct strings")
+    matrix = _array(doc["matrix"], f"{field}.matrix", first_row + len(tokens), width)
+    return {tok: row for row, tok in enumerate(tokens, start=first_row)}, matrix
 
 
 def save_model(params: ModelParams, destination) -> None:
@@ -446,12 +450,8 @@ def save_model(params: ModelParams, destination) -> None:
         "word_dim": params.word_dim,
         "path_average": params.path_average,
         "seed": params.seed,
-        "edge_vocab": {
-            "lemma": _component_doc(params.vocab.lemma),
-            "pos": _component_doc(params.vocab.pos),
-            "deprel": _component_doc(params.vocab.deprel),
-            "direction": _component_doc(params.vocab.direction),
-        },
+        "edge_vocab": {name: _component_doc(comp)
+                       for name, comp in zip(STEP_COMPONENTS, params.vocab.components())},
         "recurrent": {
             "w_in": params.rec.w_in,
             "w_rec": params.rec.w_rec,
@@ -477,26 +477,19 @@ def load_model(source) -> ModelParams:
     """Read a model written by ``save_model``.
 
     Every matrix must have the shape that the label set, ``word_dim``,
-    ``hidden_dim`` and the edge vocabulary give it. A missing, mistyped,
-    misshapen or non-finite field raises DataError.
+    ``hidden_dim`` and the edge vocabulary give it, and tokens must be
+    distinct strings; a missing, mistyped or non-finite field raises DataError.
     """
     with read_document(source, MODEL_FORMAT, MODEL_VERSION, "relation model") as doc:
-        try:
-            return _params_from_doc(doc)
-        except KeyError as exc:
-            raise DataError(f"model file lacks the {exc.args[0]!r} field") from None
-        except TypeError:
-            raise DataError("model file has a field of the wrong type") from None
+        return _params_from_doc(doc)
 
 
 def _params_from_doc(doc: dict) -> ModelParams:
     vocab_doc = doc["edge_vocab"]
-    vocab = EdgeVocab(
-        lemma=_component_from_doc(vocab_doc["lemma"], "lemma"),
-        pos=_component_from_doc(vocab_doc["pos"], "pos"),
-        deprel=_component_from_doc(vocab_doc["deprel"], "deprel"),
-        direction=_component_from_doc(vocab_doc["direction"], "direction"),
-    )
+    vocab = EdgeVocab(**{
+        name: ComponentEmbeddings(*_vocabulary(vocab_doc[name], f"edge_vocab.{name}", 1,
+                                               vocab_doc[name]["width"]))
+        for name in STEP_COMPONENTS})
     label_set = tuple(doc["label_set"])
     if not all(isinstance(label, str) for label in label_set):
         raise DataError("model field label_set holds a label that is not a string")
@@ -517,13 +510,8 @@ def _params_from_doc(doc: dict) -> ModelParams:
                 2 * word_dim + hidden)
     width = w1.shape[0]
     wv_doc = doc.get("word_vectors")
-    word_vectors = None
-    if wv_doc is not None:
-        tokens = list(wv_doc["tokens"])
-        word_vectors = TrainableWordVectors(
-            {tok: i for i, tok in enumerate(tokens)},
-            _array(wv_doc["matrix"], "word_vectors.matrix", len(tokens), word_dim),
-        )
+    word_vectors = (None if wv_doc is None
+                    else TrainableWordVectors(*_vocabulary(wv_doc, "word_vectors", 0, word_dim)))
     params = ModelParams(
         vocab=vocab,
         rec=rec,

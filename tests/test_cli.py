@@ -737,6 +737,32 @@ def test_an_unwritable_output_file_is_named_with_the_reason(micro, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("parent, reason", [
+    ("nodir", "No such file or directory"), ("pairs.tsv", "Not a directory")])
+@pytest.mark.parametrize("command", ["extract-paths", "train", "tune", "predict", "evaluate"])
+def test_an_output_directory_is_checked_before_any_input_is_read(micro, capsys, command, parent,
+                                                                 reason):
+    """Every input is malformed or missing, yet the output's directory is the
+    error reported, and the check leaves every file as it was."""
+    d = micro["dir"]
+    bad = d / "bad.tsv"
+    bad.write_text("only-one-column\n")
+    out = d / parent / "out"
+    data = ["--pairs", bad, "--index", d / "missing.tsv", "--embeddings", bad]
+    argv = {
+        "extract-paths": ("extract-paths", "--corpus", bad, "--pairs", bad, "--output", out),
+        "train": ("train", "--task", "relations", *data, "--model", out),
+        "tune": ("tune", *data, "--model", d / "missing.json", "--output", out),
+        "predict": ("predict", "--task", "relations", *data, "--combiner", d / "missing.json",
+                    "--relation-model", d / "missing.json", "--output", out),
+        "evaluate": ("evaluate", "--pairs", bad, "--predictions", bad, "--output", out),
+    }[command]
+    before = {p: p.read_bytes() for p in d.rglob("*")}
+    assert run(*argv) == 2
+    assert capsys.readouterr() == ("", f"error: {out}: {reason}\n")
+    assert {p: p.read_bytes() for p in d.rglob("*")} == before
+
+
 def test_malformed_data_exits_two(micro, capsys):
     bad = micro["dir"] / "bad.tsv"
     bad.write_text("only-one-column\n")
@@ -1063,6 +1089,21 @@ def test_evaluate_names_the_file_of_a_count_alignment_or_empty_fault(tmp_path, c
     assert run("evaluate", "--pairs", tmp_path / "gold.tsv",
                "--predictions", tmp_path / "pred.tsv") == 2
     assert capsys.readouterr() == ("", f"error: {tmp_path / blamed}: {message}\n")
+
+
+@pytest.mark.parametrize("labels, flags, excluded", [
+    (("RANDOM", "RANDOM"), (), "RANDOM"),
+    (("HYPER", "SYN"), ("--exclude", "SYN", "--exclude", "HYPER"), "HYPER, SYN"),
+])
+def test_evaluate_names_the_gold_file_and_the_labels_when_every_label_is_excluded(
+        tmp_path, capsys, labels, flags, excluded):
+    gold, pred = labels
+    (tmp_path / "gold.tsv").write_text(f"a\tb\t{gold}\n")
+    (tmp_path / "pred.tsv").write_text(f"a\tb\t{pred}\n")
+    assert run("evaluate", "--pairs", tmp_path / "gold.tsv",
+               "--predictions", tmp_path / "pred.tsv", *flags) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {tmp_path / 'gold.tsv'}: all labels were excluded from scoring: {excluded}\n")
 
 
 def test_evaluate_scores_relatedness_predictions_as_tune_does(micro, capsys):

@@ -1,5 +1,6 @@
-"""The writers against the one-shot text that each of them replaced, and
-``naming``, which puts a path in front of a data error."""
+"""The writers against the one-shot text that each of them replaced,
+``naming``, which puts a path in front of a data error, and the rules that
+the readers share: which lines hold data, and how a missing field is named."""
 
 import io
 
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import reference_document_text
-from semrel._io import _BLOCK_VALUES, naming, write_document
+from semrel._io import _BLOCK_VALUES, naming, read_document, write_document
 from semrel.corpus import INDEX_HEADER, PathIndex, load_index, path_from_text, path_to_text, save_index
 from semrel.errors import DataError, ParseError
-from semrel.pairs import PairRecord, write_pairs
+from semrel.pairs import PairRecord, read_pairs, write_pairs
+from semrel.relatedness import load_combiner
+from semrel.relation_model import load_model
 
 EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
@@ -131,3 +134,72 @@ def test_naming_puts_the_path_in_front_of_a_data_error_once(tmp_path):
     assert caught.value.filename == str(path)
     with naming(path):
         pass
+
+
+# ------------------------------------------------------------ shared reader rules
+
+
+# What the pairs and index readers both skip or keep: CRLF and a lone CR end
+# a line; a blank line, a line of spaces and tabs and a '#' comment are
+# skipped; ' #x' is data, since only a line that starts with '#' is a comment.
+# The row is filled in with each reader's columns.
+TRICKY = "# a comment\r\n\n \t \r\n{row}\r\n #x\t{rest}\r{row}\t\n"
+
+
+def _sources(text, tmp_path):
+    """The text as a file and as a list of lines."""
+    path = tmp_path / "data.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    return [path, text.splitlines(keepends=True)]
+
+
+def test_the_pairs_reader_skips_and_keeps_the_tricky_lines(tmp_path):
+    text = TRICKY.format(row="a\tb\tHYPER", rest="y\tSYN")
+    for source in _sources(text, tmp_path):
+        assert read_pairs(source) == [PairRecord("a", "b", "HYPER"), PairRecord(" #x", "y", "SYN"),
+                                      PairRecord("a", "b", "HYPER")]
+    for source in _sources(text + "c\td\t\n", tmp_path):  # a trailing tab leaves the label empty
+        assert read_pairs(source, require_label=False)[-1] == PairRecord("c", "d", "")
+        with pytest.raises(ParseError, match="^(.*: )?missing label at line 7$"):
+            read_pairs(source)
+
+
+def test_the_index_reader_skips_and_keeps_the_tricky_lines(tmp_path):
+    path = path_from_text("X/NOUN/nsubj/<::Y/NOUN/dobj/^")
+    row = f"a\tb\t{path_to_text(path)}\t2"
+    text = INDEX_HEADER + "\n" + TRICKY.format(row=row, rest=row[2:])
+    for source in _sources(text, tmp_path):  # a trailing tab is a fifth column
+        with pytest.raises(ParseError, match="^(.*: )?expected 4 columns at line 7$"):
+            load_index(source)
+    text = text[:-2] + "\n"
+    expected = PathIndex()
+    expected.add("a", "b", path, 4)
+    expected.add(" #x", "b", path, 2)
+    for source in _sources(text, tmp_path):
+        assert load_index(source) == expected
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (load_model, '{"format": "semrel-relation-model", "version": 1}',
+     "relation model file lacks the 'edge_vocab' field"),
+    (load_model, '{"format": "semrel-relation-model", "version": 1, "edge_vocab": []}',
+     "relation model file has a field of the wrong type"),
+    (load_combiner, '{"format": "semrel-combiner", "version": 1, "w_C": 1.0, "t": 0.5}',
+     "combiner file lacks the 'w_L' field"),
+])
+def test_a_missing_or_mistyped_field_is_named_by_read_document(tmp_path, reader, text, message):
+    target = tmp_path / "doc.json"
+    target.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        reader(target)
+    assert str(caught.value) == f"{target}: {message}"
+
+
+def test_read_document_turns_a_key_or_type_error_of_any_kind_into_a_data_error():
+    text = '{"format": "semrel-test", "version": 1, "n": [1]}'
+    with pytest.raises(DataError, match="^test file lacks the 'm' field$"):
+        with read_document(io.StringIO(text), "semrel-test", 1, "test") as doc:
+            doc["m"]
+    with pytest.raises(DataError, match="^test file has a field of the wrong type$"):
+        with read_document(io.StringIO(text), "semrel-test", 1, "test") as doc:
+            doc["n"]["k"]

@@ -17,7 +17,7 @@ import copy
 from semrel.corpus import DependencyPath, PathEdge, PathIndex
 from semrel.errors import DataError
 from semrel.pairs import PairRecord
-from semrel.path_encoder import ComponentEmbeddings, average_paths_with_cache
+from semrel.path_encoder import ComponentEmbeddings, average_paths_with_cache, encoder_arrays
 from semrel.pipeline import syn_heuristic
 from semrel.relation_model import (
     MODEL_FORMAT,
@@ -508,6 +508,25 @@ def test_save_load_keeps_trainable_word_vectors():
     assert loaded.word_vectors.index == model.word_vectors.index
 
 
+@pytest.mark.parametrize("hidden_layers", [0, 1])
+def test_the_step_components_keep_their_names_and_order(hidden_layers):
+    """lemma, pos, deprel, direction: the columns of a step input, the keys of
+    a model file's edge vocabulary, and the first arrays of the encoder and of
+    a gradient record."""
+    table, _, examples, params = tiny_setup(hidden_layers=hidden_layers, train_word_vectors=True)
+    components = ["lemma", "pos", "deprel", "direction"]
+    buf = io.StringIO()
+    save_model(params, buf)
+    assert list(json.loads(buf.getvalue())["edge_vocab"]) == components
+    encoder = encoder_arrays(params.vocab, params.rec)
+    assert list(encoder) == [*components, "w_in", "w_rec", "bias"]
+    assert all(encoder[name] is getattr(params.vocab, name).matrix for name in components)
+    assert params.vocab.components() == tuple(getattr(params.vocab, name) for name in components)
+    _, grads = loss_and_gradients(examples[0], params, table)
+    assert list(vars(grads)) == [*encoder, "w1", "b1", *(["w2", "b2"] * hidden_layers),
+                                 "word_vectors"]
+
+
 def test_load_rejects_wrong_format_and_version():
     with pytest.raises(DataError):
         load_model(io.StringIO('{"format": "something-else"}'))
@@ -618,6 +637,28 @@ def test_load_rejects_a_non_finite_number():
     doc["recurrent"]["w_rec"][0][0] = float("inf")
     with pytest.raises(DataError, match=r"recurrent\.w_rec holds a non-finite number"):
         load_model(io.StringIO(json.dumps(doc)))
+
+
+# Each edit keeps the number of tokens, so the matrix still has the shape
+# they give it; only the token rule can refuse the file.
+@pytest.mark.parametrize("field", ["edge_vocab.lemma", "word_vectors"])
+@pytest.mark.parametrize("edit", [
+    lambda tokens: [tokens[0], *tokens[:-1]],  # the first token twice
+    lambda tokens: "abcdefghij"[:len(tokens)],  # a string, not a list
+    lambda tokens: list(range(len(tokens))),  # integers
+], ids=["repeated", "string", "integers"])
+def test_load_requires_a_list_of_distinct_string_tokens(tmp_path, field, edit):
+    doc = full_model_doc()
+    section = doc
+    for key in field.split("."):
+        section = section[key]
+    section["tokens"] = edit(section["tokens"])
+    target = tmp_path / "model.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        load_model(target)
+    assert str(caught.value) == (
+        f"{target}: model field {field}.tokens is not a list of distinct strings")
 
 
 def train_to_divergence():
