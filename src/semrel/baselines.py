@@ -109,7 +109,7 @@ def baseline_classify(
     y: str,
     negative_label: str,
 ) -> str:
-    """The pipeline's gate with the cosine alone, then the linear classifier."""
+    """The pipeline's gate with the cosine alone (its ``t`` in [0, 1]), then the linear classifier."""
     if not predict_related(CombinerConfig(1.0, 0.0, threshold), table, [(x, y)])[0]:
         return negative_label
     return predict_linear(model, table, x, y)

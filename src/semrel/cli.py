@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -376,7 +377,7 @@ def _cmd_evaluate(args) -> int:
             if candidate in gold_labels:
                 exclude = (candidate,)
                 break
-    with naming(args.pairs):  # every label of the gold file may be excluded
+    with nullcontext() if args.exclude else naming(args.pairs):  # --exclude is no file's fault
         report = scores([r.label for r in gold], [r.label for r in pred], average=args.average,
                         exclude=exclude)
     text = report_tsv(report)

@@ -179,8 +179,6 @@ def load_combiner(source) -> CombinerConfig:
     with read_document(source, COMBINER_FORMAT, COMBINER_VERSION, "combiner") as doc:
         try:
             return CombinerConfig(*(_number(doc, key) for key in ("w_C", "w_L", "t")))
-        except KeyError as exc:
-            raise DataError(f"combiner file lacks the {exc.args[0]!r} field") from None
         except ValueError as exc:
             raise DataError(f"combiner file has a bad value: {exc}") from None
 

@@ -486,10 +486,12 @@ def load_model(source) -> ModelParams:
 
 def _params_from_doc(doc: dict) -> ModelParams:
     vocab_doc = doc["edge_vocab"]
-    vocab = EdgeVocab(**{
-        name: ComponentEmbeddings(*_vocabulary(vocab_doc[name], f"edge_vocab.{name}", 1,
-                                               vocab_doc[name]["width"]))
-        for name in STEP_COMPONENTS})
+    components = {}
+    for name in STEP_COMPONENTS:
+        comp_doc = vocab_doc[name]
+        components[name] = ComponentEmbeddings(
+            *_vocabulary(comp_doc, f"edge_vocab.{name}", 1, comp_doc["width"]))
+    vocab = EdgeVocab(**components)
     label_set = tuple(doc["label_set"])
     if not all(isinstance(label, str) for label in label_set):
         raise DataError("model field label_set holds a label that is not a string")

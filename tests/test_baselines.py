@@ -87,3 +87,6 @@ def test_baseline_gate_and_classifier():
     model = train_linear(train_recs, table, epochs=2, seed=0, label_set=("ANT", "SYN"))
     assert baseline_classify(model, table, 0.8, "u1", "u2", "RANDOM") == "RANDOM"
     assert baseline_classify(model, table, 0.8, "r1", "r2", "RANDOM") == "SYN"
+    for threshold in (-0.1, 1.1):  # a combiner's t, so it lies in [0, 1]
+        with pytest.raises(ValueError, match="t must lie in"):
+            baseline_classify(model, table, threshold, "r1", "r2", "RANDOM")

@@ -1091,19 +1091,22 @@ def test_evaluate_names_the_file_of_a_count_alignment_or_empty_fault(tmp_path, c
     assert capsys.readouterr() == ("", f"error: {tmp_path / blamed}: {message}\n")
 
 
-@pytest.mark.parametrize("labels, flags, excluded", [
-    (("RANDOM", "RANDOM"), (), "RANDOM"),
-    (("HYPER", "SYN"), ("--exclude", "SYN", "--exclude", "HYPER"), "HYPER, SYN"),
+@pytest.mark.parametrize("labels, flags, names_gold, excluded", [
+    (("RANDOM", "RANDOM"), (), True, "RANDOM"),
+    (("HYPER", "SYN"), ("--exclude", "SYN", "--exclude", "HYPER"), False, "HYPER, SYN"),
 ])
-def test_evaluate_names_the_gold_file_and_the_labels_when_every_label_is_excluded(
-        tmp_path, capsys, labels, flags, excluded):
+def test_evaluate_names_the_labels_and_only_an_auto_excluded_gold_file_when_every_label_is_excluded(
+        tmp_path, capsys, labels, flags, names_gold, excluded):
+    """The gold file is at fault when auto-exclusion leaves it no label to
+    score; when --exclude does it, the flags are, and no file is named."""
     gold, pred = labels
     (tmp_path / "gold.tsv").write_text(f"a\tb\t{gold}\n")
     (tmp_path / "pred.tsv").write_text(f"a\tb\t{pred}\n")
     assert run("evaluate", "--pairs", tmp_path / "gold.tsv",
                "--predictions", tmp_path / "pred.tsv", *flags) == 2
+    prefix = f"{tmp_path / 'gold.tsv'}: " if names_gold else ""
     assert capsys.readouterr() == (
-        "", f"error: {tmp_path / 'gold.tsv'}: all labels were excluded from scoring: {excluded}\n")
+        "", f"error: {prefix}all labels were excluded from scoring: {excluded}\n")
 
 
 def test_evaluate_scores_relatedness_predictions_as_tune_does(micro, capsys):
