@@ -1,5 +1,7 @@
 """Semantic relation classification from dependency paths and word embeddings."""
 
+from types import ModuleType as _ModuleType
+
 from .corpus import (
     DependencyPath,
     PathEdge,
@@ -47,47 +49,6 @@ from .relation_model import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CombinerConfig",
-    "DataError",
-    "DependencyPath",
-    "EmbeddingTable",
-    "ModelParams",
-    "NEGATIVE_LABEL",
-    "PairRecord",
-    "ParseError",
-    "PathEdge",
-    "PathIndex",
-    "PipelineConfig",
-    "RELATEDNESS_PRESET",
-    "RELATED_LABELS",
-    "RELATIONS_PRESET",
-    "RELATION_LABELS",
-    "SentenceGraph",
-    "TrainConfig",
-    "binary_f1",
-    "build_path_index",
-    "confusion",
-    "extract_paths",
-    "iter_conll",
-    "lexical_split",
-    "load_combiner",
-    "load_index",
-    "load_model",
-    "load_table",
-    "pair_distribution",
-    "parse_conll",
-    "path_from_text",
-    "path_to_text",
-    "predict_pairs",
-    "predict_related",
-    "read_pairs",
-    "relatedness_scores",
-    "save_combiner",
-    "save_index",
-    "save_model",
-    "scores",
-    "train",
-    "tune_combiner",
-    "write_pairs",
-]
+# Every name imported above that is not a module, so that each public name is written once.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -21,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DataError
-from .pairs import PairRecord, check_labels
+from .pairs import PairRecord, checked_label_set
 from .relatedness import CombinerConfig, predict_related
 
 VECTOR_COMBINATIONS = ("concat", "diff", "asym")
@@ -70,12 +69,9 @@ def train_linear(
     label_set: Sequence[str] | None = None,
 ) -> LinearModel:
     """One-vs-rest hinge loss by per-example subgradient descent."""
-    if not records:
-        raise DataError("training set is empty")
+    labels = checked_label_set(records, label_set, "training set")
     if method not in VECTOR_COMBINATIONS:
         raise ValueError(f"method must be one of {VECTOR_COMBINATIONS}")
-    labels = tuple(label_set) if label_set is not None else tuple(sorted({r.label for r in records}))
-    check_labels(records, labels, "training set")
     features = features_for_pairs(records, table, method)
     gold = np.array([labels.index(r.label) for r in records])
     n_labels = len(labels)

@@ -230,7 +230,8 @@ def _cmd_extract_paths(args) -> int:
         index = build_path_index(counted(iter_conll(fh)), [(r.x, r.y) for r in records],
                                  args.max_edges)
     save_index(index, args.output)
-    print(f"indexed {n_sentences} sentences; paths found for {len(index)} of {len(records)} pairs")
+    with_paths = sum(1 for r in records if index.get(r.x, r.y))  # a repeated pair counts each time
+    print(f"indexed {n_sentences} sentences; paths found for {with_paths} of {len(records)} pairs")
     return 0
 
 
@@ -296,13 +297,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    if not args.cosine_only and not (args.model and args.index):
+        raise _UsageError("--model and --index are required unless --cosine-only is given")
     _check_output_dir(args.output)
     records = _read_labelled(args.pairs, _TO_RELATEDNESS, "tuning set")
     table = load_table(args.embeddings, _pair_words(records))
     params = index = None
     if not args.cosine_only:
-        if not args.model or not args.index:
-            raise _UsageError("--model and --index are required unless --cosine-only is given")
         index = load_index(args.index)
         params = _load_model_for(args.model, RELATEDNESS_LABELS, table)
     with naming(args.pairs):  # the tuning set may be empty or lack a class
@@ -313,22 +314,22 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.task == "relations" and not args.relation_model:
+        raise _UsageError("--task relations requires --relation-model")
     _check_output_dir(args.output)
+    combiner = load_combiner(args.combiner)
+    if combiner.w_l != 0.0 and not args.relatedness_model:
+        raise _UsageError("this combiner has w_L > 0; pass --relatedness-model")
     records = read_pairs(args.pairs, require_label=False)
     table = load_table(args.embeddings, _pair_words(records))
     index = load_index(args.index)
-    combiner = load_combiner(args.combiner)
     relatedness_params = (_load_model_for(args.relatedness_model, RELATEDNESS_LABELS, table)
                           if args.relatedness_model else None)
-    if combiner.w_l != 0.0 and relatedness_params is None:
-        raise _UsageError("this combiner has w_L > 0; pass --relatedness-model")
     if args.task == "relatedness":
         related = predict_related(combiner, table, [(r.x, r.y) for r in records],
                                   relatedness_params, index)
         labels = [RELATED if flag else UNRELATED for flag in related]
     else:
-        if not args.relation_model:
-            raise _UsageError("--task relations requires --relation-model")
         relation_params = _load_model_for(args.relation_model, RELATED_LABELS, table)
         config = PipelineConfig(
             combiner=combiner,

@@ -67,7 +67,7 @@ def scores(
     gold: Sequence[str],
     pred: Sequence[str],
     labels: Sequence[str] | None = None,
-    average: str = "weighted",
+    average: str = AVERAGES[0],
     exclude: Sequence[str] = (),
 ) -> ScoreReport:
     """Per-label precision/recall/F1 plus a weighted or macro average.

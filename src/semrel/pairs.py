@@ -68,3 +68,14 @@ def check_labels(records: Sequence[PairRecord], allowed: Iterable[str], context:
     bad = sorted({r.label for r in records} - set(allowed))
     if bad:
         raise DataError(f"invalid labels in {context}: {excerpt(', '.join(bad))}")
+
+
+def checked_label_set(records: Sequence[PairRecord], label_set: Iterable[str] | None,
+                      context: str) -> tuple[str, ...]:
+    """``label_set`` as a tuple, by default the records' sorted labels; no
+    records, or a label outside the set, raises DataError naming ``context``."""
+    if not records:
+        raise DataError(f"{context} is empty")
+    labels = tuple(label_set) if label_set is not None else tuple(sorted({r.label for r in records}))
+    check_labels(records, labels, context)
+    return labels

@@ -49,10 +49,6 @@ class ComponentEmbeddings:
     def row(self, token: str) -> int:
         return self.index.get(token, 0)
 
-    def tokens(self) -> list[str]:
-        """Tokens ordered by their row number."""
-        return [tok for tok, _ in sorted(self.index.items(), key=lambda kv: kv[1])]
-
 
 # The step components, as PathEdge and EdgeVocab name them, in step-input and model-file order.
 STEP_COMPONENTS = ("lemma", "pos", "deprel", "direction")
@@ -101,6 +97,11 @@ class RecurrentParams:
         return self.w_rec.shape[1]
 
 
+def init_uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """A new array of ``shape``, drawn uniformly from [-INIT_SCALE, INIT_SCALE]."""
+    return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+
+
 def init_component(
     tokens: Iterable[str],
     width: int,
@@ -110,7 +111,7 @@ def init_component(
     """Rows drawn uniformly from [-0.1, 0.1]; a token that ``seed_table``
     holds takes its table row instead when the widths agree."""
     ordered = sorted(set(tokens))
-    matrix = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(len(ordered) + 1, width))
+    matrix = init_uniform(rng, len(ordered) + 1, width)
     index = {token: row for row, token in enumerate(ordered, start=1)}
     if seed_table is not None and seed_table.dimension == width:
         for token, row in index.items():
@@ -154,9 +155,9 @@ def build_edge_vocab(
 def init_recurrent(input_width: int, hidden_size: int, rng: np.random.Generator) -> RecurrentParams:
     rows = 4 * hidden_size
     return RecurrentParams(
-        w_in=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(rows, input_width)),
-        w_rec=rng.uniform(-INIT_SCALE, INIT_SCALE, size=(rows, hidden_size)),
-        bias=rng.uniform(-INIT_SCALE, INIT_SCALE, size=rows),
+        w_in=init_uniform(rng, rows, input_width),
+        w_rec=init_uniform(rng, rows, hidden_size),
+        bias=init_uniform(rng, rows),
     )
 
 

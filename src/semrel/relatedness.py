@@ -23,7 +23,7 @@ from .corpus import PathIndex
 from .embeddings import EmbeddingTable
 from .errors import DataError
 from .evaluation import binary_f1
-from .pairs import PairRecord, RELATED, RELATEDNESS_LABELS, check_labels
+from .pairs import PairRecord, RELATED, RELATEDNESS_LABELS, checked_label_set
 from .relation_model import ModelParams, pair_distribution
 
 COMBINER_FORMAT = "semrel-combiner"
@@ -134,9 +134,7 @@ def tune_combiner(
     grid point is scored with the w_L it would save, as ``predict_related``
     scores it. Returns the winning configuration with its validation F1.
     """
-    if not val:
-        raise DataError("validation set is empty")
-    check_labels(val, RELATEDNESS_LABELS, "validation set")
+    checked_label_set(val, RELATEDNESS_LABELS, "validation set")
     gold = np.array([r.label == RELATED for r in val])
     if gold.all() or not gold.any():
         raise DataError("validation set must contain both RELATED and UNRELATED pairs")

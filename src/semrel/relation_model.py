@@ -29,10 +29,9 @@ from ._io import excerpt, read_document, write_document
 from .corpus import DependencyPath, PathIndex
 from .embeddings import EmbeddingTable
 from .errors import DataError
-from .pairs import PairRecord, check_labels
+from .pairs import PairRecord, checked_label_set
 from .path_encoder import (
     AVERAGE_MODES,
-    INIT_SCALE,
     STEP_COMPONENTS,
     WEIGHTED,
     CompiledPaths,
@@ -46,6 +45,7 @@ from .path_encoder import (
     compile_paths,
     encoder_arrays,
     init_recurrent,
+    init_uniform,
 )
 
 MODEL_FORMAT = "semrel-relation-model"
@@ -89,8 +89,8 @@ class TrainConfig:
 
 
 # Epoch presets for the two tasks; other fields keep their defaults.
-RELATEDNESS_PRESET = TrainConfig(hidden_layers=0, word_dropout_rate=0.0, epochs=3)
-RELATIONS_PRESET = TrainConfig(hidden_layers=0, word_dropout_rate=0.0, epochs=5)
+RELATEDNESS_PRESET = TrainConfig(epochs=3)
+RELATIONS_PRESET = TrainConfig(epochs=5)
 
 
 @dataclass
@@ -324,16 +324,13 @@ def init_params(
     rec = init_recurrent(vocab.input_width, config.hidden_dim, rng)
     n_features = 2 * word_dim + config.hidden_dim
     n_labels = len(label_set)
+    width = config.mlp_hidden_dim if config.hidden_layers == 1 else n_labels
+    w1 = init_uniform(rng, width, n_features)
+    b1 = init_uniform(rng, width)
+    w2 = b2 = None
     if config.hidden_layers == 1:
-        w1 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(config.mlp_hidden_dim, n_features))
-        b1 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=config.mlp_hidden_dim)
-        w2 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(n_labels, config.mlp_hidden_dim))
-        b2 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=n_labels)
-    else:
-        w1 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(n_labels, n_features))
-        b1 = rng.uniform(-INIT_SCALE, INIT_SCALE, size=n_labels)
-        w2 = None
-        b2 = None
+        w2 = init_uniform(rng, n_labels, width)
+        b2 = init_uniform(rng, n_labels)
     word_vectors = None
     if config.train_word_vectors:
         tokens = sorted({t.lower() for pair in pairs for t in pair})
@@ -370,10 +367,7 @@ def train(
     not empty, the model scores it after each epoch and ``on_epoch`` receives
     the epoch number and the validation accuracy.
     """
-    if not trainset:
-        raise DataError("training set is empty")
-    labels = tuple(label_set) if label_set is not None else tuple(sorted({r.label for r in trainset}))
-    check_labels(trainset, labels, "training set")
+    labels = checked_label_set(trainset, label_set, "training set")
     rng = np.random.default_rng(config.seed)
     params = init_params(config, [(r.x, r.y) for r in trainset], index, table, labels, rng)
     examples = [compile_example(params, r.x, r.y, index.get(r.x, r.y), r.label)
@@ -393,10 +387,6 @@ def train(
                 hits = sum(params.label_set[k] == r.label for k, r in zip(dist.argmax(axis=1), val))
                 on_epoch(epoch + 1, hits / len(val))
     return params
-
-
-def _component_doc(comp: ComponentEmbeddings) -> dict:
-    return {"width": comp.width, "tokens": comp.tokens(), "matrix": comp.matrix}
 
 
 def _array(value, field: str, *shape: int | None) -> np.ndarray:
@@ -434,6 +424,12 @@ def _vocabulary(doc: dict, field: str, first_row: int, width) -> tuple[dict[str,
     return {tok: row for row, tok in enumerate(tokens, start=first_row)}, matrix
 
 
+def _vocabulary_doc(index: dict[str, int], matrix: np.ndarray, **fields) -> dict:
+    """``fields``, then the ``tokens``/``matrix`` pair that ``_vocabulary``
+    reads back: the tokens in the order of their rows."""
+    return {**fields, "tokens": sorted(index, key=index.get), "matrix": matrix}
+
+
 def save_model(params: ModelParams, destination) -> None:
     """Write the model as a versioned JSON document.
 
@@ -450,7 +446,7 @@ def save_model(params: ModelParams, destination) -> None:
         "word_dim": params.word_dim,
         "path_average": params.path_average,
         "seed": params.seed,
-        "edge_vocab": {name: _component_doc(comp)
+        "edge_vocab": {name: _vocabulary_doc(comp.index, comp.matrix, width=comp.width)
                        for name, comp in zip(STEP_COMPONENTS, params.vocab.components())},
         "recurrent": {
             "w_in": params.rec.w_in,
@@ -465,10 +461,7 @@ def save_model(params: ModelParams, destination) -> None:
         },
         "word_vectors": None
         if params.word_vectors is None
-        else {
-            "tokens": sorted(params.word_vectors.index, key=params.word_vectors.index.get),
-            "matrix": params.word_vectors.matrix,
-        },
+        else _vocabulary_doc(params.word_vectors.index, params.word_vectors.matrix),
     }
     write_document(destination, doc)
 

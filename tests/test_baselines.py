@@ -75,6 +75,12 @@ def test_training_input_validation():
         train_linear(records, table, label_set=("RIGHT",))
 
 
+def test_the_label_set_is_checked_before_the_method():
+    table, records = separable_world(n_per_class=2)
+    with pytest.raises(DataError, match="invalid labels in training set: LEFT"):
+        train_linear(records, table, method="sum", label_set=("RIGHT",))
+
+
 # ---------------------------------------------------- gate and pipeline
 
 

@@ -16,6 +16,7 @@ from semrel.cli import main
 from semrel.corpus import build_path_index, load_index, parse_conll
 from semrel.embeddings import load_table
 from semrel.pairs import RELATED_LABELS, RELATION_LABELS, read_pairs
+from semrel.relatedness import CombinerConfig, save_combiner
 from semrel.relation_model import RELATIONS_PRESET, load_model, pair_distribution, save_model, train
 
 HYPER_SENT = conll_text([
@@ -87,6 +88,20 @@ def test_extract_paths_matches_api(micro, capsys):
     )
     assert load_index(out) == expected
     assert "paths found for 3 of 5 pairs" in capsys.readouterr().out
+
+
+def test_extract_paths_counts_each_pair_line_that_has_a_path(tmp_path, capsys):
+    """A repeated pair, in any case, counts once per line, as the pairs do."""
+    corpus = tmp_path / "corpus.conll"
+    corpus.write_text(conll_text([
+        ("The", "the", "DET", 2, "det"), ("cat", "cat", "NOUN", 3, "nsubj"),
+        ("chased", "chase", "VERB", 0, "root"), ("mice", "mouse", "NOUN", 3, "obj"),
+    ]))
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("cat\tmouse\nCat\tmouse\ncat\tmouse\ndog\tbone\n")
+    assert run("extract-paths", "--corpus", corpus, "--pairs", pairs,
+               "--output", tmp_path / "index.tsv") == 0
+    assert capsys.readouterr() == ("indexed 1 sentences; paths found for 3 of 4 pairs\n", "")
 
 
 def test_full_workflow(micro, capsys):
@@ -201,7 +216,7 @@ def test_train_writes_the_model_that_the_whole_table_trains(micro, capsys):
     printed = [line.rsplit(" ", 1)[1] for line in capsys.readouterr().out.splitlines()
                if line.startswith("epoch")]
     assert printed == accuracies and len(printed) == 2
-    assert {"kind", "part"} <= set(params.vocab.lemma.tokens())
+    assert {"kind", "part"} <= params.vocab.lemma.index.keys()
 
 
 def test_train_val_prints_validation_accuracy_per_epoch(micro, capsys):
@@ -275,6 +290,16 @@ def test_config_file_problems_are_usage_errors(micro, capsys):
         err = capsys.readouterr().err
         assert code == 1, text
         assert err.startswith(f"usage error: {message}") and err.count("\n") == 1, err
+
+
+def test_a_config_file_that_cannot_be_read_is_a_usage_error(micro, capsys):
+    d = micro["dir"]
+    code = run("train", "--task", "relatedness", "--pairs", micro["pairs"],
+               "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
+               "--model", d / "rel.json", "--config", d / "missing.cfg")
+    assert code == 1
+    assert capsys.readouterr() == ("", "usage error: cannot read config file: [Errno 2] "
+                                       f"No such file or directory: '{d / 'missing.cfg'}'\n")
 
 
 # The nine training flags, a value for each that no preset holds, and the
@@ -715,6 +740,42 @@ def test_relations_predict_requires_relation_model(micro, capsys):
     assert "relation-model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["tune", "predict relations", "predict w_L"])
+def test_a_missing_flag_combination_is_reported_before_any_input_is_read(micro, capsys, case):
+    """The pairs file is malformed and the other inputs missing or malformed,
+    yet the usage error comes first; only the combiner is read before it, as
+    its w_L decides whether --relatedness-model is needed."""
+    d = micro["dir"]
+    bad = d / "bad.tsv"
+    bad.write_text("only-one-column\n")
+    save_combiner(CombinerConfig(0.5, 0.5, 0.5), d / "combiner.json")
+    data = ["--pairs", bad, "--embeddings", bad]
+    argv, message = {
+        "tune": (("tune", *data, "--model", d / "missing.json", "--output", d / "out.json"),
+                 "--model and --index are required unless --cosine-only is given"),
+        "predict relations": (("predict", "--task", "relations", *data, "--index", bad,
+                               "--combiner", d / "missing.json", "--output", d / "out.tsv"),
+                              "--task relations requires --relation-model"),
+        "predict w_L": (("predict", "--task", "relatedness", *data, "--index", bad,
+                         "--combiner", d / "combiner.json", "--output", d / "out.tsv"),
+                        "this combiner has w_L > 0; pass --relatedness-model"),
+    }[case]
+    assert run(*argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
+def test_predict_reports_a_malformed_combiner_before_a_malformed_pairs_file(micro, capsys):
+    d = micro["dir"]
+    bad = d / "bad.tsv"
+    bad.write_text("only-one-column\n")
+    (d / "combiner.json").write_text("{")
+    assert run("predict", "--task", "relatedness", "--pairs", bad, "--index", d / "missing.tsv",
+               "--embeddings", bad, "--combiner", d / "combiner.json",
+               "--output", d / "out.tsv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {d / 'combiner.json'}: ") and err.count("\n") == 1, err
+
+
 def test_missing_file_exits_two(micro, capsys):
     code = run("extract-paths", "--corpus", micro["dir"] / "nope.conll",
                "--pairs", micro["pairs"], "--output", micro["dir"] / "index.tsv")
@@ -1107,6 +1168,20 @@ def test_evaluate_names_the_labels_and_only_an_auto_excluded_gold_file_when_ever
     prefix = f"{tmp_path / 'gold.tsv'}: " if names_gold else ""
     assert capsys.readouterr() == (
         "", f"error: {prefix}all labels were excluded from scoring: {excluded}\n")
+
+
+def test_evaluate_no_auto_exclude_keeps_the_negative_class_in_the_rows_and_the_average(
+        tmp_path, capsys):
+    (tmp_path / "gold.tsv").write_text("a\tb\tHYPER\nc\td\tRANDOM\n")
+    (tmp_path / "pred.tsv").write_text("a\tb\tHYPER\nc\td\tHYPER\n")
+    argv = ("evaluate", "--pairs", tmp_path / "gold.tsv", "--predictions", tmp_path / "pred.tsv")
+    header = "label\tprecision\trecall\tf1\tsupport\n"
+    hyper = "HYPER\t0.500000\t1.000000\t0.666667\t1\n"
+    assert run(*argv) == 0
+    assert capsys.readouterr().out == header + hyper + "weighted\t0.500000\t1.000000\t0.666667\t1\n"
+    assert run(*argv, "--no-auto-exclude") == 0
+    assert capsys.readouterr().out == (header + hyper + "RANDOM\t0.000000\t0.000000\t0.000000\t1\n"
+                                       "weighted\t0.250000\t0.500000\t0.333333\t2\n")
 
 
 def test_evaluate_scores_relatedness_predictions_as_tune_does(micro, capsys):

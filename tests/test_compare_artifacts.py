@@ -1,6 +1,7 @@
 """tools/compare_artifacts.py: the comparison of two JSON documents behind its
-"0 differ" and its largest numeric difference, and the masking of each side's
-output directory in what the commands print."""
+"0 differ" and its largest numeric difference, the masking of each side's
+output directory in what the commands print, and the count of each side's
+source lines."""
 
 import importlib.util
 from pathlib import Path
@@ -13,6 +14,7 @@ compare_artifacts = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_artifacts)
 largest_difference = compare_artifacts.largest_difference
 masked_output = compare_artifacts.masked_output
+line_count = compare_artifacts.line_count
 
 MODEL = {"format": "m", "w": [[0.5, -1.0], [2.0, 3.0]], "meta": {"seed": 7, "tokens": ["a"]},
          "w2": None, "flag": True}
@@ -53,3 +55,13 @@ def test_each_sides_output_directory_is_masked_and_the_rest_of_the_text_kept():
         "trained relations model on 4 pairs (5 epochs, seed 7) -> <out>/relations.json\n"
         "read /w/acc-1/world/val.tsv; wrote 3 predictions -> <out>/pred.tsv\n")
     assert masked_output(printed(parent), parent) != masked_output(printed(parent), change)
+
+
+def test_the_line_count_counts_the_newlines_of_the_package_modules_only(tmp_path):
+    package = tmp_path / "semrel"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline, which wc -l does not count
+    (package / "notes.txt").write_text("not a module\n")
+    (package / "sub" / "c.py").write_text("in a subpackage\n")
+    assert line_count(tmp_path) == 3

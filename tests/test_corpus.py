@@ -330,6 +330,16 @@ def test_index_get_returns_a_copy():
     assert index.get("a", "b")[path] == 1
 
 
+def test_index_add_rejects_a_count_below_one_and_an_index_equals_only_an_index():
+    index = PathIndex()
+    path = DependencyPath((PathEdge("X", "N", "r", "root"),))
+    with pytest.raises(ValueError, match="count must be positive"):
+        index.add("a", "b", path, count=0)
+    assert len(index) == 0 and index == PathIndex()
+    assert (index == object()) is False
+    assert index.__eq__(object()) is NotImplemented
+
+
 INDEX_LEMMAS = ("cat", "Cat", "CAT", "dog", "Dog", "mouse", "tail")
 
 

@@ -7,6 +7,7 @@ from semrel.pairs import (
     PairRecord,
     RELATION_LABELS,
     check_labels,
+    checked_label_set,
     read_pairs,
     write_pairs,
 )
@@ -91,3 +92,14 @@ def test_check_labels_lists_every_offender():
 
 def test_check_labels_accepts_clean_data():
     check_labels([PairRecord("a", "b", "SYN")], RELATION_LABELS)
+
+
+def test_checked_label_set_defaults_to_the_sorted_labels_and_names_its_context():
+    records = [PairRecord("a", "b", "SYN"), PairRecord("c", "d", "ANT")]
+    assert checked_label_set(records, None, "training set") == ("ANT", "SYN")
+    fixed = ["SYN", "HYPER", "ANT"]
+    assert checked_label_set(records, fixed, "training set") == tuple(fixed)
+    with pytest.raises(DataError, match="^validation set is empty$"):
+        checked_label_set([], RELATION_LABELS, "validation set")
+    with pytest.raises(DataError, match="^invalid labels in training set: SYN$"):
+        checked_label_set(records, ("ANT",), "training set")

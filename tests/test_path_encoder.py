@@ -53,7 +53,7 @@ def test_init_component_is_deterministic():
     a = init_component(["b", "a"], 3, np.random.default_rng(1))
     b = init_component(["a", "b"], 3, np.random.default_rng(1))
     assert np.array_equal(a.matrix, b.matrix)
-    assert a.tokens() == ["a", "b"]
+    assert a.index == {"a": 1, "b": 2}  # row 0 is the unknown row
 
 
 def test_init_component_rows_within_scale():

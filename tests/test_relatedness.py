@@ -232,6 +232,12 @@ def test_tuning_rejects_foreign_labels():
         tune_combiner(bad, table, model, PathIndex())
 
 
+def test_tuning_with_a_model_requires_an_index():
+    table, val, model = tuning_world()
+    with pytest.raises(ValueError, match="tuning with a model requires a path index"):
+        tune_combiner(val, table, model, index=None)
+
+
 def test_imperfect_separation_still_picks_argmax_f1():
     # One related pair sits at the same score as the unrelated one, so no
     # threshold separates them. Predicting everything related gives

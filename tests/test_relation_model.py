@@ -100,6 +100,24 @@ def test_config_validation(bad):
         TrainConfig(**bad)
 
 
+def test_a_lemma_dim_below_one_is_rejected():
+    with pytest.raises(ValueError, match="lemma_dim must be positive"):
+        TrainConfig(lemma_dim=0)
+
+
+@pytest.mark.parametrize("hidden_layers", [0, 1])
+def test_each_initial_array_is_the_next_uniform_draw_of_its_shape(hidden_layers):
+    """The seed's rng draws the edge components, the recurrent unit and the
+    classifier in ``trainable_arrays`` order, each from [-0.1, 0.1]; no lemma
+    row is seeded, since lemma_dim differs from the table's width."""
+    _, _, _, params = tiny_setup(hidden_layers=hidden_layers, seed=7)
+    rng = np.random.default_rng(7)
+    arrays = trainable_arrays(params)
+    assert list(arrays)[-2:] == (["w2", "b2"] if hidden_layers else ["w1", "b1"])
+    for name, array in arrays.items():
+        assert np.array_equal(array, rng.uniform(-0.1, 0.1, size=array.shape)), name
+
+
 # --------------------------------------------------------------- forward
 
 

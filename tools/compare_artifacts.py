@@ -24,6 +24,8 @@ each command's peak resident memory on both sides, read from the command's
 own rusage as bench/run.py reads it, so one run shows both whether the
 artifacts match and where memory moved. All commands run before any artifact
 is compared, so that this process stays as lean as bench/run.py's runner.
+Before the summary, one line gives the physical lines of each side's
+semrel/*.py as ``wc -l`` counts them.
 
 Nothing under bench/ is written; worlds and outputs go to a temporary
 directory that is removed at the end.
@@ -82,6 +84,11 @@ def masked_output(text: str, out: Path) -> str:
 def _read_output(out: Path, stage: str) -> str | None:
     path = out / f"{stage}.stdout"
     return masked_output(path.read_text(encoding="utf-8"), out) if path.is_file() else None
+
+
+def line_count(src: Path) -> int:
+    """The physical lines of ``src``'s semrel/*.py, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "semrel").glob("*.py"))
 
 
 def _is_number(value) -> bool:
@@ -171,6 +178,8 @@ def main() -> int:
                 outputs_differ += 1
                 state = "missing" if a is None or b is None else "differs"
                 print(f"{workload} seed {seed}: output of {stage} {state}")
+    print(f"src/semrel lines: parent {line_count(sides['parent'])} -> "
+          f"change {line_count(sides['change'])}")
     print(f"{compared} artifacts compared, {differ} differ, "
           f"{same_content} of them with the same JSON content; "
           f"{outputs_compared} command outputs compared, {outputs_differ} differ")
