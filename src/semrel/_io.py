@@ -155,7 +155,7 @@ def read_document(source, fmt: str, version: int, kind: str):
             raise ParseError(f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict) or doc.get("format") != fmt:
             raise DataError(f"not a {kind} file")
-        if doc.get("version") != version:
+        if type(doc.get("version")) is not int or doc["version"] != version:
             raise DataError(f"unsupported {kind} version {excerpt(repr(doc.get('version')))}")
         try:
             yield doc

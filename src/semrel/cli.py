@@ -356,6 +356,9 @@ def _cmd_evaluate(args) -> int:
             else read_pairs(args.pairs))
     if not gold:
         raise DataError(f"{args.pairs}: no pairs to score")
+    # Either model's labels may be predicted, or excluded, where the gold file lacks them; any
+    # other label would be scored as a class that nothing belongs to, or excluded to no effect.
+    labels = {r.label for r in gold}.union(RELATION_LABELS, RELATEDNESS_LABELS)
     with naming(args.predictions):
         if len(gold) != len(pred):
             raise DataError(f"gold file has {len(gold)} pairs but predictions file has {len(pred)}")
@@ -363,12 +366,10 @@ def _cmd_evaluate(args) -> int:
             if (g.x, g.y) != (p.x, p.y):
                 raise DataError(f"pair {position} differs: gold ({excerpt(g.x)}, {excerpt(g.y)}) "
                                 f"vs prediction ({excerpt(p.x)}, {excerpt(p.y)})")
-        # Either model's labels may be predicted where the gold file lacks them; any other
-        # label that the gold file lacks would be scored as a class that nothing belongs to.
-        check_labels(pred, {r.label for r in gold}.union(RELATION_LABELS, RELATEDNESS_LABELS),
-                     "predictions")
+        check_labels(pred, labels, "predictions")
     if args.exclude:
         exclude = tuple(args.exclude)
+        check_labels([PairRecord("", "", label) for label in exclude], labels, "--exclude")
     elif args.no_auto_exclude:
         exclude = ()
     else:

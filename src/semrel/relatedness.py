@@ -183,6 +183,8 @@ def load_combiner(source) -> CombinerConfig:
 
 def _number(doc: dict, key: str) -> float:
     try:
+        if type(doc[key]) not in (int, float):  # a JSON number: not a string or a boolean
+            raise TypeError
         return float(doc[key])
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise ValueError(f"{key} {excerpt(repr(doc[key]))} is not a number") from None

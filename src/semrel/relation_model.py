@@ -407,19 +407,22 @@ def _array(value, field: str, *shape: int | None) -> np.ndarray:
 
 
 def _int(value, field: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DataError(f"model field {field} is not an integer: {excerpt(repr(value))}") from None
+    if type(value) is not int:  # a JSON integer: not a string, a float or a boolean
+        raise DataError(f"model field {field} is not an integer: {excerpt(repr(value))}")
+    return value
+
+
+def _distinct_strings(value, field: str) -> list[str]:
+    if not (isinstance(value, list) and all(isinstance(item, str) for item in value)
+            and len(set(value)) == len(value)):
+        raise DataError(f"model field {field} is not a list of distinct strings")
+    return value
 
 
 def _vocabulary(doc: dict, field: str, first_row: int, width) -> tuple[dict[str, int], np.ndarray]:
     """The index and matrix of a ``tokens``/``matrix`` pair whose distinct
     string tokens own the rows from ``first_row`` on, else a DataError."""
-    tokens = doc["tokens"]
-    if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)
-            and len(set(tokens)) == len(tokens)):
-        raise DataError(f"model field {field}.tokens is not a list of distinct strings")
+    tokens = _distinct_strings(doc["tokens"], f"{field}.tokens")
     matrix = _array(doc["matrix"], f"{field}.matrix", first_row + len(tokens), width)
     return {tok: row for row, tok in enumerate(tokens, start=first_row)}, matrix
 
@@ -481,13 +484,11 @@ def _params_from_doc(doc: dict) -> ModelParams:
     vocab_doc = doc["edge_vocab"]
     components = {}
     for name in STEP_COMPONENTS:
-        comp_doc = vocab_doc[name]
+        comp_doc, field = vocab_doc[name], f"edge_vocab.{name}"
         components[name] = ComponentEmbeddings(
-            *_vocabulary(comp_doc, f"edge_vocab.{name}", 1, comp_doc["width"]))
+            *_vocabulary(comp_doc, field, 1, _int(comp_doc["width"], f"{field}.width")))
     vocab = EdgeVocab(**components)
-    label_set = tuple(doc["label_set"])
-    if not all(isinstance(label, str) for label in label_set):
-        raise DataError("model field label_set holds a label that is not a string")
+    label_set = tuple(_distinct_strings(doc["label_set"], "label_set"))
     word_dim = _int(doc["word_dim"], "word_dim")
     hidden = _int(doc["hidden_dim"], "hidden_dim")
     rec_doc = doc["recurrent"]
@@ -498,13 +499,14 @@ def _params_from_doc(doc: dict) -> ModelParams:
     )
     cls_doc = doc["classifier"]
     w2_doc, b2_doc = cls_doc["w2"], cls_doc["b2"]
-    if doc["hidden_layers"] != (0 if w2_doc is None else 1) or (w2_doc is None) != (b2_doc is None):
+    hidden_layers = _int(doc["hidden_layers"], "hidden_layers")
+    if hidden_layers != (0 if w2_doc is None else 1) or (w2_doc is None) != (b2_doc is None):
         raise DataError("hidden_layers field disagrees with the stored matrices")
     n_labels = len(label_set)
     w1 = _array(cls_doc["w1"], "classifier.w1", n_labels if w2_doc is None else None,
                 2 * word_dim + hidden)
     width = w1.shape[0]
-    wv_doc = doc.get("word_vectors")
+    wv_doc = doc["word_vectors"]
     word_vectors = (None if wv_doc is None
                     else TrainableWordVectors(*_vocabulary(wv_doc, "word_vectors", 0, word_dim)))
     params = ModelParams(
@@ -516,9 +518,9 @@ def _params_from_doc(doc: dict) -> ModelParams:
         b2=None if b2_doc is None else _array(b2_doc, "classifier.b2", n_labels),
         label_set=label_set,
         word_dim=word_dim,
-        path_average=doc.get("path_average", WEIGHTED),
+        path_average=doc["path_average"],
         word_vectors=word_vectors,
-        seed=doc.get("seed"),
+        seed=None if doc["seed"] is None else _int(doc["seed"], "seed"),
     )
     if params.path_average not in AVERAGE_MODES:
         raise DataError(f"unknown path_average mode {excerpt(repr(params.path_average))} in model file")

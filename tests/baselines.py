@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
-from .pairs import PairRecord, checked_label_set
-from .relatedness import CombinerConfig, predict_related
+from semrel.embeddings import EmbeddingTable
+from semrel.pairs import PairRecord, checked_label_set
+from semrel.relatedness import CombinerConfig, predict_related
 
 VECTOR_COMBINATIONS = ("concat", "diff", "asym")
 

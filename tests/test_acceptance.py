@@ -15,11 +15,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from baselines import baseline_classify, train_linear
 from helpers import constant_model, dense_gradients, parse_rows, random_table
 from oracles import bfs_path, central_difference, depth_directions, random_tree, rel_error
 from synthcorpus import generate_world
 
-from semrel.baselines import baseline_classify, train_linear
 from semrel.cli import main
 from semrel.corpus import (
     DependencyPath,

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from helpers import make_table
-from semrel.baselines import (
+from baselines import (
     baseline_classify,
     combine_vectors,
     features_for_pairs,

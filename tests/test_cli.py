@@ -1170,6 +1170,20 @@ def test_evaluate_names_the_labels_and_only_an_auto_excluded_gold_file_when_ever
         "", f"error: {prefix}all labels were excluded from scoring: {excluded}\n")
 
 
+def test_evaluate_refuses_an_exclude_label_outside_the_gold_and_model_labels(tmp_path, capsys):
+    """A misspelled --exclude label would leave the label it meant in the
+    rows and the average; like the all-excluded case, no file is named."""
+    (tmp_path / "gold.tsv").write_text("a\tb\tHYPER\nc\td\tRANDOM\ne\tf\tSYN\n")
+    (tmp_path / "pred.tsv").write_text("a\tb\tHYPER\nc\td\tSYN\ne\tf\tSYN\n")
+    argv = ("evaluate", "--pairs", tmp_path / "gold.tsv", "--predictions", tmp_path / "pred.tsv")
+    assert run(*argv, "--exclude", "RANDON") == 2
+    assert capsys.readouterr() == ("", "error: invalid labels in --exclude: RANDON\n")
+    assert run(*argv, "--exclude", "RANDOM") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "weighted\t0.750000\t1.000000\t0.833333\t2"
+    # A label of either model that the gold file lacks may be excluded too.
+    assert run(*argv, "--exclude", "RANDOM", "--exclude", "UNRELATED") == 0
+
+
 def test_evaluate_no_auto_exclude_keeps_the_negative_class_in_the_rows_and_the_average(
         tmp_path, capsys):
     (tmp_path / "gold.tsv").write_text("a\tb\tHYPER\nc\td\tRANDOM\n")
@@ -1315,3 +1329,36 @@ def test_module_entry_point():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "semrel" in result.stdout
+
+
+def test_the_workflow_loads_every_module_that_the_package_ships(micro):
+    """Each module under src/semrel but the entry point is one that the six
+    workflow commands load, so the package holds only what the commands run.
+    One process runs all six, so its modules are the union of theirs."""
+    d = micro["dir"]
+    data = ["--pairs", micro["pairs"], "--index", d / "index.tsv",
+            "--embeddings", micro["embeddings"]]
+    workflow = [
+        ["extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+         "--output", d / "index.tsv"],
+        ["train", "--task", "relatedness", *data, "--model", d / "rel.json", "--epochs", 2],
+        ["tune", *data, "--model", d / "rel.json", "--output", d / "combiner.json"],
+        ["train", "--task", "relations", *data, "--model", d / "four.json", "--epochs", 2],
+        ["predict", "--task", "relations", *data, "--combiner", d / "combiner.json",
+         "--relatedness-model", d / "rel.json", "--relation-model", d / "four.json",
+         "--output", d / "pred.tsv"],
+        ["evaluate", "--pairs", micro["pairs"], "--predictions", d / "pred.tsv"],
+    ]
+    script = ("import json, sys\nfrom semrel.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0, argv\n"
+              "print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([[str(a) for a in argv] for argv in workflow])],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(result.stdout.splitlines()[-1]))
+    shipped = {"semrel" if p.stem == "__init__" else f"semrel.{p.stem}"
+               for p in (ROOT / "src" / "semrel").glob("*.py") if p.stem != "__main__"}
+    assert sorted(shipped - loaded) == []

@@ -1,5 +1,6 @@
 """The README's library example runs against the package as it stands."""
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -18,3 +19,10 @@ def test_readme_import_block_runs():
 
 def test_every_public_name_resolves():
     assert [name for name in semrel.__all__ if not hasattr(semrel, name)] == []
+
+
+def test_every_module_that_the_readme_names_exists():
+    # Attributes such as `semrel.__all__` start with an underscore; modules with a letter.
+    names = re.findall(r"`(semrel\.[a-z]\w*)`", README.read_text(encoding="utf-8"))
+    assert names, "README.md names no `semrel.<module>`"
+    assert [name for name in names if importlib.util.find_spec(name) is None] == []

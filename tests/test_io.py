@@ -186,6 +186,10 @@ def test_the_index_reader_skips_and_keeps_the_tricky_lines(tmp_path):
      "relation model file has a field of the wrong type"),
     (load_combiner, '{"format": "semrel-combiner", "version": 1, "w_C": 1.0, "t": 0.5}',
      "combiner file lacks the 'w_L' field"),
+    (load_combiner, '{"format": "semrel-combiner", "version": true, "w_C": 1.0, "w_L": 0.0, '
+     '"t": 0.5}', "unsupported combiner version True"),
+    (load_model, '{"format": "semrel-relation-model", "version": 1.0}',
+     "unsupported relation model version 1.0"),
 ])
 def test_a_missing_or_mistyped_field_is_named_by_read_document(tmp_path, reader, text, message):
     target = tmp_path / "doc.json"

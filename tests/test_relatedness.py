@@ -320,7 +320,8 @@ def test_save_load_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [("w_C", "2.0"), ("w_C", "NaN"), ("t", '"abc"'),
-                                          ("w_L", "null")])
+                                          ("w_L", "null"), ("w_C", "true"), ("w_L", "false"),
+                                          ("t", '"0.5"')])
 def test_load_combiner_names_the_file_of_a_bad_value(tmp_path, field, value):
     doc = {"format": "semrel-combiner", "version": 1, "w_C": 1.0, "w_L": 0.0, "t": 0.5}
     text = json.dumps(doc).replace(f'"{field}": {json.dumps(doc[field])}', f'"{field}": {value}')

@@ -626,6 +626,46 @@ def test_load_names_the_file_and_field_of_a_non_integer_width(tmp_path):
     assert str(caught.value).startswith(f"{target}: ")
 
 
+# A field of another JSON type is refused even where its value would do: an
+# integer field that holds a string, a float or a boolean, or a label set that
+# is a string or repeats a label.
+@pytest.mark.parametrize("field, value, message", [
+    ("word_dim", "3", "is not an integer: '3'"),
+    ("word_dim", 3.9, "is not an integer: 3.9"),
+    ("hidden_dim", 4.0, "is not an integer: 4.0"),
+    ("hidden_layers", True, "is not an integer: True"),
+    ("seed", "9", "is not an integer: '9'"),
+    ("edge_vocab.pos.width", 2.0, "is not an integer: 2.0"),
+    ("label_set", "HS", "is not a list of distinct strings"),
+    ("label_set", ["SYN", "SYN"], "is not a list of distinct strings"),
+    ("label_set", ["HYPER", 1], "is not a list of distinct strings"),
+])
+def test_load_names_the_file_and_field_of_a_value_of_another_json_type(tmp_path, field, value,
+                                                                       message):
+    doc = full_model_doc()
+    *parents, last = field.split(".")
+    section = doc
+    for key in parents:
+        section = section[key]
+    section[last] = value
+    target = tmp_path / "model.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        load_model(target)
+    assert str(caught.value) == f"{target}: model field {field} {message}"
+
+
+@pytest.mark.parametrize("field", ["path_average", "seed", "word_vectors"])
+def test_load_names_a_missing_field_that_every_saved_model_holds(tmp_path, field):
+    doc = full_model_doc()
+    del doc[field]
+    target = tmp_path / "model.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        load_model(target)
+    assert str(caught.value) == f"{target}: relation model file lacks the {field!r} field"
+
+
 @pytest.mark.parametrize("field", ["seed", "hidden_dim"])
 def test_load_quotes_an_integer_of_too_many_digits(tmp_path, field):
     doc = full_model_doc()
