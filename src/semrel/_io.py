@@ -30,22 +30,23 @@ def open_lines(source):
 
     Given a path, a DataError raised inside the block is named with the path,
     and text that is not UTF-8 raises a ParseError, so every read error names
-    its file.
+    its file. A leading UTF-8 byte-order mark is dropped.
     """
     if not isinstance(source, (str, Path)):
         yield source
         return
-    with naming(source), open(source, encoding="utf-8") as fh:
+    with naming(source), open(source, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text ({exc.reason})") from None
 
 
-def data_lines(lines):
+def data_lines(lines, start: int = 1):
     """``(line_no, columns)`` for each line that is neither blank nor a '#'
-    comment: the line without its line ending, split at tabs."""
-    for line_no, raw in enumerate(lines, start=1):
+    comment: the line without its line ending, split at tabs. The first line
+    is numbered ``start``."""
+    for line_no, raw in enumerate(lines, start=start):
         line = raw.rstrip("\r\n")
         if line.strip() and not line.startswith("#"):
             yield line_no, line.split("\t")

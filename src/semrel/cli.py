@@ -22,19 +22,20 @@ from pathlib import Path
 from ._io import excerpt, naming, open_lines, write_document, write_pieces
 from .corpus import DEFAULT_MAX_EDGES, build_path_index, iter_conll, load_index, save_index
 from .embeddings import load_table
-from .errors import DataError
+from .errors import DataError, ParseError
 from .evaluation import AVERAGES, report_tsv, scores
 from .pairs import (
-    BINARY_FALSE,
-    BINARY_TRUE,
     NEGATIVE_LABEL,
+    NEGATIVE_LABELS,
     RELATED,
     RELATED_LABELS,
     RELATEDNESS_LABELS,
     RELATION_LABELS,
+    TO_RELATEDNESS,
     UNRELATED,
     PairRecord,
     check_labels,
+    read_labelled,
     read_pairs,
     write_pairs,
 )
@@ -54,21 +55,11 @@ from .path_encoder import AVERAGE_MODES
 MANIFEST_FORMAT = "semrel-train-manifest"
 MANIFEST_VERSION = 1
 
-# Any of these labels can be folded onto the two relatedness classes.
-_TO_RELATEDNESS = {
-    BINARY_TRUE: RELATED,
-    BINARY_FALSE: UNRELATED,
-    RELATED: RELATED,
-    UNRELATED: UNRELATED,
-    NEGATIVE_LABEL: UNRELATED,
-    **{label: RELATED for label in RELATED_LABELS},
-}
-
 # What sets the two tasks apart in training: how a pair's label folds, the
 # model's label set, and the preset. A pair whose folded label the model
 # lacks (RANDOM, for relations) is read and checked but not trained on.
 _TASKS = {
-    "relatedness": (_TO_RELATEDNESS, RELATEDNESS_LABELS, RELATEDNESS_PRESET),
+    "relatedness": (TO_RELATEDNESS, RELATEDNESS_LABELS, RELATEDNESS_PRESET),
     "relations": ({label: label for label in RELATION_LABELS}, RELATED_LABELS, RELATIONS_PRESET),
 }
 
@@ -164,11 +155,11 @@ def _config_flags(sub: _Parser, path: str) -> list[str]:
     1/0 or yes/no and becomes its flag or nothing.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_lines(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from None
-    except UnicodeDecodeError:
+    except ParseError:  # open_lines' error for text that is not UTF-8
         raise _UsageError(f"cannot read config file {path}: not UTF-8 text") from None
     flags = []
     for line_no, raw in enumerate(lines, start=1):
@@ -189,15 +180,6 @@ def _config_flags(sub: _Parser, path: str) -> list[str]:
         elif value.lower() not in ("false", "0", "no"):
             raise _UsageError(f"config line {line_no}: {key!r} expects true or false")
     return flags
-
-
-def _read_labelled(path: str, labels: dict[str, str], context: str) -> list[PairRecord]:
-    """The pairs of ``path``, each label mapped through ``labels``; a label
-    outside it is a DataError that starts with the path, as a bad line's is."""
-    with open_lines(path) as lines:
-        records = read_pairs(lines)
-        check_labels(records, labels, context)
-    return [replace(r, label=labels[r.label]) for r in records]
 
 
 def _check_output_dir(path: str | None) -> None:
@@ -261,15 +243,15 @@ def _print_validation_accuracy(epoch: int, accuracy: float) -> None:
 def _cmd_train(args) -> int:
     _check_output_dir(args.model)  # the manifest goes next to the model
     folding, label_set, preset = _TASKS[args.task]
-    read = _read_labelled(args.pairs, folding, "training set")
-    read_val = _read_labelled(args.val, folding, "validation set") if args.val else []
+    config = _resolved_config(args, preset)
+    read = read_labelled(args.pairs, folding, "training set")
+    read_val = read_labelled(args.val, folding, "validation set") if args.val else []
     records, val = ([r for r in rs if r.label in label_set] for rs in (read, read_val))
     dropped = len(read) - len(records)
     if dropped:
         print(f"dropped {dropped} {NEGATIVE_LABEL} pairs; the relation model trains on related pairs only")
     if len(val) < len(read_val):
         print(f"dropped {len(read_val) - len(val)} {NEGATIVE_LABEL} pairs from the validation set")
-    config = _resolved_config(args, preset)
     if not records:
         raise DataError(f"{args.pairs}: no pairs left to train on")
     index = load_index(args.index)
@@ -300,7 +282,7 @@ def _cmd_tune(args) -> int:
     if not args.cosine_only and not (args.model and args.index):
         raise _UsageError("--model and --index are required unless --cosine-only is given")
     _check_output_dir(args.output)
-    records = _read_labelled(args.pairs, _TO_RELATEDNESS, "tuning set")
+    records = read_labelled(args.pairs, TO_RELATEDNESS, "tuning set")
     table = load_table(args.embeddings, _pair_words(records))
     params = index = None
     if not args.cosine_only:
@@ -320,6 +302,8 @@ def _cmd_predict(args) -> int:
     combiner = load_combiner(args.combiner)
     if combiner.w_l != 0.0 and not args.relatedness_model:
         raise _UsageError("this combiner has w_L > 0; pass --relatedness-model")
+    config = PipelineConfig(combiner, syn_margin=args.syn_margin, syn_max_paths=args.syn_max_paths,
+                            path_count_mode=args.path_count)
     records = read_pairs(args.pairs, require_label=False)
     table = load_table(args.embeddings, _pair_words(records))
     index = load_index(args.index)
@@ -331,12 +315,6 @@ def _cmd_predict(args) -> int:
         labels = [RELATED if flag else UNRELATED for flag in related]
     else:
         relation_params = _load_model_for(args.relation_model, RELATED_LABELS, table)
-        config = PipelineConfig(
-            combiner=combiner,
-            syn_margin=args.syn_margin,
-            syn_max_paths=args.syn_max_paths,
-            path_count_mode=args.path_count,
-        )
         labels = predict_pairs(config, relation_params, table, index, records, relatedness_params)
     write_pairs(
         [PairRecord(r.x, r.y, label) for r, label in zip(records, labels)], args.output
@@ -352,13 +330,14 @@ def _cmd_evaluate(args) -> int:
     if relatedness == {True, False}:
         raise DataError(f"{args.predictions}: predictions mix RELATED/UNRELATED with other labels")
     # Relatedness predictions are scored against gold labels folded as train and tune fold them.
-    gold = (_read_labelled(args.pairs, _TO_RELATEDNESS, "gold set") if relatedness == {True}
+    gold = (read_labelled(args.pairs, TO_RELATEDNESS, "gold set") if relatedness == {True}
             else read_pairs(args.pairs))
     if not gold:
         raise DataError(f"{args.pairs}: no pairs to score")
+    gold_labels = {r.label for r in gold}
     # Either model's labels may be predicted, or excluded, where the gold file lacks them; any
     # other label would be scored as a class that nothing belongs to, or excluded to no effect.
-    labels = {r.label for r in gold}.union(RELATION_LABELS, RELATEDNESS_LABELS)
+    labels = gold_labels.union(RELATION_LABELS, RELATEDNESS_LABELS)
     with naming(args.predictions):
         if len(gold) != len(pred):
             raise DataError(f"gold file has {len(gold)} pairs but predictions file has {len(pred)}")
@@ -366,19 +345,14 @@ def _cmd_evaluate(args) -> int:
             if (g.x, g.y) != (p.x, p.y):
                 raise DataError(f"pair {position} differs: gold ({excerpt(g.x)}, {excerpt(g.y)}) "
                                 f"vs prediction ({excerpt(p.x)}, {excerpt(p.y)})")
-        check_labels(pred, labels, "predictions")
+        check_labels((r.label for r in pred), labels, "predictions")
     if args.exclude:
         exclude = tuple(args.exclude)
-        check_labels([PairRecord("", "", label) for label in exclude], labels, "--exclude")
+        check_labels(exclude, labels, "--exclude")
     elif args.no_auto_exclude:
         exclude = ()
-    else:
-        gold_labels = {r.label for r in gold}
-        exclude = ()
-        for candidate in (NEGATIVE_LABEL, UNRELATED, BINARY_FALSE):
-            if candidate in gold_labels:
-                exclude = (candidate,)
-                break
+    else:  # the first negative class that the gold file holds
+        exclude = next(((label,) for label in NEGATIVE_LABELS if label in gold_labels), ())
     with nullcontext() if args.exclude else naming(args.pairs):  # --exclude is no file's fault
         report = scores([r.label for r in gold], [r.label for r in pred], average=args.average,
                         exclude=exclude)

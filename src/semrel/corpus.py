@@ -338,10 +338,13 @@ def save_index(index: PathIndex, destination) -> None:
 
 
 def load_index(source) -> PathIndex:
-    """Read an index written by ``save_index``."""
+    """Read an index written by ``save_index``; line 1 must be its header."""
     index = PathIndex()
     with open_lines(source) as lines:
-        for line_no, cols in data_lines(lines):
+        lines = iter(lines)
+        if next(lines, "").rstrip("\r\n") != INDEX_HEADER:
+            raise ParseError(f"expected the header {INDEX_HEADER!r} at line 1")
+        for line_no, cols in data_lines(lines, start=2):
             if len(cols) != 4:
                 raise ParseError(f"expected 4 columns at line {line_no}")
             try:

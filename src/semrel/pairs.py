@@ -7,7 +7,7 @@ Prediction files reuse the same three-column layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from ._io import data_lines, excerpt, open_lines, write_pieces
@@ -26,6 +26,16 @@ BINARY_FALSE = "FALSE"
 RELATED = "RELATED"
 UNRELATED = "UNRELATED"
 RELATEDNESS_LABELS = (RELATED, UNRELATED)
+
+# The negative class of each label space, in the order that evaluate looks
+# for one in a gold file to leave out of scoring.
+NEGATIVE_LABELS = (NEGATIVE_LABEL, UNRELATED, BINARY_FALSE)
+
+# Any of these labels folds onto one of the two relatedness classes.
+TO_RELATEDNESS = {
+    **{label: RELATED for label in (*RELATED_LABELS, RELATED, BINARY_TRUE)},
+    **{label: UNRELATED for label in NEGATIVE_LABELS},
+}
 
 
 @dataclass(frozen=True)
@@ -58,14 +68,23 @@ def read_pairs(source, require_label: bool = True) -> list[PairRecord]:
     return records
 
 
+def read_labelled(path, labels: dict[str, str], context: str) -> list[PairRecord]:
+    """The pairs of ``path``, each label mapped through ``labels``; a label
+    outside it is a DataError that starts with the path, as a bad line's is."""
+    with open_lines(path) as lines:
+        records = read_pairs(lines)
+        check_labels((r.label for r in records), labels, context)
+    return [replace(r, label=labels[r.label]) for r in records]
+
+
 def write_pairs(records: Iterable[PairRecord], destination) -> None:
     """Write records as three-column TSV, one per line, in the given order."""
     write_pieces(destination, (f"{r.x}\t{r.y}\t{r.label}\n" for r in records))
 
 
-def check_labels(records: Sequence[PairRecord], allowed: Iterable[str], context: str = "dataset") -> None:
+def check_labels(labels: Iterable[str], allowed: Iterable[str], context: str = "dataset") -> None:
     """Raise DataError naming the labels outside ``allowed``, cut to 40 characters."""
-    bad = sorted({r.label for r in records} - set(allowed))
+    bad = sorted(set(labels) - set(allowed))
     if bad:
         raise DataError(f"invalid labels in {context}: {excerpt(', '.join(bad))}")
 
@@ -77,5 +96,5 @@ def checked_label_set(records: Sequence[PairRecord], label_set: Iterable[str] | 
     if not records:
         raise DataError(f"{context} is empty")
     labels = tuple(label_set) if label_set is not None else tuple(sorted({r.label for r in records}))
-    check_labels(records, labels, context)
+    check_labels((r.label for r in records), labels, context)
     return labels

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError("learning_rate must be a positive finite number")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.path_average not in AVERAGE_MODES:
             raise ValueError(f"unknown path_average mode {self.path_average!r}")
         for name in ("hidden_dim", "mlp_hidden_dim", "pos_dim", "deprel_dim", "dir_dim"):
@@ -412,6 +414,12 @@ def _int(value, field: str) -> int:
     return value
 
 
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise DataError(f"model field {field} is not an object")
+    return value
+
+
 def _distinct_strings(value, field: str) -> list[str]:
     if not (isinstance(value, list) and all(isinstance(item, str) for item in value)
             and len(set(value)) == len(value)):
@@ -481,23 +489,24 @@ def load_model(source) -> ModelParams:
 
 
 def _params_from_doc(doc: dict) -> ModelParams:
-    vocab_doc = doc["edge_vocab"]
+    vocab_doc = _object(doc["edge_vocab"], "edge_vocab")
     components = {}
     for name in STEP_COMPONENTS:
-        comp_doc, field = vocab_doc[name], f"edge_vocab.{name}"
+        field = f"edge_vocab.{name}"
+        comp_doc = _object(vocab_doc[name], field)
         components[name] = ComponentEmbeddings(
             *_vocabulary(comp_doc, field, 1, _int(comp_doc["width"], f"{field}.width")))
     vocab = EdgeVocab(**components)
     label_set = tuple(_distinct_strings(doc["label_set"], "label_set"))
     word_dim = _int(doc["word_dim"], "word_dim")
     hidden = _int(doc["hidden_dim"], "hidden_dim")
-    rec_doc = doc["recurrent"]
+    rec_doc = _object(doc["recurrent"], "recurrent")
     rec = RecurrentParams(
         w_in=_array(rec_doc["w_in"], "recurrent.w_in", 4 * hidden, vocab.input_width),
         w_rec=_array(rec_doc["w_rec"], "recurrent.w_rec", 4 * hidden, hidden),
         bias=_array(rec_doc["bias"], "recurrent.bias", 4 * hidden),
     )
-    cls_doc = doc["classifier"]
+    cls_doc = _object(doc["classifier"], "classifier")
     w2_doc, b2_doc = cls_doc["w2"], cls_doc["b2"]
     hidden_layers = _int(doc["hidden_layers"], "hidden_layers")
     if hidden_layers != (0 if w2_doc is None else 1) or (w2_doc is None) != (b2_doc is None):
@@ -507,8 +516,8 @@ def _params_from_doc(doc: dict) -> ModelParams:
                 2 * word_dim + hidden)
     width = w1.shape[0]
     wv_doc = doc["word_vectors"]
-    word_vectors = (None if wv_doc is None
-                    else TrainableWordVectors(*_vocabulary(wv_doc, "word_vectors", 0, word_dim)))
+    word_vectors = (None if wv_doc is None else TrainableWordVectors(
+        *_vocabulary(_object(wv_doc, "word_vectors"), "word_vectors", 0, word_dim)))
     params = ModelParams(
         vocab=vocab,
         rec=rec,

@@ -764,6 +764,33 @@ def test_a_missing_flag_combination_is_reported_before_any_input_is_read(micro, 
     assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("train relations", ("--seed", "-1"), "seed must be nonnegative"),
+    ("train relatedness", ("--epochs", "0"), "epochs must be at least 1"),
+    ("predict relations", ("--syn-margin", "-1"), "syn_margin must be a nonnegative finite number"),
+    ("predict relatedness", ("--syn-margin", "-1"),
+     "syn_margin must be a nonnegative finite number"),
+    ("predict relations", ("--syn-max-paths", "-1"), "syn_max_paths must be nonnegative"),
+])
+def test_a_bad_setting_is_reported_before_any_input_is_read(micro, capsys, command, flags,
+                                                            message):
+    """The pairs file is missing, yet the setting is the error reported and
+    nothing is printed before it; predict reads its combiner first, as the
+    settings of the SYN demotion are kept with it."""
+    d = micro["dir"]
+    save_combiner(CombinerConfig(1.0, 0.0, 0.5), d / "combiner.json")
+    name, task = command.split()
+    data = ["--task", task, "--pairs", d / "missing.tsv", "--index", d / "missing.tsv",
+            "--embeddings", micro["embeddings"]]
+    argv = {
+        "train": ("train", *data, "--model", d / "model.json"),
+        "predict": ("predict", *data, "--combiner", d / "combiner.json",
+                    "--relation-model", d / "missing.json", "--output", d / "out.tsv"),
+    }[name]
+    assert run(*argv, *flags) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_predict_reports_a_malformed_combiner_before_a_malformed_pairs_file(micro, capsys):
     d = micro["dir"]
     bad = d / "bad.tsv"
@@ -1196,6 +1223,24 @@ def test_evaluate_no_auto_exclude_keeps_the_negative_class_in_the_rows_and_the_a
     assert run(*argv, "--no-auto-exclude") == 0
     assert capsys.readouterr().out == (header + hyper + "RANDOM\t0.000000\t0.000000\t0.000000\t1\n"
                                        "weighted\t0.250000\t0.500000\t0.333333\t2\n")
+
+
+@pytest.mark.parametrize("gold, excluded", [
+    (("HYPER", "FALSE", "UNRELATED", "RANDOM"), "RANDOM"),
+    (("HYPER", "FALSE", "UNRELATED"), "UNRELATED"),
+    (("HYPER", "FALSE"), "FALSE"),
+    (("HYPER",), None),
+])
+def test_evaluate_auto_excludes_the_first_negative_class_that_the_gold_file_holds(
+        tmp_path, capsys, gold, excluded):
+    """RANDOM is left out of scoring if the gold file holds it, else
+    UNRELATED, else FALSE; only one of them, and none when it holds none."""
+    (tmp_path / "gold.tsv").write_text("".join(f"w{i}\tv\t{g}\n" for i, g in enumerate(gold)))
+    (tmp_path / "pred.tsv").write_text("".join(f"w{i}\tv\tHYPER\n" for i in range(len(gold))))
+    assert run("evaluate", "--pairs", tmp_path / "gold.tsv",
+               "--predictions", tmp_path / "pred.tsv") == 0
+    rows = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()[1:-1]]
+    assert rows == sorted(set(gold) - {excluded})
 
 
 def test_evaluate_scores_relatedness_predictions_as_tune_does(micro, capsys):

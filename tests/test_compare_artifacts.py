@@ -1,12 +1,14 @@
 """tools/compare_artifacts.py: the comparison of two JSON documents behind its
 "0 differ" and its largest numeric difference, the masking of each side's
-output directory in what the commands print, and the count of each side's
-source lines."""
+output directory in what the commands print, the --help texts it compares,
+and the count of each side's source lines."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from semrel.cli import build_parser
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_artifacts.py"
 _SPEC = importlib.util.spec_from_file_location("compare_artifacts", _PATH)
@@ -15,6 +17,7 @@ _SPEC.loader.exec_module(compare_artifacts)
 largest_difference = compare_artifacts.largest_difference
 masked_output = compare_artifacts.masked_output
 line_count = compare_artifacts.line_count
+help_texts = compare_artifacts.help_texts
 
 MODEL = {"format": "m", "w": [[0.5, -1.0], [2.0, 3.0]], "meta": {"seed": 7, "tokens": ["a"]},
          "w2": None, "flag": True}
@@ -65,3 +68,13 @@ def test_the_line_count_counts_the_newlines_of_the_package_modules_only(tmp_path
     (package / "notes.txt").write_text("not a module\n")
     (package / "sub" / "c.py").write_text("in a subpackage\n")
     assert line_count(tmp_path) == 3
+
+
+def test_the_help_texts_compared_are_those_of_semrel_and_of_every_command():
+    assert compare_artifacts.COMMANDS == tuple(build_parser()[1])
+    texts = help_texts(_PATH.parent.parent / "src")
+    commands = compare_artifacts.COMMANDS
+    assert list(texts) == ["semrel --help", *(f"semrel {c} --help" for c in commands)]
+    for line, (code, out, err) in texts.items():
+        assert (code, err) == (0, ""), line
+        assert out.startswith("usage: " + line.removesuffix(" --help")), line

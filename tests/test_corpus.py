@@ -424,6 +424,22 @@ def test_load_index_rejects_wrong_header(tmp_path):
         load_index(bad)
 
 
+INDEX_ROW = "cat\tmouse\tX/NOUN/nsubj/<\t1\n"
+
+
+@pytest.mark.parametrize("text", ["", INDEX_ROW, "# semrel path index v2\n" + INDEX_ROW],
+                         ids=["empty", "no-header", "v2-header"])
+def test_load_index_requires_its_header_on_line_1(tmp_path, text):
+    good = tmp_path / "good.tsv"
+    good.write_text("# semrel path index v1\n" + INDEX_ROW)
+    assert len(load_index(good)) == 1
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(text)
+    with pytest.raises(ParseError) as caught:
+        load_index(bad)
+    assert str(caught.value) == f"{bad}: expected the header '# semrel path index v1' at line 1"
+
+
 @pytest.mark.parametrize("path, message", [
     ("", "empty path text"),
     ("X/NOUN/nsubj", "malformed path step 'X/NOUN/nsubj'"),

@@ -10,9 +10,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import conll_text
 from oracles import reference_document_text
-from semrel._io import _BLOCK_VALUES, naming, read_document, write_document
-from semrel.corpus import INDEX_HEADER, PathIndex, load_index, path_from_text, path_to_text, save_index
+from semrel._io import _BLOCK_VALUES, naming, open_lines, read_document, write_document
+from semrel.cli import _config_flags, build_parser
+from semrel.corpus import (
+    INDEX_HEADER,
+    PathIndex,
+    load_index,
+    parse_conll,
+    path_from_text,
+    path_to_text,
+    save_index,
+)
+from semrel.embeddings import load_table
 from semrel.errors import DataError, ParseError
 from semrel.pairs import PairRecord, read_pairs, write_pairs
 from semrel.relatedness import load_combiner
@@ -153,6 +164,39 @@ def _sources(text, tmp_path):
     return [path, text.splitlines(keepends=True)]
 
 
+def _read_corpus(path):
+    with open_lines(path) as lines:  # as extract-paths reads it
+        return parse_conll(lines)
+
+
+def _read_table(path):
+    table = load_table(path)
+    return table.rows, table.matrix.tolist()
+
+
+# One small file of each kind that a command reads, and what reads it; its
+# first field is the one that a byte-order mark would otherwise change.
+BOM_CASES = {
+    "pairs": ("cat\tmouse\tHYPER\n", read_pairs),
+    "embeddings": ("cat 1.0 0.5\nmouse 0.0 1.0\n", _read_table),
+    "corpus": (conll_text([("cats", "cat", "NOUN", 0, "root")]), _read_corpus),
+    "index": (f"{INDEX_HEADER}\ncat\tmouse\tX/NOUN/nsubj/<::Y/NOUN/dobj/^\t2\n", load_index),
+    "combiner": ('{"format": "semrel-combiner", "version": 1, "w_C": 1.0, "w_L": 0.0, "t": 0.5}',
+                 load_combiner),
+    "config": ("epochs = 2\n", lambda path: _config_flags(build_parser()[1]["train"], path)),
+}
+
+
+@pytest.mark.parametrize("kind", BOM_CASES)
+def test_a_leading_byte_order_mark_is_dropped_from_every_kind_of_input_file(tmp_path, kind):
+    text, read = BOM_CASES[kind]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read(marked) == read(plain)
+
+
 def test_the_pairs_reader_skips_and_keeps_the_tricky_lines(tmp_path):
     text = TRICKY.format(row="a\tb\tHYPER", rest="y\tSYN")
     for source in _sources(text, tmp_path):
@@ -183,7 +227,7 @@ def test_the_index_reader_skips_and_keeps_the_tricky_lines(tmp_path):
     (load_model, '{"format": "semrel-relation-model", "version": 1}',
      "relation model file lacks the 'edge_vocab' field"),
     (load_model, '{"format": "semrel-relation-model", "version": 1, "edge_vocab": []}',
-     "relation model file has a field of the wrong type"),
+     "model field edge_vocab is not an object"),
     (load_combiner, '{"format": "semrel-combiner", "version": 1, "w_C": 1.0, "t": 0.5}',
      "combiner file lacks the 'w_L' field"),
     (load_combiner, '{"format": "semrel-combiner", "version": true, "w_C": 1.0, "w_L": 0.0, '

@@ -85,13 +85,13 @@ def test_check_labels_lists_every_offender():
         PairRecord("e", "f", "WRONG"),
     ]
     with pytest.raises(DataError) as err:
-        check_labels(records, RELATION_LABELS, "test set")
+        check_labels((r.label for r in records), RELATION_LABELS, "test set")
     assert "BOGUS" in str(err.value) and "WRONG" in str(err.value)
     assert "test set" in str(err.value)
 
 
 def test_check_labels_accepts_clean_data():
-    check_labels([PairRecord("a", "b", "SYN")], RELATION_LABELS)
+    check_labels(["SYN"], RELATION_LABELS)
 
 
 def test_checked_label_set_defaults_to_the_sorted_labels_and_names_its_context():

@@ -627,8 +627,9 @@ def test_load_names_the_file_and_field_of_a_non_integer_width(tmp_path):
 
 
 # A field of another JSON type is refused even where its value would do: an
-# integer field that holds a string, a float or a boolean, or a label set that
-# is a string or repeats a label.
+# integer field that holds a string, a float or a boolean, a label set that
+# is a string or repeats a label, or an object field that holds a list, a
+# string, a number or null.
 @pytest.mark.parametrize("field, value, message", [
     ("word_dim", "3", "is not an integer: '3'"),
     ("word_dim", 3.9, "is not an integer: 3.9"),
@@ -639,6 +640,14 @@ def test_load_names_the_file_and_field_of_a_non_integer_width(tmp_path):
     ("label_set", "HS", "is not a list of distinct strings"),
     ("label_set", ["SYN", "SYN"], "is not a list of distinct strings"),
     ("label_set", ["HYPER", 1], "is not a list of distinct strings"),
+    ("edge_vocab", [], "is not an object"),
+    ("edge_vocab.lemma", "x", "is not an object"),
+    ("edge_vocab.pos", None, "is not an object"),
+    ("edge_vocab.deprel", 1, "is not an object"),
+    ("edge_vocab.direction", [{}], "is not an object"),
+    ("recurrent", "x", "is not an object"),
+    ("classifier", None, "is not an object"),
+    ("word_vectors", [1], "is not an object"),
 ])
 def test_load_names_the_file_and_field_of_a_value_of_another_json_type(tmp_path, field, value,
                                                                        message):

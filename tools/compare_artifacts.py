@@ -8,8 +8,10 @@ bench/world.py, then runs the six commands of bench/run.py's ``workflow`` as
 turn, and compares the eight artifacts of the two runs. It also compares what
 each command printed: a command's standard output goes to ``<stage>.stdout``
 beside its artifacts, and that side's output directory is replaced in it by
-the token ``<out>`` before the two sides are compared. Every artifact or
-output that differs, or that one side did not write, gets a line; the exit
+the token ``<out>`` before the two sides are compared. What ``semrel
+--help`` and each command's ``--help`` print, with their exit codes, is
+compared once per side and counted among the command outputs. Every artifact
+or output that differs, or that one side did not write, gets a line; the exit
 code is 1 if any does and 0 otherwise. A .json artifact whose bytes differ
 but whose document is the same, as when only the layout changed, is reported
 as "same JSON content" and counted apart in the summary; it still sets exit
@@ -49,6 +51,9 @@ sys.path.insert(0, str(ROOT / "bench"))
 from run import ARTIFACTS, STAGES, workflow  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+# The commands whose --help texts are compared, after that of semrel itself.
+COMMANDS = ("extract-paths", "train", "tune", "predict", "evaluate")
+
 
 def run_workflow(src: Path, workload: str, world: Path, out: Path,
                  train_args: list[str]) -> dict[str, float]:
@@ -73,6 +78,19 @@ def run_workflow(src: Path, workload: str, world: Path, out: Path,
                 print(f"{src}: {stage} exited with {proc.returncode}: {err.read().strip()}")
                 break
     return peaks
+
+
+def help_texts(src: Path) -> dict[str, tuple[int, str, str]]:
+    """The exit code, standard output and standard error of ``semrel --help``
+    and of each command's ``--help`` against ``src``, by command line."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    texts = {}
+    for argv in ([], *([command] for command in COMMANDS)):
+        result = subprocess.run([sys.executable, "-m", "semrel", *argv, "--help"], env=env,
+                                capture_output=True, text=True)
+        texts[" ".join(["semrel", *argv, "--help"])] = (result.returncode, result.stdout,
+                                                         result.stderr)
+    return texts
 
 
 def masked_output(text: str, out: Path) -> str:
@@ -148,6 +166,7 @@ def main() -> int:
             print(f"{workload} seed {seed}: peak RSS in MB, parent -> change: " + ", ".join(
                 f"{stage} {mb:.1f} -> {peaks['change'][stage]:.1f}"
                 for stage, mb in peaks["parent"].items() if stage in peaks["change"]))
+        helps = {side: help_texts(src) for side, src in sides.items()}
         for workload, seed, case in cases:
             for name in ARTIFACTS:
                 compared += 1
@@ -178,6 +197,11 @@ def main() -> int:
                 outputs_differ += 1
                 state = "missing" if a is None or b is None else "differs"
                 print(f"{workload} seed {seed}: output of {stage} {state}")
+    for line, text in helps["parent"].items():
+        outputs_compared += 1
+        if text != helps["change"][line]:
+            outputs_differ += 1
+            print(f"output of {line} differs")
     print(f"src/semrel lines: parent {line_count(sides['parent'])} -> "
           f"change {line_count(sides['change'])}")
     print(f"{compared} artifacts compared, {differ} differ, "
