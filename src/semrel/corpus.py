@@ -272,20 +272,24 @@ def build_path_index(
     ``iter_conll``. Each sentence visits only the pairs whose two lemmas it
     holds: its lemmas are looked up among the pairs' x lemmas, and each hit's
     y lemmas among its lemmas. The result does not depend on sentence order:
-    per-pair multisets are merged by commutative addition.
+    per-pair multisets are merged by commutative addition, and each pair's
+    paths are left in their text order, the order that ``save_index`` writes.
     """
     if max_edges < 1:  # before the corpus is read, whether or not a pair occurs
         raise ValueError("max_edges must be at least 1")
     ys_of: dict[str, set[str]] = {}
     for x, y in pairs:
         ys_of.setdefault(x.lower(), set()).add(y.lower())
-    index = PathIndex()
+    found: dict[tuple[str, str], Counter] = {}
     for sentence in corpus:
         present = sentence.positions.keys()
         for x in present & ys_of.keys():
             for y in present & ys_of[x]:
-                for path, count in extract_paths(sentence, x, y, max_edges).items():
-                    index.add(x, y, path, count)
+                found.setdefault((x, y), Counter()).update(extract_paths(sentence, x, y, max_edges))
+    index = PathIndex()
+    for (x, y), paths in found.items():
+        for path in sorted(paths, key=path_to_text):
+            index.add(x, y, path, paths[path])
     return index
 
 
@@ -338,8 +342,9 @@ def save_index(index: PathIndex, destination) -> None:
 
 
 def load_index(source) -> PathIndex:
-    """Read an index written by ``save_index``; line 1 must be its header."""
-    index = PathIndex()
+    """Read an index written by ``save_index``; line 1 must be its header.
+    Each pair's paths are left in their text order, whatever the lines' order."""
+    rows = []
     with open_lines(source) as lines:
         lines = iter(lines)
         if next(lines, "").rstrip("\r\n") != INDEX_HEADER:
@@ -357,5 +362,8 @@ def load_index(source) -> PathIndex:
                 path = path_from_text(cols[2])
             except ParseError as exc:
                 raise ParseError(f"{exc} at line {line_no}") from None
-            index.add(cols[0], cols[1], path, count)
+            rows.append((cols[2], cols[0], cols[1], path, count))
+    index = PathIndex()
+    for _, x, y, path, count in sorted(rows, key=lambda row: row[0]):
+        index.add(x, y, path, count)
     return index

@@ -121,7 +121,7 @@ def binary_f1(gold: Sequence, pred: Sequence, positive) -> float:
 def lexical_split(
     records: Sequence[PairRecord], val_fraction: float = 0.3, seed: int = 13
 ) -> tuple[list[PairRecord], list[PairRecord]]:
-    """Split so that no x word appears on both sides.
+    """Split so that no x word, folded to lowercase, appears on both sides.
 
     The distinct x words are shuffled with the given seed and a fraction of
     them (at least one, never all) becomes the validation vocabulary; records
@@ -131,7 +131,7 @@ def lexical_split(
         raise DataError("nothing to split")
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must lie strictly between 0 and 1")
-    words = sorted({r.x for r in records})
+    words = sorted({r.x.lower() for r in records})
     if len(words) < 2:
         raise DataError("need at least two distinct x words for a lexical split")
     rng = np.random.default_rng(seed)
@@ -139,8 +139,8 @@ def lexical_split(
     n_val = int(round(val_fraction * len(words)))
     n_val = min(max(n_val, 1), len(words) - 1)
     val_words = {words[int(i)] for i in order[:n_val]}
-    train = [r for r in records if r.x not in val_words]
-    val = [r for r in records if r.x in val_words]
+    train = [r for r in records if r.x.lower() not in val_words]
+    val = [r for r in records if r.x.lower() in val_words]
     return train, val
 
 

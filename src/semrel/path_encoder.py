@@ -8,6 +8,8 @@ represents the path. A pair's path multiset is reduced to a single vector by
 a count-weighted (or uniform) average, with the empty multiset mapping to the
 zero vector.
 
+A ``PathEncoder`` holds the four component embeddings and the unit's weights;
+``init_encoder`` draws it, and the encoding functions take it as one argument.
 ``compile_paths`` stacks a multiset's row numbers in groups of equal step
 count.
 ``average_paths_with_cache`` runs each group time-major as one (P, D) matrix
@@ -50,19 +52,24 @@ class ComponentEmbeddings:
         return self.index.get(token, 0)
 
 
-# The step components, as PathEdge and EdgeVocab name them, in step-input and model-file order.
+# The step components, as PathEdge and PathEncoder name them, in step-input and model-file order.
 STEP_COMPONENTS = ("lemma", "pos", "deprel", "direction")
-_in_step_order = attrgetter(*STEP_COMPONENTS)  # a PathEdge's tokens or an EdgeVocab's components
+_in_step_order = attrgetter(*STEP_COMPONENTS)  # a PathEdge's tokens or a PathEncoder's components
 
 
 @dataclass(frozen=True)
-class EdgeVocab:
-    """The four step components; their tokens and widths are fixed once built."""
+class PathEncoder:
+    """The four step components, whose tokens and widths are fixed once
+    built, and the recurrent unit's weights, gate rows stacked input, forget,
+    candidate, output."""
 
     lemma: ComponentEmbeddings
     pos: ComponentEmbeddings
     deprel: ComponentEmbeddings
     direction: ComponentEmbeddings
+    w_in: np.ndarray  # (4H, D)
+    w_rec: np.ndarray  # (4H, H)
+    bias: np.ndarray  # (4H,)
 
     def components(self) -> tuple[ComponentEmbeddings, ...]:
         return _in_step_order(self)
@@ -70,6 +77,10 @@ class EdgeVocab:
     @property
     def input_width(self) -> int:
         return sum(c.width for c in self.components())
+
+    @property
+    def hidden_size(self) -> int:
+        return self.w_rec.shape[1]
 
     @cached_property
     def spans(self) -> tuple[tuple[int, int], ...]:
@@ -83,18 +94,11 @@ class EdgeVocab:
                           zip(self.components(), _in_step_order(e))]
                          for e in path.edges], dtype=np.intp).reshape(-1, 4)
 
-
-@dataclass
-class RecurrentParams:
-    """Weights of the recurrent unit; gate rows stacked input, forget, candidate, output."""
-
-    w_in: np.ndarray  # (4H, D)
-    w_rec: np.ndarray  # (4H, H)
-    bias: np.ndarray  # (4H,)
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w_rec.shape[1]
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The trainable arrays by name, in a fixed order; a gradient
+        accumulator for ``backprop_average`` has an attribute of each name."""
+        arrays = {name: comp.matrix for name, comp in zip(STEP_COMPONENTS, self.components())}
+        return {**arrays, "w_in": self.w_in, "w_rec": self.w_rec, "bias": self.bias}
 
 
 def init_uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -121,17 +125,19 @@ def init_component(
     return ComponentEmbeddings(index, matrix)
 
 
-def build_edge_vocab(
+def init_encoder(
     paths: Iterable[DependencyPath],
     *,
     lemma_dim: int,
     pos_dim: int,
     deprel_dim: int,
     dir_dim: int,
+    hidden_size: int,
     rng: np.random.Generator,
     table: EmbeddingTable | None = None,
-) -> EdgeVocab:
-    """Collect component vocabularies from paths and initialize their rows.
+) -> PathEncoder:
+    """An encoder for the components of ``paths``: their rows are drawn
+    first, in step order, then ``w_in``, ``w_rec`` and ``bias``.
 
     Lemma rows are seeded from the embedding table where tokens match (only
     possible when ``lemma_dim`` equals the table width); the X/Y placeholders
@@ -144,21 +150,15 @@ def build_edge_vocab(
             poses.add(edge.pos)
             deprels.add(edge.deprel)
     lemmas.update((X_PLACEHOLDER, Y_PLACEHOLDER))
-    return EdgeVocab(
-        lemma=init_component(lemmas, lemma_dim, rng, table),
-        pos=init_component(poses, pos_dim, rng),
-        deprel=init_component(deprels, deprel_dim, rng),
-        direction=init_component(DIRECTION_TOKENS, dir_dim, rng),
-    )
-
-
-def init_recurrent(input_width: int, hidden_size: int, rng: np.random.Generator) -> RecurrentParams:
+    components = (init_component(lemmas, lemma_dim, rng, table),
+                  init_component(poses, pos_dim, rng),
+                  init_component(deprels, deprel_dim, rng),
+                  init_component(DIRECTION_TOKENS, dir_dim, rng))
     rows = 4 * hidden_size
-    return RecurrentParams(
-        w_in=init_uniform(rng, rows, input_width),
-        w_rec=init_uniform(rng, rows, hidden_size),
-        bias=init_uniform(rng, rows),
-    )
+    return PathEncoder(*components,
+                       w_in=init_uniform(rng, rows, sum(c.width for c in components)),
+                       w_rec=init_uniform(rng, rows, hidden_size),
+                       bias=init_uniform(rng, rows))
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -169,7 +169,7 @@ def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 @dataclass(slots=True)
 class CompiledPaths:
-    """A path multiset as row numbers of one vocabulary, for one average mode."""
+    """A path multiset as row numbers of one encoder, for one average mode."""
 
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]  # per step count: (T, P, 4) rows, (P,) weights
     slots: tuple[tuple[int, int], ...]  # each path's group and position, in the multiset's order
@@ -183,7 +183,7 @@ class CompiledPaths:
         return np.array(sorted(rows), dtype=np.intp)
 
 
-def compile_paths(paths: Mapping[DependencyPath, int], vocab: EdgeVocab,
+def compile_paths(paths: Mapping[DependencyPath, int], encoder: PathEncoder,
                   mode: str = WEIGHTED) -> CompiledPaths:
     """Each path's rows and weight, grouped by step count. "weighted" weights
     each distinct path by its count; "uniform" ignores counts."""
@@ -197,7 +197,7 @@ def compile_paths(paths: Mapping[DependencyPath, int], vocab: EdgeVocab,
         weights = [count / total for _, count in items]
     else:
         weights = [1.0 / len(items)] * len(items)
-    path_rows = [vocab.path_rows(path) for path, _ in items]
+    path_rows = [encoder.path_rows(path) for path, _ in items]
     members: dict[int, list[int]] = {}
     for n, rows in enumerate(path_rows):
         members.setdefault(len(rows), []).append(n)
@@ -224,23 +224,22 @@ class PathCache:
     weights: np.ndarray  # (P,) each path's weight in the average
 
 
-def _run_group(rows: np.ndarray, weights: np.ndarray, vocab: EdgeVocab,
-               rec: RecurrentParams) -> PathCache:
+def _run_group(rows: np.ndarray, weights: np.ndarray, encoder: PathEncoder) -> PathCache:
     """Run the unit over a group of same-length paths given their (T, P, 4)
     component rows. Only the recurrent product stays inside the step loop.
     Edgeless paths keep the zero state: they encode to zeros."""
     steps, count = rows.shape[:2]
-    xs = np.concatenate([comp.matrix[rows[..., k]] for k, comp in enumerate(vocab.components())],
+    xs = np.concatenate([comp.matrix[rows[..., k]] for k, comp in enumerate(encoder.components())],
                         axis=2)
-    hidden = rec.hidden_size
+    hidden = encoder.hidden_size
     i, f, g, o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    z_in = xs.reshape(steps * count, xs.shape[2]) @ rec.w_in.T + rec.bias
+    z_in = xs.reshape(steps * count, xs.shape[2]) @ encoder.w_in.T + encoder.bias
     z_in = z_in.reshape(steps, count, 4 * hidden)
     hs = np.zeros((steps + 1, count, hidden))
     cs = np.zeros((steps + 1, count, hidden))
     gates = np.empty((steps, count, 4 * hidden))
     tanh_c = np.empty((steps, count, hidden))
-    w_rec_t = rec.w_rec.T
+    w_rec_t = encoder.w_rec.T
     for t in range(steps):
         z = z_in[t] + hs[t] @ w_rec_t
         gate, c = gates[t], cs[t + 1]
@@ -255,8 +254,7 @@ def _run_group(rows: np.ndarray, weights: np.ndarray, vocab: EdgeVocab,
 
 def average_paths_with_cache(
     paths: Mapping[DependencyPath, int] | CompiledPaths,
-    vocab: EdgeVocab,
-    rec: RecurrentParams,
+    encoder: PathEncoder,
     mode: str = WEIGHTED,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
@@ -265,32 +263,25 @@ def average_paths_with_cache(
     share a step count.
 
     ``paths`` is a multiset, or one that ``compile_paths`` compiled with this
-    vocabulary, in which case its weights stand and ``mode`` is not read.
+    encoder, in which case its weights stand and ``mode`` is not read.
     The empty multiset gives the zero vector. When ``dropout_rate`` > 0 and
     an rng is given, each step's lemma component is replaced by the unknown
     row with that probability, independently, drawn path by path in the
     multiset's order.
     """
     if not isinstance(paths, CompiledPaths):
-        paths = compile_paths(paths, vocab, mode)
+        paths = compile_paths(paths, encoder, mode)
     groups = paths.groups
     if dropout_rate > 0.0 and rng is not None:
         groups = [(rows.copy(), weights) for rows, weights in groups]
         for g, p in paths.slots:
             rows = groups[g][0]
             rows[rng.random(len(rows)) < dropout_rate, p, 0] = 0
-    caches = [_run_group(rows, weights, vocab, rec) for rows, weights in groups]
-    pooled = np.zeros(rec.hidden_size)
+    caches = [_run_group(rows, weights, encoder) for rows, weights in groups]
+    pooled = np.zeros(encoder.hidden_size)
     for g, p in paths.slots:
         pooled += caches[g].weights[p] * caches[g].hs[-1, p]
     return pooled, caches
-
-
-def encoder_arrays(vocab: EdgeVocab, rec: RecurrentParams) -> dict[str, np.ndarray]:
-    """The encoder's trainable arrays by name, in a fixed order; a gradient
-    accumulator for ``backprop_average`` has an attribute of each name."""
-    arrays = {name: comp.matrix for name, comp in zip(STEP_COMPONENTS, vocab.components())}
-    return {**arrays, "w_in": rec.w_in, "w_rec": rec.w_rec, "bias": rec.bias}
 
 
 @dataclass
@@ -308,14 +299,13 @@ class RowGradient:
 def backprop_average(
     d_out: np.ndarray,
     cache: Sequence[PathCache],
-    vocab: EdgeVocab,
-    rec: RecurrentParams,
+    encoder: PathEncoder,
     grads,
 ) -> None:
     """Accumulate d(loss)/d(params) given d(loss)/d(averaged vector), into
-    the ``grads`` attribute named as in ``encoder_arrays``, which for a
+    the ``grads`` attribute named as in ``PathEncoder.arrays``, which for a
     component may be a ``RowGradient`` holding every row the paths read."""
-    hidden = rec.hidden_size
+    hidden = encoder.hidden_size
     component_grads = [getattr(grads, name) for name in STEP_COMPONENTS]
     for group in cache:
         steps, count = group.rows.shape[:2]
@@ -346,14 +336,14 @@ def backprop_average(
             dz *= b[t]
             dz *= c[t]
             dc = d_ct * gf[t]
-            dh = dzs[t] @ rec.w_rec
+            dh = dzs[t] @ encoder.w_rec
         dz_all = dzs.reshape(steps * count, -1)
         grads.w_in += dz_all.T @ group.xs.reshape(steps * count, -1)
         grads.w_rec += dz_all.T @ group.hs[:-1].reshape(steps * count, -1)
         grads.bias += dz_all.sum(axis=0)
-        dx = dz_all @ rec.w_in
+        dx = dz_all @ encoder.w_in
         rows = group.rows.reshape(steps * count, 4)
-        for k, (comp_grad, (start, end)) in enumerate(zip(component_grads, vocab.spans)):
+        for k, (comp_grad, (start, end)) in enumerate(zip(component_grads, encoder.spans)):
             if isinstance(comp_grad, RowGradient):
                 comp_grad.add_at(rows[:, k], dx[:, start:end])
             else:

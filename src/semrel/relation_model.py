@@ -4,11 +4,11 @@ A word pair is represented as the concatenation [vector of x ; averaged path
 vector ; vector of y]. A softmax output layer, optionally preceded by one tanh
 hidden layer, turns that into a distribution over the label set. Training is
 per-example stochastic gradient descent on the mean cross-entropy, with
-gradients backpropagated through the classifier, the path average, the
-recurrent unit, and the edge-component embeddings. Word vectors for x and y
-are frozen table lookups unless ``train_word_vectors`` is switched on, in
-which case the model keeps its own trainable copies for the training-set
-terms. ``trainable_arrays`` is the one list of trainable arrays: gradients
+gradients backpropagated through the classifier, the path average and the
+``PathEncoder``: its recurrent unit and edge-component embeddings. Word
+vectors for x and y are frozen table lookups unless ``train_word_vectors`` is
+switched on, in which case the model keeps its own trainable copies for the
+training-set terms. ``trainable_arrays`` is the one list of trainable arrays: gradients
 and updates follow its names and order. A step updates only the arrays, and
 the lemma and word-vector rows, that its compiled example used.
 
@@ -36,15 +36,12 @@ from .path_encoder import (
     WEIGHTED,
     CompiledPaths,
     ComponentEmbeddings,
-    EdgeVocab,
-    RecurrentParams,
+    PathEncoder,
     RowGradient,
     average_paths_with_cache,
     backprop_average,
-    build_edge_vocab,
     compile_paths,
-    encoder_arrays,
-    init_recurrent,
+    init_encoder,
     init_uniform,
 )
 
@@ -108,8 +105,7 @@ class TrainableWordVectors:
 
 @dataclass
 class ModelParams:
-    vocab: EdgeVocab
-    rec: RecurrentParams
+    encoder: PathEncoder
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray | None
@@ -123,10 +119,6 @@ class ModelParams:
     @property
     def hidden_layers(self) -> int:
         return 0 if self.w2 is None else 1
-
-    @property
-    def hidden_size(self) -> int:
-        return self.rec.hidden_size
 
     def label_index(self, label: str) -> int:
         try:
@@ -159,7 +151,7 @@ def compile_example(params: ModelParams, x: str, y: str, paths: Mapping[Dependen
                     label: str) -> Example:
     """The pair, its paths and its label in the row numbers of ``params``.
     A label outside the set, None too, raises DataError."""
-    compiled = compile_paths(paths, params.vocab, params.path_average)
+    compiled = compile_paths(paths, params.encoder, params.path_average)
     word_rows = None
     if params.word_vectors is not None:
         held = {params.word_vectors.row(x), params.word_vectors.row(y)} - {None}
@@ -198,8 +190,8 @@ def _features(params: ModelParams, table: EmbeddingTable, x: str, y: str,
               rng: np.random.Generator | None) -> tuple[np.ndarray, list]:
     """The feature vector [x ; averaged paths ; y] and the path caches that
     ``backprop_average`` walks."""
-    v_paths, caches = average_paths_with_cache(paths, params.vocab, params.rec,
-                                               params.path_average, dropout_rate, rng)
+    v_paths, caches = average_paths_with_cache(paths, params.encoder, params.path_average,
+                                               dropout_rate, rng)
     v = np.concatenate([params.word_vector(x, table), v_paths, params.word_vector(y, table)])
     return v, caches
 
@@ -216,7 +208,7 @@ def _classify(v: np.ndarray, params: ModelParams) -> tuple[np.ndarray | None, np
 def trainable_arrays(params: ModelParams) -> dict[str, np.ndarray]:
     """Every trainable array by name, in a fixed order: the encoder's, then
     ``w1`` and ``b1``, then ``w2``, ``b2`` and ``word_vectors`` when set."""
-    arrays = encoder_arrays(params.vocab, params.rec)
+    arrays = params.encoder.arrays()
     arrays.update(w1=params.w1, b1=params.b1)
     if params.w2 is not None:
         arrays.update(w2=params.w2, b2=params.b2)
@@ -243,7 +235,7 @@ def loss_and_gradients(
     """
     rate = config.word_dropout_rate if config is not None else 0.0
     grads = _zero_gradients(params, example)
-    hidden = params.hidden_size
+    hidden = params.encoder.hidden_size
     d = params.word_dim
     v, cache = _features(params, table, example.x, example.y, example.paths, rate, rng)
     hval, logits = _classify(v, params)
@@ -262,7 +254,7 @@ def loss_and_gradients(
     grads.w1 += d_a[:, None] * v
     grads.b1 += d_a
     d_v = params.w1.T @ d_a
-    backprop_average(d_v[d : d + hidden], cache, params.vocab, params.rec, grads)
+    backprop_average(d_v[d : d + hidden], cache, params.encoder, grads)
     if params.word_vectors is not None:
         row_x = params.word_vectors.row(example.x)
         if row_x is not None:
@@ -276,7 +268,7 @@ def loss_and_gradients(
 def _zero_gradients(params: ModelParams, example: Example) -> SimpleNamespace:
     """Zero gradients of what the example reads, as ``loss_and_gradients`` gives them."""
     rows = {"lemma": example.lemma_rows, "word_vectors": example.word_rows}
-    encoder = encoder_arrays(params.vocab, params.rec)
+    encoder = params.encoder.arrays()
     grads = {}
     for name, array in trainable_arrays(params).items():
         if name in encoder and example.lemma_rows is None:
@@ -309,21 +301,21 @@ def init_params(
     label_set: Sequence[str],
     rng: np.random.Generator,
 ) -> ModelParams:
-    """A new model for the (x, y) training pairs: an edge vocabulary from
-    their paths in ``index``, and word vectors for their terms when trained."""
+    """A new model for the (x, y) training pairs: a path encoder for their
+    paths in ``index``, and word vectors for their terms when trained."""
     word_dim = table.dimension
     lemma_dim = config.lemma_dim if config.lemma_dim is not None else word_dim
     all_paths = (path for x, y in pairs for path in index.get(x, y))
-    vocab = build_edge_vocab(
+    encoder = init_encoder(
         all_paths,
         lemma_dim=lemma_dim,
         pos_dim=config.pos_dim,
         deprel_dim=config.deprel_dim,
         dir_dim=config.dir_dim,
+        hidden_size=config.hidden_dim,
         rng=rng,
         table=table,
     )
-    rec = init_recurrent(vocab.input_width, config.hidden_dim, rng)
     n_features = 2 * word_dim + config.hidden_dim
     n_labels = len(label_set)
     width = config.mlp_hidden_dim if config.hidden_layers == 1 else n_labels
@@ -339,8 +331,7 @@ def init_params(
         matrix = np.stack([np.array(table.lookup(t)) for t in tokens])
         word_vectors = TrainableWordVectors({t: i for i, t in enumerate(tokens)}, matrix)
     return ModelParams(
-        vocab=vocab,
-        rec=rec,
+        encoder=encoder,
         w1=w1,
         b1=b1,
         w2=w2,
@@ -414,6 +405,13 @@ def _int(value, field: str) -> int:
     return value
 
 
+def _size(value, field: str) -> int:
+    """``value`` if it is a positive JSON integer, as a width or a hidden size must be."""
+    if _int(value, field) < 1:
+        raise DataError(f"model field {field} must be positive: {excerpt(str(value))}")
+    return value
+
+
 def _object(value, field: str) -> dict:
     if not isinstance(value, dict):
         raise DataError(f"model field {field} is not an object")
@@ -453,16 +451,16 @@ def save_model(params: ModelParams, destination) -> None:
         "version": MODEL_VERSION,
         "label_set": list(params.label_set),
         "hidden_layers": params.hidden_layers,
-        "hidden_dim": params.hidden_size,
+        "hidden_dim": params.encoder.hidden_size,
         "word_dim": params.word_dim,
         "path_average": params.path_average,
         "seed": params.seed,
         "edge_vocab": {name: _vocabulary_doc(comp.index, comp.matrix, width=comp.width)
-                       for name, comp in zip(STEP_COMPONENTS, params.vocab.components())},
+                       for name, comp in zip(STEP_COMPONENTS, params.encoder.components())},
         "recurrent": {
-            "w_in": params.rec.w_in,
-            "w_rec": params.rec.w_rec,
-            "bias": params.rec.bias,
+            "w_in": params.encoder.w_in,
+            "w_rec": params.encoder.w_rec,
+            "bias": params.encoder.bias,
         },
         "classifier": {
             "w1": params.w1,
@@ -480,9 +478,10 @@ def save_model(params: ModelParams, destination) -> None:
 def load_model(source) -> ModelParams:
     """Read a model written by ``save_model``.
 
-    Every matrix must have the shape that the label set, ``word_dim``,
-    ``hidden_dim`` and the edge vocabulary give it, and tokens must be
-    distinct strings; a missing, mistyped or non-finite field raises DataError.
+    ``word_dim``, ``hidden_dim`` and each edge component's ``width`` must be
+    positive integers, every matrix must have the shape that they and the
+    label set give it, and tokens must be distinct strings; a missing,
+    mistyped or non-finite field raises DataError.
     """
     with read_document(source, MODEL_FORMAT, MODEL_VERSION, "relation model") as doc:
         return _params_from_doc(doc)
@@ -495,14 +494,15 @@ def _params_from_doc(doc: dict) -> ModelParams:
         field = f"edge_vocab.{name}"
         comp_doc = _object(vocab_doc[name], field)
         components[name] = ComponentEmbeddings(
-            *_vocabulary(comp_doc, field, 1, _int(comp_doc["width"], f"{field}.width")))
-    vocab = EdgeVocab(**components)
+            *_vocabulary(comp_doc, field, 1, _size(comp_doc["width"], f"{field}.width")))
     label_set = tuple(_distinct_strings(doc["label_set"], "label_set"))
-    word_dim = _int(doc["word_dim"], "word_dim")
-    hidden = _int(doc["hidden_dim"], "hidden_dim")
+    word_dim = _size(doc["word_dim"], "word_dim")
+    hidden = _size(doc["hidden_dim"], "hidden_dim")
     rec_doc = _object(doc["recurrent"], "recurrent")
-    rec = RecurrentParams(
-        w_in=_array(rec_doc["w_in"], "recurrent.w_in", 4 * hidden, vocab.input_width),
+    input_width = sum(comp.width for comp in components.values())
+    encoder = PathEncoder(
+        **components,
+        w_in=_array(rec_doc["w_in"], "recurrent.w_in", 4 * hidden, input_width),
         w_rec=_array(rec_doc["w_rec"], "recurrent.w_rec", 4 * hidden, hidden),
         bias=_array(rec_doc["bias"], "recurrent.bias", 4 * hidden),
     )
@@ -519,8 +519,7 @@ def _params_from_doc(doc: dict) -> ModelParams:
     word_vectors = (None if wv_doc is None else TrainableWordVectors(
         *_vocabulary(_object(wv_doc, "word_vectors"), "word_vectors", 0, word_dim)))
     params = ModelParams(
-        vocab=vocab,
-        rec=rec,
+        encoder=encoder,
         w1=w1,
         b1=_array(cls_doc["b1"], "classifier.b1", width),
         w2=None if w2_doc is None else _array(w2_doc, "classifier.w2", n_labels, width),

@@ -4,7 +4,7 @@ import numpy as np
 
 from semrel.corpus import parse_conll
 from semrel.embeddings import EmbeddingTable
-from semrel.path_encoder import ComponentEmbeddings, EdgeVocab, RecurrentParams, RowGradient
+from semrel.path_encoder import ComponentEmbeddings, PathEncoder, RowGradient
 from semrel.relation_model import ModelParams, trainable_arrays
 
 # "The black cat chased a gray mouse."
@@ -58,16 +58,15 @@ def constant_model(labels, probs, word_dim=2, hidden_dim=2):
     probs = np.asarray(probs, dtype=float)
     assert probs.shape == (len(labels),) and abs(probs.sum() - 1.0) < 1e-9
     empty = ComponentEmbeddings({}, np.zeros((1, 1)))
-    vocab = EdgeVocab(lemma=empty, pos=empty, deprel=empty, direction=empty)
-    rec = RecurrentParams(
+    encoder = PathEncoder(
+        lemma=empty, pos=empty, deprel=empty, direction=empty,
         w_in=np.zeros((4 * hidden_dim, 4)),
         w_rec=np.zeros((4 * hidden_dim, hidden_dim)),
         bias=np.zeros(4 * hidden_dim),
     )
     width = 2 * word_dim + hidden_dim
     return ModelParams(
-        vocab=vocab,
-        rec=rec,
+        encoder=encoder,
         w1=np.zeros((len(labels), width)),
         b1=np.log(probs),
         w2=None,

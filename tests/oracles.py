@@ -136,14 +136,14 @@ def _reference_sigmoid(z):
     return out
 
 
-def _reference_encode(paths, vocab, rec, mode, rate, rng):
+def _reference_encode(paths, encoder, mode, rate, rng):
     """The averaged path vector and one (rows, xs, hs, cs, gates, tanh_c,
     weights) tuple per group of paths of equal step count: each path's rows
     looked up token by token on every call, with word dropout drawn path by
     path in the multiset's order."""
     import numpy as np
 
-    hidden = rec.hidden_size
+    hidden = encoder.hidden_size
     items = list(paths.items())
     if not items:
         return np.zeros(hidden), []
@@ -155,7 +155,7 @@ def _reference_encode(paths, vocab, rec, mode, rate, rng):
     groups, path_rows = {}, []
     for n, (path, _) in enumerate(items):
         rows = np.array([[comp.index.get(token, 0) for comp, token in
-                          zip(vocab.components(), (e.lemma, e.pos, e.deprel, e.direction))]
+                          zip(encoder.components(), (e.lemma, e.pos, e.deprel, e.direction))]
                          for e in path.edges], dtype=np.intp).reshape(-1, 4)
         if rate > 0.0 and rng is not None:
             rows[rng.random(len(path.edges)) < rate, 0] = 0
@@ -165,16 +165,16 @@ def _reference_encode(paths, vocab, rec, mode, rate, rng):
     for members in groups.values():
         rows = np.stack([path_rows[n] for n in members], axis=1)
         steps, count = rows.shape[:2]
-        xs = np.concatenate([comp.matrix[rows[..., k]] for k, comp in enumerate(vocab.components())],
+        xs = np.concatenate([comp.matrix[rows[..., k]] for k, comp in enumerate(encoder.components())],
                             axis=2)
-        z_in = (xs.reshape(steps * count, xs.shape[2]) @ rec.w_in.T + rec.bias)
+        z_in = (xs.reshape(steps * count, xs.shape[2]) @ encoder.w_in.T + encoder.bias)
         z_in = z_in.reshape(steps, count, 4 * hidden)
         hs = np.zeros((steps + 1, count, hidden))
         cs = np.zeros((steps + 1, count, hidden))
         gates = np.empty((steps, count, 4 * hidden))
         tanh_c = np.empty((steps, count, hidden))
         for t in range(steps):
-            z = z_in[t] + hs[t] @ rec.w_rec.T
+            z = z_in[t] + hs[t] @ encoder.w_rec.T
             gates[t] = _reference_sigmoid(z)
             gates[t, :, 2 * hidden:3 * hidden] = np.tanh(z[:, 2 * hidden:3 * hidden])
             g_i, g_f, g_g, g_o = (gates[t, :, k * hidden:(k + 1) * hidden] for k in range(4))
@@ -190,13 +190,13 @@ def _reference_encode(paths, vocab, rec, mode, rate, rng):
     return pooled, caches
 
 
-def _reference_backprop(d_out, caches, vocab, rec, grads):
+def _reference_backprop(d_out, caches, encoder, grads):
     """Dense gradients of every encoder array, one gate at a time."""
     import numpy as np
 
-    hidden = rec.hidden_size
+    hidden = encoder.hidden_size
     i, f, g, o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    ends = np.cumsum([comp.width for comp in vocab.components()]).tolist()
+    ends = np.cumsum([comp.width for comp in encoder.components()]).tolist()
     spans = list(zip([0] + ends[:-1], ends))
     for rows, xs, hs, cs, gates, tanh_cs, weights in caches:
         steps, count = rows.shape[:2]
@@ -214,12 +214,12 @@ def _reference_backprop(d_out, caches, vocab, rec, grads):
             dz[:, g] = d_ct * gi * (1.0 - gg**2)
             dz[:, o] = dh * tanh_c * go * (1.0 - go)
             dc = d_ct * gf
-            dh = dz @ rec.w_rec
+            dh = dz @ encoder.w_rec
         dz_all = dzs.reshape(steps * count, -1)
         grads["w_in"] += dz_all.T @ xs.reshape(steps * count, -1)
         grads["w_rec"] += dz_all.T @ hs[:-1].reshape(steps * count, -1)
         grads["bias"] += dz_all.sum(axis=0)
-        dx = dz_all @ rec.w_in
+        dx = dz_all @ encoder.w_in
         flat = rows.reshape(steps * count, 4)
         for k, (name, (start, end)) in enumerate(zip(("lemma", "pos", "deprel", "direction"),
                                                      spans)):
@@ -236,8 +236,8 @@ def reference_sgd_step(params, table, x, y, paths, label, config, rng):
 
     arrays = trainable_arrays(params)
     grads = {name: np.zeros(array.shape) for name, array in arrays.items()}
-    d, hidden = params.word_dim, params.hidden_size
-    v_paths, caches = _reference_encode(paths, params.vocab, params.rec, params.path_average,
+    d, hidden = params.word_dim, params.encoder.hidden_size
+    v_paths, caches = _reference_encode(paths, params.encoder, params.path_average,
                                         config.word_dropout_rate, rng)
     v = np.concatenate([params.word_vector(x, table), v_paths, params.word_vector(y, table)])
     a = params.w1 @ v + params.b1
@@ -257,7 +257,7 @@ def reference_sgd_step(params, table, x, y, paths, label, config, rng):
     grads["w1"] += np.outer(d_a, v)
     grads["b1"] += d_a
     d_v = params.w1.T @ d_a
-    _reference_backprop(d_v[d:d + hidden], caches, params.vocab, params.rec, grads)
+    _reference_backprop(d_v[d:d + hidden], caches, params.encoder, grads)
     if params.word_vectors is not None:
         for token, part in ((x, d_v[:d]), (y, d_v[d + hidden:])):
             row = params.word_vectors.row(token)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import conll_text
 from semrel.cli import main
-from semrel.corpus import build_path_index, load_index, parse_conll
+from semrel.corpus import build_path_index, iter_conll, load_index, parse_conll, save_index
 from semrel.embeddings import load_table
 from semrel.pairs import RELATED_LABELS, RELATION_LABELS, read_pairs
 from semrel.relatedness import CombinerConfig, save_combiner
@@ -216,7 +217,7 @@ def test_train_writes_the_model_that_the_whole_table_trains(micro, capsys):
     printed = [line.rsplit(" ", 1)[1] for line in capsys.readouterr().out.splitlines()
                if line.startswith("epoch")]
     assert printed == accuracies and len(printed) == 2
-    assert {"kind", "part"} <= params.vocab.lemma.index.keys()
+    assert {"kind", "part"} <= params.encoder.lemma.index.keys()
 
 
 def test_train_val_prints_validation_accuracy_per_epoch(micro, capsys):
@@ -1367,6 +1368,46 @@ def test_trained_models_do_not_depend_on_the_openblas_thread_count(tmp_path):
     for task in ("relatedness", "relations"):
         single, multi = (tmp_path / f"{task}-{t}.json" for t in ("one", "default"))
         assert single.read_bytes() == multi.read_bytes(), task
+
+
+def test_equal_indexes_train_the_same_bytes(tmp_path):
+    """An index that build_path_index builds, the same index loaded from its
+    file, and that file with its lines shuffled compare equal, and each trains
+    the same model bytes, through train and through semrel train, on the
+    acceptance world of bench/world.py, seed 1: a pair's paths enter training
+    in their text order, whatever order they were added in."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    world = tmp_path / "world"
+    subprocess.run([sys.executable, str(ROOT / "bench" / "world.py"), "--workload", "acceptance",
+                    "--seed", "1", "--out", str(world)], check=True, env=env)
+    pairs = [(r.x, r.y) for r in read_pairs(world / "all_pairs.tsv", require_label=False)]
+    with open(world / "corpus.conll", encoding="utf-8") as fh:
+        built = build_path_index(iter_conll(fh), pairs)
+    index = tmp_path / "index.tsv"
+    save_index(built, index)
+    header, *rows = index.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(3).shuffle(rows)
+    shuffled = tmp_path / "shuffled.tsv"
+    shuffled.write_text(header + "".join(rows), encoding="utf-8")
+    indexes = [built, load_index(index), load_index(shuffled)]
+    assert indexes[0] == indexes[1] == indexes[2]
+    records = [r for r in read_pairs(world / "train.tsv") if r.label != "RANDOM"]
+    table = load_table(world / "embeddings.txt")
+    config = replace(RELATIONS_PRESET, epochs=2, seed=7)
+    models = []
+    for built_or_loaded in indexes:
+        buf = io.StringIO()
+        save_model(train(records, [], config, built_or_loaded, table, label_set=RELATED_LABELS),
+                   buf)
+        models.append(buf.getvalue().encode("utf-8"))
+    for source in (index, shuffled):
+        model = tmp_path / f"{source.stem}.json"
+        assert run("train", "--task", "relations", "--pairs", world / "train.tsv", "--index",
+                   source, "--embeddings", world / "embeddings.txt", "--model", model,
+                   "--epochs", 2, "--seed", 7) == 0
+        models.append(model.read_bytes())
+    assert models == [models[0]] * 5
 
 
 def test_module_entry_point():

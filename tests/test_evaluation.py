@@ -151,6 +151,16 @@ def test_split_is_deterministic():
     assert a != b
 
 
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_an_x_word_goes_to_one_side_whatever_its_case(seed):
+    """Every lookup folds case, so Cat and cat are one x word."""
+    records = [PairRecord("Cat", "mouse", "HYPER"), PairRecord("cat", "animal", "HYPER"),
+               PairRecord("dog", "tail", "PART_OF"), PairRecord("bird", "wing", "PART_OF")]
+    train, val = lexical_split(records, 0.5, seed=seed)
+    assert len(train) + len(val) == len(records)
+    assert {r.x.lower() for r in train}.isdisjoint({r.x.lower() for r in val})
+
+
 def test_extreme_fractions_are_clamped_to_leave_both_sides():
     records = [PairRecord("a", "b", "SYN"), PairRecord("c", "d", "SYN")]
     train, val = lexical_split(records, 0.01, seed=0)

@@ -17,7 +17,7 @@ import copy
 from semrel.corpus import DependencyPath, PathEdge, PathIndex
 from semrel.errors import DataError
 from semrel.pairs import PairRecord
-from semrel.path_encoder import ComponentEmbeddings, average_paths_with_cache, encoder_arrays
+from semrel.path_encoder import ComponentEmbeddings, average_paths_with_cache
 from semrel.pipeline import syn_heuristic
 from semrel.relation_model import (
     MODEL_FORMAT,
@@ -126,7 +126,7 @@ def test_featurize_concatenation_order():
     table = random_table(["cat", "mouse", "dog"], 3, seed=1)
     _, _, _, params = tiny_setup()
     index = make_index()
-    v_paths, _ = average_paths_with_cache(index.get("cat", "mouse"), params.vocab, params.rec)
+    v_paths, _ = average_paths_with_cache(index.get("cat", "mouse"), params.encoder)
     x, y = table.lookup("cat"), table.lookup("mouse")
     [dist] = pair_distribution(params, table, index, [("cat", "mouse")])
     assert np.array_equal(dist, forward(np.concatenate([x, v_paths, y]), params))
@@ -166,7 +166,7 @@ def test_pair_distribution_uses_index_paths():
     [dist] = pair_distribution(params, table, index, [("cat", "mouse")])
     loss_input = np.concatenate([
         table.lookup("cat"),
-        np.zeros(params.hidden_size),
+        np.zeros(params.encoder.hidden_size),
         table.lookup("mouse"),
     ])
     # paths exist for the pair, so the path block cannot be all zeros
@@ -536,10 +536,10 @@ def test_the_step_components_keep_their_names_and_order(hidden_layers):
     buf = io.StringIO()
     save_model(params, buf)
     assert list(json.loads(buf.getvalue())["edge_vocab"]) == components
-    encoder = encoder_arrays(params.vocab, params.rec)
+    encoder = params.encoder.arrays()
     assert list(encoder) == [*components, "w_in", "w_rec", "bias"]
-    assert all(encoder[name] is getattr(params.vocab, name).matrix for name in components)
-    assert params.vocab.components() == tuple(getattr(params.vocab, name) for name in components)
+    assert all(encoder[name] is getattr(params.encoder, name).matrix for name in components)
+    assert params.encoder.components() == tuple(getattr(params.encoder, name) for name in components)
     _, grads = loss_and_gradients(examples[0], params, table)
     assert list(vars(grads)) == [*encoder, "w1", "b1", *(["w2", "b2"] * hidden_layers),
                                  "word_vectors"]
@@ -664,6 +664,24 @@ def test_load_names_the_file_and_field_of_a_value_of_another_json_type(tmp_path,
     assert str(caught.value) == f"{target}: model field {field} {message}"
 
 
+# A size that TrainConfig would refuse is refused where it is read, not
+# blamed on a matrix whose expected shape it sets.
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("field", ["word_dim", "hidden_dim", "edge_vocab.pos.width"])
+def test_load_names_a_size_field_that_is_not_positive(tmp_path, field, value):
+    doc = full_model_doc()
+    *parents, last = field.split(".")
+    section = doc
+    for key in parents:
+        section = section[key]
+    section[last] = value
+    target = tmp_path / "model.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        load_model(target)
+    assert str(caught.value) == f"{target}: model field {field} must be positive: {value}"
+
+
 @pytest.mark.parametrize("field", ["path_average", "seed", "word_vectors"])
 def test_load_names_a_missing_field_that_every_saved_model_holds(tmp_path, field):
     doc = full_model_doc()
@@ -758,9 +776,10 @@ def model_with_lemma_rows(rows, width):
     lemma matrix grown to ``rows`` tokens of ``width`` random values."""
     _, _, _, params = tiny_setup(hidden_layers=1, train_word_vectors=True)
     rng = np.random.default_rng(3)
-    params.vocab = replace(params.vocab, lemma=ComponentEmbeddings(
+    params.encoder = replace(params.encoder, lemma=ComponentEmbeddings(
         {f"lemma{i}": i for i in range(1, rows + 1)}, rng.normal(size=(rows + 1, width))))
-    params.rec.w_in = rng.normal(size=(params.rec.w_in.shape[0], params.vocab.input_width))
+    params.encoder = replace(params.encoder, w_in=rng.normal(
+        size=(params.encoder.w_in.shape[0], params.encoder.input_width)))
     return params
 
 
@@ -778,7 +797,7 @@ def test_save_refuses_a_non_finite_value(tmp_path):
     for fault in ("lemma", "word_vectors"):
         params = model_with_lemma_rows(5000, 2)
         if fault == "lemma":
-            params.vocab.lemma.matrix[-1, -1] = np.nan
+            params.encoder.lemma.matrix[-1, -1] = np.nan
         else:
             params.word_vectors.matrix[-1, 0] = np.inf
         existing.write_bytes(b"an earlier model\n")
@@ -794,7 +813,7 @@ def test_save_refuses_a_non_finite_value(tmp_path):
 @pytest.mark.parametrize("destination", ["path", "stream"])
 def test_save_load_reproduces_every_array_bit_for_bit(tmp_path, destination):
     params = model_with_lemma_rows(5000, 2)  # ten blocks of the writer
-    params.vocab.lemma.matrix[-1] = [-0.0, 5e-324]
+    params.encoder.lemma.matrix[-1] = [-0.0, 5e-324]
     params.w1.flat[:3] = [1.7976931348623157e308, -0.0, -5e-324]
     params.word_vectors.matrix[0, 0] = -1.7976931348623157e308
     if destination == "path":
