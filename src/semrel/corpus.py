@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 from urllib.parse import quote, unquote
@@ -80,6 +81,10 @@ class DependencyPath:
     """Steps from the X endpoint to the Y endpoint, one per node on the walk."""
 
     edges: tuple[PathEdge, ...]
+
+    @cached_property  # computed once, as path_to_text writes it
+    def text(self) -> str:
+        return path_to_text(self)
 
 
 def iter_conll(stream) -> Iterator[SentenceGraph]:
@@ -248,8 +253,9 @@ class PathIndex:
         self._pairs.setdefault(self._key(x, y), Counter())[path] += count
 
     def get(self, x: str, y: str) -> Counter:
-        """A copy of the pair's path multiset; empty when the pair is absent."""
-        return Counter(self._pairs.get(self._key(x, y), ()))
+        """A copy of the pair's path multiset, in ``text`` order; empty when absent."""
+        paths = self._pairs.get(self._key(x, y), {})
+        return Counter({path: paths[path] for path in sorted(paths, key=lambda path: path.text)})
 
     def pair_keys(self) -> list[tuple[str, str]]:
         return sorted(self._pairs)
@@ -271,25 +277,20 @@ def build_path_index(
     The corpus is read once, in one pass, so it may be a stream such as
     ``iter_conll``. Each sentence visits only the pairs whose two lemmas it
     holds: its lemmas are looked up among the pairs' x lemmas, and each hit's
-    y lemmas among its lemmas. The result does not depend on sentence order:
-    per-pair multisets are merged by commutative addition, and each pair's
-    paths are left in their text order, the order that ``save_index`` writes.
+    y lemmas among its lemmas.
     """
     if max_edges < 1:  # before the corpus is read, whether or not a pair occurs
         raise ValueError("max_edges must be at least 1")
     ys_of: dict[str, set[str]] = {}
     for x, y in pairs:
         ys_of.setdefault(x.lower(), set()).add(y.lower())
-    found: dict[tuple[str, str], Counter] = {}
+    index = PathIndex()
     for sentence in corpus:
         present = sentence.positions.keys()
         for x in present & ys_of.keys():
             for y in present & ys_of[x]:
-                found.setdefault((x, y), Counter()).update(extract_paths(sentence, x, y, max_edges))
-    index = PathIndex()
-    for (x, y), paths in found.items():
-        for path in sorted(paths, key=path_to_text):
-            index.add(x, y, path, paths[path])
+                for path, count in extract_paths(sentence, x, y, max_edges).items():
+                    index.add(x, y, path, count)
     return index
 
 
@@ -330,21 +331,21 @@ def path_from_text(text: str) -> DependencyPath:
     return DependencyPath(tuple(edges))
 
 
+@cache  # lemmas, tags and labels repeat across paths
 def _quote(field: str) -> str:
     return quote(field, safe="")
 
 
 def save_index(index: PathIndex, destination) -> None:
-    """Write an index as sorted ``x<TAB>y<TAB>path<TAB>count`` lines."""
-    rows = (f"{x}\t{y}\t{text}\t{count}\n" for x, y in index.pair_keys()
-            for text, count in sorted((path_to_text(p), c) for p, c in index.get(x, y).items()))
+    """Write an index as ``x<TAB>y<TAB>path<TAB>count`` lines."""
+    rows = (f"{x}\t{y}\t{path.text}\t{count}\n" for x, y in index.pair_keys()
+            for path, count in index.get(x, y).items())
     write_pieces(destination, chain([INDEX_HEADER + "\n"], rows))
 
 
 def load_index(source) -> PathIndex:
-    """Read an index written by ``save_index``; line 1 must be its header.
-    Each pair's paths are left in their text order, whatever the lines' order."""
-    rows = []
+    """Read an index written by ``save_index``; line 1 must be its header."""
+    index = PathIndex()
     with open_lines(source) as lines:
         lines = iter(lines)
         if next(lines, "").rstrip("\r\n") != INDEX_HEADER:
@@ -352,6 +353,8 @@ def load_index(source) -> PathIndex:
         for line_no, cols in data_lines(lines, start=2):
             if len(cols) != 4:
                 raise ParseError(f"expected 4 columns at line {line_no}")
+            if not cols[0] or not cols[1]:
+                raise ParseError(f"empty term at line {line_no}")
             try:
                 count = int(cols[3])
             except ValueError:
@@ -362,8 +365,5 @@ def load_index(source) -> PathIndex:
                 path = path_from_text(cols[2])
             except ParseError as exc:
                 raise ParseError(f"{exc} at line {line_no}") from None
-            rows.append((cols[2], cols[0], cols[1], path, count))
-    index = PathIndex()
-    for _, x, y, path, count in sorted(rows, key=lambda row: row[0]):
-        index.add(x, y, path, count)
+            index.add(cols[0], cols[1], path, count)
     return index

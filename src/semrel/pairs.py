@@ -50,8 +50,8 @@ class PairRecord:
 def read_pairs(source, require_label: bool = True) -> list[PairRecord]:
     """Read pair records from a path or an iterable of lines.
 
-    Lines must carry two or three tab-separated columns. Neither term may be
-    empty, and neither may the label when ``require_label`` is true; a
+    Lines carry at least two tab-separated columns; extra columns are ignored.
+    Neither term may be empty, nor the label when ``require_label`` is true; a
     ParseError names the line. Blank lines and '#' comments are skipped.
     """
     records = []

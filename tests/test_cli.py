@@ -1372,10 +1372,11 @@ def test_trained_models_do_not_depend_on_the_openblas_thread_count(tmp_path):
 
 def test_equal_indexes_train_the_same_bytes(tmp_path):
     """An index that build_path_index builds, the same index loaded from its
-    file, and that file with its lines shuffled compare equal, and each trains
-    the same model bytes, through train and through semrel train, on the
-    acceptance world of bench/world.py, seed 1: a pair's paths enter training
-    in their text order, whatever order they were added in."""
+    file, that file with its lines shuffled, and that file with one path's X
+    spelled %58 compare equal, and each trains the same model bytes, through
+    train and through semrel train, on the acceptance world of bench/world.py,
+    seed 1: a pair's paths enter training in the order of their canonical
+    text, whatever order they were added in and however the file spells them."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     world = tmp_path / "world"
@@ -1387,11 +1388,17 @@ def test_equal_indexes_train_the_same_bytes(tmp_path):
     index = tmp_path / "index.tsv"
     save_index(built, index)
     header, *rows = index.read_text(encoding="utf-8").splitlines(keepends=True)
+    last = max(i for i, row in enumerate(rows) if row.startswith("ax000\tay000\tX/"))
+    respelled_rows = rows.copy()
+    respelled_rows[last] = rows[last].replace("\tX/", "\t%58/", 1)
+    respelled = tmp_path / "respelled.tsv"
+    respelled.write_text(header + "".join(respelled_rows), encoding="utf-8")
     random.Random(3).shuffle(rows)
     shuffled = tmp_path / "shuffled.tsv"
     shuffled.write_text(header + "".join(rows), encoding="utf-8")
-    indexes = [built, load_index(index), load_index(shuffled)]
-    assert indexes[0] == indexes[1] == indexes[2]
+    assert respelled.read_bytes() != index.read_bytes()
+    indexes = [built, load_index(index), load_index(shuffled), load_index(respelled)]
+    assert indexes[0] == indexes[1] == indexes[2] == indexes[3]
     records = [r for r in read_pairs(world / "train.tsv") if r.label != "RANDOM"]
     table = load_table(world / "embeddings.txt")
     config = replace(RELATIONS_PRESET, epochs=2, seed=7)
@@ -1401,13 +1408,13 @@ def test_equal_indexes_train_the_same_bytes(tmp_path):
         save_model(train(records, [], config, built_or_loaded, table, label_set=RELATED_LABELS),
                    buf)
         models.append(buf.getvalue().encode("utf-8"))
-    for source in (index, shuffled):
+    for source in (index, shuffled, respelled):
         model = tmp_path / f"{source.stem}.json"
         assert run("train", "--task", "relations", "--pairs", world / "train.tsv", "--index",
                    source, "--embeddings", world / "embeddings.txt", "--model", model,
                    "--epochs", 2, "--seed", 7) == 0
         models.append(model.read_bytes())
-    assert models == [models[0]] * 5
+    assert models == [models[0]] * 7
 
 
 def test_module_entry_point():

@@ -427,6 +427,16 @@ def test_load_index_rejects_wrong_header(tmp_path):
 INDEX_ROW = "cat\tmouse\tX/NOUN/nsubj/<\t1\n"
 
 
+@pytest.mark.parametrize("row", ["\tmouse\tX/NOUN/nsubj/<\t1", "cat\t\tX/NOUN/nsubj/<\t1"],
+                         ids=["empty-x", "empty-y"])
+def test_load_index_refuses_an_empty_term(tmp_path, row):
+    bad = tmp_path / "badidx.tsv"
+    bad.write_text(f"# semrel path index v1\n{INDEX_ROW}{row}\n")
+    with pytest.raises(ParseError) as caught:
+        load_index(bad)
+    assert str(caught.value) == f"{bad}: empty term at line 3"
+
+
 @pytest.mark.parametrize("text", ["", INDEX_ROW, "# semrel path index v2\n" + INDEX_ROW],
                          ids=["empty", "no-header", "v2-header"])
 def test_load_index_requires_its_header_on_line_1(tmp_path, text):

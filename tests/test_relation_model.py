@@ -14,7 +14,7 @@ from helpers import constant_model, dense_gradients, make_table, random_table
 from oracles import central_difference, reference_sgd_step, reference_train, rel_error
 import copy
 
-from semrel.corpus import DependencyPath, PathEdge, PathIndex
+from semrel.corpus import DependencyPath, PathEdge, PathIndex, path_to_text
 from semrel.errors import DataError
 from semrel.pairs import PairRecord
 from semrel.path_encoder import ComponentEmbeddings, average_paths_with_cache
@@ -426,6 +426,33 @@ def test_word_dropout_changes_training_but_keeps_determinism():
     dropped_b = train(records, [], TrainConfig(word_dropout_rate=0.5, **base), index, table)
     assert np.array_equal(dropped_a.w1, dropped_b.w1)
     assert not np.array_equal(plain.w1, dropped_a.w1)
+
+
+def test_add_order_changes_neither_the_path_order_nor_the_model_bytes():
+    """Two indexes that add the same paths in opposite orders give each pair's
+    paths in the same order, that of their text, and train the same model
+    bytes, word dropout included."""
+    p3 = DependencyPath((PathEdge("X", "NOUN", "nmod", "up"), PathEdge("by", "ADP", "case", "root"),
+                         PathEdge("Y", "NOUN", "obl", "down")))
+    rows = [("cat", "mouse", P1, 2), ("cat", "mouse", P2, 1), ("cat", "mouse", p3, 1),
+            ("dog", "cat", P2, 3), ("dog", "cat", p3, 2)]
+    indexes = PathIndex(), PathIndex()
+    for row in rows:
+        indexes[0].add(*row)
+    for row in reversed(rows):
+        indexes[1].add(*row)
+    for x, y in indexes[0].pair_keys():
+        order = list(indexes[0].get(x, y))
+        assert order == list(indexes[1].get(x, y)) == sorted(order, key=path_to_text)
+    table = random_table(["cat", "mouse", "dog"], 3, seed=1)
+    config = TrainConfig(epochs=2, seed=9, hidden_dim=4, lemma_dim=2, pos_dim=2, deprel_dim=2,
+                         dir_dim=1, word_dropout_rate=0.3)
+    saved = []
+    for index in indexes:
+        buf = io.StringIO()
+        save_model(train(TINY_RECORDS, [], config, index, table), buf)
+        saved.append(buf.getvalue())
+    assert saved[0] == saved[1]
 
 
 # -------------------------------------------------- trainable word vectors
