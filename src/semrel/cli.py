@@ -13,6 +13,7 @@ malformed files, inconsistent datasets, invalid hyperparameter values).
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from contextlib import nullcontext
@@ -182,14 +183,18 @@ def _config_flags(sub: _Parser, path: str) -> list[str]:
     return flags
 
 
-def _check_output_dir(path: str | None) -> None:
+def _check_output(path: str | Path | None) -> None:
     """Raise, before any input is read, the OSError that writing ``path``
-    would raise for want of its directory; nothing is created or opened."""
-    if path is not None:
-        try:  # with a trailing separator, a file fails as "Not a directory"
-            os.stat(os.path.join(os.path.dirname(path) or ".", ""))
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from None
+    would raise for want of its directory or because ``path`` is a
+    directory; nothing is created or opened."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:  # with a trailing separator, a file fails as "Not a directory"
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _pair_words(records) -> set[str]:
@@ -198,7 +203,7 @@ def _pair_words(records) -> set[str]:
 
 
 def _cmd_extract_paths(args) -> int:
-    _check_output_dir(args.output)
+    _check_output(args.output)
     records = read_pairs(args.pairs, require_label=False)
     n_sentences = 0
 
@@ -241,7 +246,9 @@ def _print_validation_accuracy(epoch: int, accuracy: float) -> None:
 
 
 def _cmd_train(args) -> int:
-    _check_output_dir(args.model)  # the manifest goes next to the model
+    _check_output(args.model)
+    manifest_path = Path(args.model).with_suffix(".manifest.json")
+    _check_output(manifest_path)
     folding, label_set, preset = _TASKS[args.task]
     config = _resolved_config(args, preset)
     read = read_labelled(args.pairs, folding, "training set")
@@ -272,7 +279,7 @@ def _cmd_train(args) -> int:
         "n_val": len(val),
         "dropped_negative": dropped,
     }
-    write_document(Path(args.model).with_suffix(".manifest.json"), manifest)
+    write_document(manifest_path, manifest)
     print(f"trained {args.task} model on {len(records)} pairs "
           f"({config.epochs} epochs, seed {config.seed}) -> {args.model}")
     return 0
@@ -281,7 +288,7 @@ def _cmd_train(args) -> int:
 def _cmd_tune(args) -> int:
     if not args.cosine_only and not (args.model and args.index):
         raise _UsageError("--model and --index are required unless --cosine-only is given")
-    _check_output_dir(args.output)
+    _check_output(args.output)
     records = read_labelled(args.pairs, TO_RELATEDNESS, "tuning set")
     table = load_table(args.embeddings, _pair_words(records))
     params = index = None
@@ -298,7 +305,7 @@ def _cmd_tune(args) -> int:
 def _cmd_predict(args) -> int:
     if args.task == "relations" and not args.relation_model:
         raise _UsageError("--task relations requires --relation-model")
-    _check_output_dir(args.output)
+    _check_output(args.output)
     combiner = load_combiner(args.combiner)
     if combiner.w_l != 0.0 and not args.relatedness_model:
         raise _UsageError("this combiner has w_L > 0; pass --relatedness-model")
@@ -324,7 +331,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _check_output_dir(args.output)
+    _check_output(args.output)
     pred = read_pairs(args.predictions)
     relatedness = {r.label in RELATEDNESS_LABELS for r in pred}
     if relatedness == {True, False}:

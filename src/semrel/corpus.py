@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 from urllib.parse import quote, unquote
 
 from ._io import data_lines, excerpt, int_error, open_lines, write_pieces
@@ -61,9 +61,9 @@ class SentenceGraph:
     positions: dict[str, list[int]]
 
 
-@dataclass(frozen=True)
-class PathEdge:
-    """One step of a dependency path.
+class PathEdge(NamedTuple):
+    """One step of a dependency path; its fields are the step's components,
+    in the order that a step input and a model file hold them.
 
     ``lemma`` is the node's lowercased lemma, or the X/Y placeholder at the
     endpoints; ``deprel`` is the node's own label toward its head; ``direction``
@@ -189,15 +189,16 @@ def extract_paths(
         for yi in ys:
             if xi == yi:
                 continue
-            nodes = _tree_path(sentence.heads, xi, yi)
+            nodes, apex = _tree_path(sentence.heads, xi, yi)
             if len(nodes) - 1 > max_edges:
                 continue
-            found[_path_from_nodes(sentence, nodes)] += 1
+            found[_path_from_nodes(sentence, nodes, apex)] += 1
     return found
 
 
-def _tree_path(heads: tuple[int, ...], a: int, b: int) -> list[int]:
-    """Nodes on the unique tree walk from a to b, inclusive."""
+def _tree_path(heads: tuple[int, ...], a: int, b: int) -> tuple[list[int], int]:
+    """Nodes on the unique tree walk from a to b, inclusive, and the position
+    of its apex, the node nearest the root."""
     chain_a = []
     node = a
     while node != 0:
@@ -209,26 +210,17 @@ def _tree_path(heads: tuple[int, ...], a: int, b: int) -> list[int]:
     while node not in depth_a:
         chain_b.append(node)
         node = heads[node]
-    return chain_a[: depth_a[node] + 1] + list(reversed(chain_b))
+    apex = depth_a[node]
+    return chain_a[: apex + 1] + list(reversed(chain_b)), apex
 
 
-def _path_from_nodes(sentence: SentenceGraph, nodes: list[int]) -> DependencyPath:
-    heads = sentence.heads
-    steps = []
+def _path_from_nodes(sentence: SentenceGraph, nodes: list[int], apex: int) -> DependencyPath:
+    """The walk's steps: "up" before the apex, "root" at it, "down" after it."""
     last = len(nodes) - 1
+    steps = []
     for i, node in enumerate(nodes):
-        if i == 0:
-            lemma = X_PLACEHOLDER
-        elif i == last:
-            lemma = Y_PLACEHOLDER
-        else:
-            lemma = sentence.lemmas[node]
-        if i < last and heads[node] == nodes[i + 1]:
-            direction = UP
-        elif i > 0 and heads[node] == nodes[i - 1]:
-            direction = DOWN
-        else:
-            direction = ROOT
+        lemma = X_PLACEHOLDER if i == 0 else Y_PLACEHOLDER if i == last else sentence.lemmas[node]
+        direction = UP if i < apex else ROOT if i == apex else DOWN
         steps.append(PathEdge(lemma, sentence.pos[node], sentence.deprels[node], direction))
     return DependencyPath(tuple(steps))
 

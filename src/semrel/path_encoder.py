@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import DOWN, ROOT, UP, DependencyPath, X_PLACEHOLDER, Y_PLACEHOLDER
+from .corpus import DOWN, ROOT, UP, DependencyPath, PathEdge, X_PLACEHOLDER, Y_PLACEHOLDER
 from .embeddings import EmbeddingTable
 
 INIT_SCALE = 0.1
@@ -52,9 +52,9 @@ class ComponentEmbeddings:
         return self.index.get(token, 0)
 
 
-# The step components, as PathEdge and PathEncoder name them, in step-input and model-file order.
-STEP_COMPONENTS = ("lemma", "pos", "deprel", "direction")
-_in_step_order = attrgetter(*STEP_COMPONENTS)  # a PathEdge's tokens or a PathEncoder's components
+# The step components, in step-input and model-file order; PathEncoder's first fields.
+STEP_COMPONENTS = PathEdge._fields
+_in_step_order = attrgetter(*STEP_COMPONENTS)  # a PathEncoder's components
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,8 @@ class PathEncoder:
 
     def path_rows(self, path: DependencyPath) -> np.ndarray:
         """The path's (T, 4) row numbers, one column per step component."""
-        return np.array([[comp.row(token) for comp, token in
-                          zip(self.components(), _in_step_order(e))]
-                         for e in path.edges], dtype=np.intp).reshape(-1, 4)
+        return np.array([[comp.row(token) for comp, token in zip(self.components(), edge)]
+                         for edge in path.edges], dtype=np.intp).reshape(-1, 4)
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The trainable arrays by name, in a fixed order; a gradient

@@ -47,8 +47,8 @@ def depth_directions(heads, walk):
 
     The apex is the unique shallowest node; everything before it moves toward
     the root ("up"), everything after moves away ("down"). This is a different
-    formulation from the one in the library, which looks at head links between
-    neighbouring walk positions.
+    formulation from the one in the library, which takes the apex's position
+    from the walk that meets the two head chains and reads no depths.
     """
     def depth(node):
         d = 0

@@ -827,16 +827,20 @@ def test_an_unwritable_output_file_is_named_with_the_reason(micro, capsys):
 
 
 @pytest.mark.parametrize("parent, reason", [
-    ("nodir", "No such file or directory"), ("pairs.tsv", "Not a directory")])
+    ("nodir", "No such file or directory"), ("pairs.tsv", "Not a directory"),
+    ("outdir", "Is a directory")])
 @pytest.mark.parametrize("command", ["extract-paths", "train", "tune", "predict", "evaluate"])
 def test_an_output_directory_is_checked_before_any_input_is_read(micro, capsys, command, parent,
                                                                  reason):
-    """Every input is malformed or missing, yet the output's directory is the
-    error reported, and the check leaves every file as it was."""
+    """Every input is malformed or missing, yet the output's directory, or
+    the output itself when it is a directory, is the error reported, and the
+    check leaves every file as it was."""
     d = micro["dir"]
     bad = d / "bad.tsv"
     bad.write_text("only-one-column\n")
     out = d / parent / "out"
+    if reason == "Is a directory":
+        out.mkdir(parents=True)
     data = ["--pairs", bad, "--index", d / "missing.tsv", "--embeddings", bad]
     argv = {
         "extract-paths": ("extract-paths", "--corpus", bad, "--pairs", bad, "--output", out),
@@ -846,10 +850,24 @@ def test_an_output_directory_is_checked_before_any_input_is_read(micro, capsys, 
                     "--relation-model", d / "missing.json", "--output", out),
         "evaluate": ("evaluate", "--pairs", bad, "--predictions", bad, "--output", out),
     }[command]
-    before = {p: p.read_bytes() for p in d.rglob("*")}
+    before = {p: p.is_dir() or p.read_bytes() for p in d.rglob("*")}
     assert run(*argv) == 2
     assert capsys.readouterr() == ("", f"error: {out}: {reason}\n")
-    assert {p: p.read_bytes() for p in d.rglob("*")} == before
+    assert {p: p.is_dir() or p.read_bytes() for p in d.rglob("*")} == before
+
+
+def test_a_manifest_path_that_is_a_directory_fails_before_training(micro, capsys):
+    """train writes its manifest beside the model, so that path is checked as
+    early as the model's: no model is left without its manifest."""
+    d = micro["dir"]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    (d / "m.manifest.json").mkdir()
+    capsys.readouterr()
+    assert run("train", "--task", "relations", "--pairs", micro["pairs"], "--index", d / "index.tsv",
+               "--embeddings", micro["embeddings"], "--model", d / "m.json", "--epochs", "1") == 2
+    assert capsys.readouterr() == ("", f"error: {d / 'm.manifest.json'}: Is a directory\n")
+    assert not (d / "m.json").exists()
 
 
 def test_malformed_data_exits_two(micro, capsys):

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import semrel
+from semrel.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +27,18 @@ def test_every_module_that_the_readme_names_exists():
     names = re.findall(r"`(semrel\.[a-z]\w*)`", README.read_text(encoding="utf-8"))
     assert names, "README.md names no `semrel.<module>`"
     assert [name for name in names if importlib.util.find_spec(name) is None] == []
+
+
+# Flags that the README names for another program or as a placeholder.
+NOT_SEMREL_FLAGS = {"--no-build-isolation",  # pip's
+                    "--key"}  # the `--key=value` that a config line stands for
+
+
+def test_every_flag_that_the_readme_names_exists():
+    """A flag renamed or removed in the parser cannot stay in the README."""
+    text = README.read_text(encoding="utf-8").split("## Development")[0]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    assert flags, "README.md names no flag"
+    _, commands = build_parser()
+    options = set().union(*(sub._option_string_actions for sub in commands.values()))
+    assert sorted(flags - options - NOT_SEMREL_FLAGS) == []

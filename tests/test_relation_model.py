@@ -3,7 +3,7 @@ import json
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,12 @@ import copy
 from semrel.corpus import DependencyPath, PathEdge, PathIndex, path_to_text
 from semrel.errors import DataError
 from semrel.pairs import PairRecord
-from semrel.path_encoder import ComponentEmbeddings, average_paths_with_cache
+from semrel.path_encoder import (
+    STEP_COMPONENTS,
+    ComponentEmbeddings,
+    PathEncoder,
+    average_paths_with_cache,
+)
 from semrel.pipeline import syn_heuristic
 from semrel.relation_model import (
     MODEL_FORMAT,
@@ -570,6 +575,20 @@ def test_the_step_components_keep_their_names_and_order(hidden_layers):
     _, grads = loss_and_gradients(examples[0], params, table)
     assert list(vars(grads)) == [*encoder, "w1", "b1", *(["w2", "b2"] * hidden_layers),
                                  "word_vectors"]
+
+
+def test_a_path_step_names_the_components_of_the_encoder_the_file_and_the_gradients():
+    """The step's fields are the encoder's first fields, the model file's
+    edge vocabulary and the first arrays of a gradient record, in one order."""
+    table, _, examples, params = tiny_setup()
+    components = ("lemma", "pos", "deprel", "direction")
+    assert PathEdge._fields == STEP_COMPONENTS == components
+    assert tuple(f.name for f in fields(PathEncoder))[:4] == components
+    buf = io.StringIO()
+    save_model(params, buf)
+    assert tuple(json.loads(buf.getvalue())["edge_vocab"]) == components
+    _, grads = loss_and_gradients(examples[0], params, table)
+    assert tuple(vars(grads))[:4] == components
 
 
 def test_load_rejects_wrong_format_and_version():
