@@ -110,12 +110,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     sub = commands.add_parser("tune", help="grid-search the relatedness combiner on labelled pairs")
     sub.add_argument("--pairs", required=True, help="labelled validation pairs (TSV)")
-    sub.add_argument("--index", help="path index (required unless --cosine-only)")
+    sub.add_argument("--index", help="path index (given with --model)")
     sub.add_argument("--embeddings", required=True)
-    sub.add_argument("--model", help="relatedness model (required unless --cosine-only)")
+    sub.add_argument("--model", help="relatedness model; without it, a cosine threshold is tuned")
     sub.add_argument("--output", required=True, help="combiner file to write")
-    sub.add_argument("--cosine-only", action="store_true",
-                     help="tune only a cosine threshold (w_C=1, no classifier term)")
     sub.set_defaults(handler=_cmd_tune)
 
     sub = commands.add_parser("predict", help="label pairs with a trained model")
@@ -189,6 +187,8 @@ def _check_output(path: str | Path | None) -> None:
     directory; nothing is created or opened."""
     if path is None:
         return
+    if path == "":  # as open("") fails; os.stat would take "" for the current directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:  # with a trailing separator, a file fails as "Not a directory"
@@ -252,7 +252,7 @@ def _cmd_train(args) -> int:
     folding, label_set, preset = _TASKS[args.task]
     config = _resolved_config(args, preset)
     read = read_labelled(args.pairs, folding, "training set")
-    read_val = read_labelled(args.val, folding, "validation set") if args.val else []
+    read_val = read_labelled(args.val, folding, "validation set") if args.val is not None else []
     records, val = ([r for r in rs if r.label in label_set] for rs in (read, read_val))
     dropped = len(read) - len(records)
     if dropped:
@@ -286,13 +286,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    if not args.cosine_only and not (args.model and args.index):
-        raise _UsageError("--model and --index are required unless --cosine-only is given")
+    if (args.model is None) != (args.index is None):
+        raise _UsageError("--model and --index go together: give both or neither")
     _check_output(args.output)
     records = read_labelled(args.pairs, TO_RELATEDNESS, "tuning set")
     table = load_table(args.embeddings, _pair_words(records))
     params = index = None
-    if not args.cosine_only:
+    if args.model is not None:
         index = load_index(args.index)
         params = _load_model_for(args.model, RELATEDNESS_LABELS, table)
     with naming(args.pairs):  # the tuning set may be empty or lack a class
@@ -303,25 +303,26 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    if args.task == "relations" and not args.relation_model:
+    if args.task == "relations" and args.relation_model is None:
         raise _UsageError("--task relations requires --relation-model")
     _check_output(args.output)
     combiner = load_combiner(args.combiner)
-    if combiner.w_l != 0.0 and not args.relatedness_model:
+    if combiner.w_l != 0.0 and args.relatedness_model is None:
         raise _UsageError("this combiner has w_L > 0; pass --relatedness-model")
     config = PipelineConfig(combiner, syn_margin=args.syn_margin, syn_max_paths=args.syn_max_paths,
                             path_count_mode=args.path_count)
     records = read_pairs(args.pairs, require_label=False)
     table = load_table(args.embeddings, _pair_words(records))
     index = load_index(args.index)
-    relatedness_params = (_load_model_for(args.relatedness_model, RELATEDNESS_LABELS, table)
-                          if args.relatedness_model else None)
+    relatedness_params = (None if args.relatedness_model is None
+                          else _load_model_for(args.relatedness_model, RELATEDNESS_LABELS, table))
+    relation_params = (None if args.relation_model is None
+                       else _load_model_for(args.relation_model, RELATED_LABELS, table))
     if args.task == "relatedness":
         related = predict_related(combiner, table, [(r.x, r.y) for r in records],
                                   relatedness_params, index)
         labels = [RELATED if flag else UNRELATED for flag in related]
     else:
-        relation_params = _load_model_for(args.relation_model, RELATED_LABELS, table)
         labels = predict_pairs(config, relation_params, table, index, records, relatedness_params)
     write_pairs(
         [PairRecord(r.x, r.y, label) for r, label in zip(records, labels)], args.output
@@ -365,7 +366,7 @@ def _cmd_evaluate(args) -> int:
                         exclude=exclude)
     text = report_tsv(report)
     print(text, end="")
-    if args.output:
+    if args.output is not None:
         write_pieces(args.output, [text])
     return 0
 
@@ -378,7 +379,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             raise _UsageError("a command is required (see --help)")
-        if getattr(args, "config", None):
+        if getattr(args, "config", None) is not None:
             flags = _config_flags(commands[args.command], args.config)
             args = parser.parse_args([args.command, *flags, *argv[1:]])
         return args.handler(args)

@@ -332,11 +332,10 @@ def world_files(tmp_path_factory):
     }
 
 
-def run_cli_pipeline(files, out):
-    """The full workflow through the command line; returns elapsed seconds."""
-    root = files["root"]
-    out.mkdir(exist_ok=True)
-    steps = [
+def cli_workflow(root, out):
+    """The argv of each command of the README walkthrough, on the world in
+    ``root``, writing into ``out``."""
+    return [
         ["extract-paths", "--corpus", root / "corpus.conll",
          "--pairs", root / "all_pairs.tsv", "--output", out / "index.tsv"],
         ["train", "--task", "relatedness", "--pairs", root / "train.tsv",
@@ -356,8 +355,13 @@ def run_cli_pipeline(files, out):
         ["evaluate", "--pairs", root / "val.tsv", "--predictions", out / "pred.tsv",
          "--output", out / "report.tsv"],
     ]
+
+
+def run_cli_pipeline(files, out):
+    """The full workflow through the command line; returns elapsed seconds."""
+    out.mkdir(exist_ok=True)
     start = time.monotonic()
-    for argv in steps:
+    for argv in cli_workflow(files["root"], out):
         code = main([str(a) for a in argv])
         assert code == 0, f"command failed: {argv[0]}"
     return time.monotonic() - start

@@ -137,7 +137,7 @@ def test_predict_relatedness_labels(micro):
     run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
         "--output", d / "index.tsv")
     assert run("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
-               "--output", d / "combiner.json", "--cosine-only") == 0
+               "--output", d / "combiner.json") == 0
     assert run("predict", "--task", "relatedness", "--pairs", micro["pairs"],
                "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
                "--combiner", d / "combiner.json", "--output", d / "pred.tsv") == 0
@@ -474,8 +474,7 @@ def test_embeddings_reader_fuzz_exits_zero_or_two_with_one_line(tmp_path_factory
     (d / "index.tsv").write_text("# semrel path index v1\n", encoding="utf-8")
     (d / "combiner.json").write_text(COMBINER, encoding="utf-8")
     out.unlink(missing_ok=True)
-    argv = {"tune": ("tune", "--pairs", pairs, "--embeddings", table, "--output", out,
-                     "--cosine-only"),
+    argv = {"tune": ("tune", "--pairs", pairs, "--embeddings", table, "--output", out),
             "predict": ("predict", "--task", "relatedness", "--pairs", pairs, "--index",
                         d / "index.tsv", "--embeddings", table, "--combiner",
                         d / "combiner.json", "--output", out)}[command]
@@ -676,7 +675,8 @@ def test_a_message_quotes_at_most_40_characters_of_a_long_value(reader_world, ca
     argv = {
         "pairs": ("train", "--task", "relations", *data, "--model", out),
         "config": ("train", "--task", "relations", *data, "--model", out, "--config", bad),
-        "embeddings": ("tune", *data, "--output", out, "--cosine-only"),
+        "embeddings": ("tune", "--pairs", files["pairs"], "--embeddings", files["embeddings"],
+                       "--output", out),
         "model": ("tune", *data, "--model", files["model"], "--output", out),
         "index": ("predict", "--task", "relatedness", *data, "--combiner", files["combiner"],
                   "--relatedness-model", files["model"], "--output", out),
@@ -700,14 +700,14 @@ def test_a_bad_value_in_a_row_no_command_uses_exits_two_naming_its_line(micro, c
     run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
         "--output", d / "index.tsv")
     run("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
-        "--output", d / "combiner.json", "--cosine-only")
+        "--output", d / "combiner.json")
     micro["embeddings"].write_text(EMBEDDINGS + "zebra 0.0 nan 0.0 0.0\n")
     capsys.readouterr()
     argv = {
         "train": ("train", "--task", "relations", "--pairs", micro["pairs"], *data,
                   "--model", d / "out", "--epochs", "1"),
         "tune": ("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
-                 "--output", d / "out", "--cosine-only"),
+                 "--output", d / "out"),
         "predict": ("predict", "--task", "relatedness", "--pairs", micro["pairs"], *data,
                     "--combiner", d / "combiner.json", "--output", d / "out"),
     }[command]
@@ -733,7 +733,7 @@ def test_relations_predict_requires_relation_model(micro, capsys):
     run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
         "--output", d / "index.tsv")
     run("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
-        "--output", d / "combiner.json", "--cosine-only")
+        "--output", d / "combiner.json")
     code = run("predict", "--task", "relations", "--pairs", micro["pairs"],
                "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
                "--combiner", d / "combiner.json", "--output", d / "pred.tsv")
@@ -753,7 +753,7 @@ def test_a_missing_flag_combination_is_reported_before_any_input_is_read(micro, 
     data = ["--pairs", bad, "--embeddings", bad]
     argv, message = {
         "tune": (("tune", *data, "--model", d / "missing.json", "--output", d / "out.json"),
-                 "--model and --index are required unless --cosine-only is given"),
+                 "--model and --index go together: give both or neither"),
         "predict relations": (("predict", "--task", "relations", *data, "--index", bad,
                                "--combiner", d / "missing.json", "--output", d / "out.tsv"),
                               "--task relations requires --relation-model"),
@@ -817,6 +817,63 @@ def test_a_missing_input_file_is_named_with_the_reason(micro, capsys):
     assert capsys.readouterr().err == f"error: {d / 'missing.tsv'}: No such file or directory\n"
 
 
+# Each command, as the reader world runs it, and the options that name its inputs.
+INPUT_OPTIONS = {
+    "extract-paths": ("--corpus", "--pairs"),
+    "train": ("--pairs", "--index", "--embeddings", "--val", "--config"),
+    "tune": ("--pairs", "--index", "--embeddings", "--model"),
+    "predict relatedness": ("--pairs", "--index", "--embeddings", "--combiner",
+                            "--relatedness-model", "--relation-model", "--config"),
+    "predict relations": ("--pairs", "--index", "--embeddings", "--combiner",
+                          "--relatedness-model", "--relation-model", "--config"),
+    "evaluate": ("--pairs", "--predictions"),
+}
+
+
+@pytest.mark.parametrize("name", ["missing", ""])
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, options in INPUT_OPTIONS.items() for option in options])
+def test_every_file_a_command_is_given_is_opened(reader_world, capsys, command, option, name):
+    """A missing file, or an empty name, fails with one line that names it,
+    whether or not the command uses the file: the relation model under
+    --task relatedness, the relatedness model of a combiner with w_L = 0,
+    and the validation set too. A config file is a usage error."""
+    d = reader_world["dir"]
+    (d / "settings.cfg").write_text("# the defaults\n")
+    given = "" if name == "" else d / name
+    f = {"--corpus": reader_world["corpus"], "--pairs": reader_world["pairs"],
+         "--index": d / "index.tsv", "--embeddings": reader_world["embeddings"],
+         "--val": reader_world["pairs"], "--config": d / "settings.cfg",
+         "--model": d / "rel.json", "--combiner": d / "combiner.json",
+         "--relatedness-model": d / "rel.json", "--relation-model": d / "four.json",
+         "--predictions": reader_world["pairs"], option: given}
+    out = d / "out"
+    data = ("--pairs", f["--pairs"], "--index", f["--index"], "--embeddings", f["--embeddings"])
+    models = ("--combiner", f["--combiner"], "--relatedness-model", f["--relatedness-model"],
+              "--relation-model", f["--relation-model"], "--config", f["--config"])
+    argv = {
+        "extract-paths": ("extract-paths", "--corpus", f["--corpus"], "--pairs", f["--pairs"],
+                          "--output", out),
+        "train": ("train", "--task", "relations", *data, "--val", f["--val"],
+                  "--config", f["--config"], "--model", out, "--epochs", "1"),
+        "tune": ("tune", *data, "--model", f["--model"], "--output", out),
+        "predict relatedness": ("predict", "--task", "relatedness", *data, *models,
+                                "--output", out),
+        "predict relations": ("predict", "--task", "relations", *data, *models,
+                              "--output", out),
+        "evaluate": ("evaluate", "--pairs", f["--pairs"], "--predictions", f["--predictions"],
+                     "--output", out),
+    }[command]
+    if option == "--config":
+        expected = (1, f"usage error: cannot read config file: [Errno 2] No such file or "
+                       f"directory: '{given}'\n")
+    else:
+        expected = (2, f"error: {given}: No such file or directory\n")
+    out.unlink(missing_ok=True)
+    assert (run(*argv), capsys.readouterr().err) == expected
+    assert not out.exists()
+
+
 def test_an_unwritable_output_file_is_named_with_the_reason(micro, capsys):
     d = micro["dir"]
     assert run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
@@ -828,17 +885,17 @@ def test_an_unwritable_output_file_is_named_with_the_reason(micro, capsys):
 
 @pytest.mark.parametrize("parent, reason", [
     ("nodir", "No such file or directory"), ("pairs.tsv", "Not a directory"),
-    ("outdir", "Is a directory")])
+    ("outdir", "Is a directory"), (None, "No such file or directory")])  # None: an empty name
 @pytest.mark.parametrize("command", ["extract-paths", "train", "tune", "predict", "evaluate"])
 def test_an_output_directory_is_checked_before_any_input_is_read(micro, capsys, command, parent,
                                                                  reason):
-    """Every input is malformed or missing, yet the output's directory, or
-    the output itself when it is a directory, is the error reported, and the
-    check leaves every file as it was."""
+    """Every input is malformed or missing, yet the output's directory, the
+    output itself when it is a directory, or an empty output name, is the
+    error reported, and the check leaves every file as it was."""
     d = micro["dir"]
     bad = d / "bad.tsv"
     bad.write_text("only-one-column\n")
-    out = d / parent / "out"
+    out = "" if parent is None else d / parent / "out"
     if reason == "Is a directory":
         out.mkdir(parents=True)
     data = ["--pairs", bad, "--index", d / "missing.tsv", "--embeddings", bad]
@@ -879,24 +936,29 @@ def test_malformed_data_exits_two(micro, capsys):
     capsys.readouterr()
 
 
-def test_header_only_model_exits_two(micro, capsys):
+@pytest.mark.parametrize("task, flag", [("relations", "--relatedness-model"),
+                                        ("relatedness", "--relation-model")])
+def test_header_only_model_exits_two(micro, capsys, task, flag):
+    """Also where the task does not use the model."""
     d = micro["dir"]
     run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
         "--output", d / "index.tsv")
     run("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
-        "--output", d / "combiner.json", "--cosine-only")
+        "--output", d / "combiner.json")
     run("train", "--task", "relations", "--pairs", micro["pairs"], "--index", d / "index.tsv",
         "--embeddings", micro["embeddings"], "--model", d / "relations.json", "--epochs", "1")
     (d / "header.json").write_text('{"format": "semrel-relation-model", "version": 1}')
     capsys.readouterr()
-    code = run("predict", "--task", "relations", "--pairs", micro["pairs"],
+    models = {"--relation-model": d / "relations.json", flag: d / "header.json"}
+    code = run("predict", "--task", task, "--pairs", micro["pairs"],
                "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
-               "--combiner", d / "combiner.json", "--relatedness-model", d / "header.json",
-               "--relation-model", d / "relations.json", "--output", d / "pred.tsv")
+               "--combiner", d / "combiner.json", *(a for item in models.items() for a in item),
+               "--output", d / "pred.tsv")
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "edge_vocab" in err and "header.json" in err, err
+    assert not (d / "pred.tsv").exists()
 
 
 def test_truncated_model_names_its_file(micro, capsys):
@@ -943,7 +1005,7 @@ def _trained_models(micro):
     run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
         "--output", d / "index.tsv")
     run("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
-        "--output", d / "combiner.json", "--cosine-only")
+        "--output", d / "combiner.json")
     run("train", "--task", "relatedness", "--pairs", micro["pairs"], *data,
         "--model", d / "rel.json", "--epochs", "1")
     run("train", "--task", "relations", "--pairs", micro["pairs"], *data,
@@ -1020,7 +1082,7 @@ def test_non_finite_settings_exit_two(micro, capsys):
     run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
         "--output", d / "index.tsv")
     run("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
-        "--output", d / "combiner.json", "--cosine-only")
+        "--output", d / "combiner.json")
     run("train", "--task", "relations", "--pairs", micro["pairs"], "--index", d / "index.tsv",
         "--embeddings", micro["embeddings"], "--model", d / "relations.json", "--epochs", "1")
     for value in ("nan", "inf"):
@@ -1101,7 +1163,7 @@ def test_non_utf8_input_names_its_file(micro, capsys, bad):
         "pairs": (micro["pairs"], extract),
         "corpus": (micro["corpus"], extract),
         "table": (micro["embeddings"], ("tune", "--pairs", micro["pairs"], "--embeddings",
-                                        micro["embeddings"], "--output", d / "out", "--cosine-only")),
+                                        micro["embeddings"], "--output", d / "out")),
         "model": (d / "model.json", tune),
         "combiner": (d / "combiner.json", ("predict", "--task", "relatedness", "--pairs",
                                            micro["pairs"], *data, "--combiner", d / "combiner.json",
@@ -1165,7 +1227,7 @@ def test_tune_names_its_pairs_file_on_a_dataset_fault(micro, capsys, text, messa
     d = micro["dir"]
     (d / "tune.tsv").write_text(text)
     code = run("tune", "--pairs", d / "tune.tsv", "--embeddings", micro["embeddings"],
-               "--output", d / "combiner.json", "--cosine-only")
+               "--output", d / "combiner.json")
     assert code == 2
     assert capsys.readouterr().err == f"error: {d / 'tune.tsv'}: {message}\n"
     assert not (d / "combiner.json").exists()
@@ -1269,7 +1331,7 @@ def test_evaluate_scores_relatedness_predictions_as_tune_does(micro, capsys):
     run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
         "--output", d / "index.tsv")
     assert run("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
-               "--output", d / "combiner.json", "--cosine-only") == 0
+               "--output", d / "combiner.json") == 0
     assert run("predict", "--task", "relatedness", "--pairs", micro["pairs"],
                "--index", d / "index.tsv", "--embeddings", micro["embeddings"],
                "--combiner", d / "combiner.json", "--output", d / "pred.tsv") == 0
