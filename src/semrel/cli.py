@@ -6,8 +6,9 @@ from a parsed corpus, ``train`` fits a relatedness or relation classifier,
 ``evaluate`` scores predictions against gold labels.
 
 Exit codes: 0 on success, 1 for usage problems (bad flags, bad --config
-entries, missing required combinations), 2 for data problems (unreadable or
-malformed files, inconsistent datasets, invalid hyperparameter values).
+entries, missing or conflicting combinations), 2 for data problems
+(unreadable or malformed files, inconsistent datasets, invalid
+hyperparameter values, sizes too large for memory).
 """
 
 from __future__ import annotations
@@ -355,6 +356,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.exclude and args.no_auto_exclude:
+        raise _UsageError("--exclude and --no-auto-exclude conflict: give one or neither")
     _check_output(args.output)
     pred = read_pairs(args.predictions)
     relatedness = {r.label in RELATEDNESS_LABELS for r in pred}
@@ -411,7 +414,7 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help and friends
         return exc.code if isinstance(exc.code, int) else 0
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # numpy's MemoryError names the array
         named = isinstance(exc, OSError) and exc.filename is not None
         message = f"{exc.filename}: {exc.strerror}" if named else exc
         print(f"error: {message}", file=sys.stderr)

@@ -14,7 +14,7 @@ A ``PathEncoder`` holds the four component embeddings and the unit's weights;
 count.
 ``average_paths_with_cache`` runs each group time-major as one (P, D) matrix
 per step and keeps one record of arrays per group, which ``backprop_average``
-walks back to accumulate exact gradients for all encoder parameters.
+walks back; it returns exact gradients for all encoder parameters.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class PathEncoder:
                          for edge in path.edges], dtype=np.intp).reshape(-1, 4)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """The trainable arrays by name, in a fixed order; a gradient
-        accumulator for ``backprop_average`` has an attribute of each name."""
+        """The trainable arrays by name, in a fixed order, which the
+        gradients that ``backprop_average`` returns follow."""
         arrays = {name: comp.matrix for name, comp in zip(STEP_COMPONENTS, self.components())}
         return {**arrays, "w_in": self.w_in, "w_rec": self.w_rec, "bias": self.bias}
 
@@ -300,13 +300,18 @@ def backprop_average(
     d_out: np.ndarray,
     cache: Sequence[PathCache],
     encoder: PathEncoder,
-    grads,
-) -> None:
-    """Accumulate d(loss)/d(params) given d(loss)/d(averaged vector), into
-    the ``grads`` attribute named as in ``PathEncoder.arrays``, which for a
-    component may be a ``RowGradient`` holding every row the paths read."""
+    lemma_rows: np.ndarray,
+) -> dict[str, np.ndarray | RowGradient]:
+    """d(loss)/d(params) given d(loss)/d(averaged vector), by name in
+    ``PathEncoder.arrays`` order: the lemma gradient is a ``RowGradient``
+    over ``lemma_rows``, which must hold every lemma row the paths read, and
+    the others are dense arrays of their parameter's shape."""
     hidden = encoder.hidden_size
-    component_grads = [getattr(grads, name) for name in STEP_COMPONENTS]
+    lemma = RowGradient(lemma_rows, np.zeros((len(lemma_rows), encoder.lemma.width)))
+    # The zero start: each is a sum over the groups, or over repeated rows.
+    dense = {name: np.zeros(array.shape) for name, array in encoder.arrays().items()
+             if name != "lemma"}
+    (lemma_start, lemma_end), *table_spans = encoder.spans
     for group in cache:
         steps, count = group.rows.shape[:2]
         if steps == 0:
@@ -338,13 +343,12 @@ def backprop_average(
             dc = d_ct * gf[t]
             dh = dzs[t] @ encoder.w_rec
         dz_all = dzs.reshape(steps * count, -1)
-        grads.w_in += dz_all.T @ group.xs.reshape(steps * count, -1)
-        grads.w_rec += dz_all.T @ group.hs[:-1].reshape(steps * count, -1)
-        grads.bias += dz_all.sum(axis=0)
+        dense["w_in"] += dz_all.T @ group.xs.reshape(steps * count, -1)
+        dense["w_rec"] += dz_all.T @ group.hs[:-1].reshape(steps * count, -1)
+        dense["bias"] += dz_all.sum(axis=0)
         dx = dz_all @ encoder.w_in
         rows = group.rows.reshape(steps * count, 4)
-        for k, (comp_grad, (start, end)) in enumerate(zip(component_grads, encoder.spans)):
-            if isinstance(comp_grad, RowGradient):
-                comp_grad.add_at(rows[:, k], dx[:, start:end])
-            else:
-                np.add.at(comp_grad, rows[:, k], dx[:, start:end])
+        lemma.add_at(rows[:, 0], dx[:, lemma_start:lemma_end])
+        for k, (name, (start, end)) in enumerate(zip(STEP_COMPONENTS[1:], table_spans), start=1):
+            np.add.at(dense[name], rows[:, k], dx[:, start:end])
+    return {"lemma": lemma, **dense}

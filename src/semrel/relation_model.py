@@ -233,7 +233,6 @@ def loss_and_gradients(
     result is deterministic.
     """
     rate = config.word_dropout_rate if config is not None else 0.0
-    grads = _zero_gradients(params, example)
     hidden = params.encoder.hidden_size
     d = params.word_dim
     v, cache = _features(params, table, example.x, example.y, example.paths, rate, rng)
@@ -244,40 +243,23 @@ def loss_and_gradients(
 
     dlogits = np.exp(shifted - log_z)  # the softmax, less one at the gold label
     dlogits[example.gold] -= 1.0
-    if hval is not None:
-        grads.w2 += dlogits[:, None] * hval
-        grads.b2 += dlogits
-        d_a = (params.w2.T @ dlogits) * (1.0 - hval**2)
-    else:
-        d_a = dlogits
-    grads.w1 += d_a[:, None] * v
-    grads.b1 += d_a
+    d_a = dlogits if hval is None else (params.w2.T @ dlogits) * (1.0 - hval**2)
     d_v = params.w1.T @ d_a
-    backprop_average(d_v[d : d + hidden], cache, params.encoder, grads)
+    if example.lemma_rows is None:
+        grads = dict.fromkeys(params.encoder.arrays())
+    else:
+        grads = backprop_average(d_v[d : d + hidden], cache, params.encoder, example.lemma_rows)
+    grads.update(w1=d_a[:, None] * v, b1=d_a)
+    if hval is not None:
+        grads.update(w2=dlogits[:, None] * hval, b2=dlogits)
     if params.word_vectors is not None:
-        row_x = params.word_vectors.row(example.x)
-        if row_x is not None:
-            grads.word_vectors.add_at(row_x, d_v[:d])
-        row_y = params.word_vectors.row(example.y)
-        if row_y is not None:
-            grads.word_vectors.add_at(row_y, d_v[d + hidden :])
-    return loss, grads
-
-
-def _zero_gradients(params: ModelParams, example: Example) -> SimpleNamespace:
-    """Zero gradients of what the example reads, as ``loss_and_gradients`` gives them."""
-    rows = {"lemma": example.lemma_rows, "word_vectors": example.word_rows}
-    encoder = params.encoder.arrays()
-    grads = {}
-    for name, array in trainable_arrays(params).items():
-        if name in encoder and example.lemma_rows is None:
-            grads[name] = None
-        elif name in rows:
-            grads[name] = RowGradient(rows[name], np.zeros((len(rows[name]), array.shape[1])))
-        else:
-            # np.zeros, not zeros_like: it costs several times less per call.
-            grads[name] = np.zeros(array.shape)
-    return SimpleNamespace(**grads)
+        words = RowGradient(example.word_rows, np.zeros((len(example.word_rows), d)))
+        for word, d_word in ((example.x, d_v[:d]), (example.y, d_v[d + hidden :])):
+            row = params.word_vectors.row(word)
+            if row is not None:
+                words.add_at(row, d_word)
+        grads["word_vectors"] = words
+    return loss, SimpleNamespace(**grads)
 
 
 def apply_gradients(params: ModelParams, grads: SimpleNamespace, learning_rate: float) -> None:
@@ -514,8 +496,14 @@ def _params_from_doc(doc: dict) -> ModelParams:
                 2 * word_dim + hidden)
     width = w1.shape[0]
     wv_doc = doc["word_vectors"]
-    word_vectors = (None if wv_doc is None else TrainableWordVectors(
-        *_vocabulary(_object(wv_doc, "word_vectors"), "word_vectors", 0, word_dim)))
+    word_vectors = None
+    if wv_doc is not None:
+        wv_index, wv_matrix = _vocabulary(_object(wv_doc, "word_vectors"), "word_vectors", 0, word_dim)
+        for token in wv_index:  # TrainableWordVectors.row folds its query; no lookup reaches another
+            if token != token.lower():
+                raise DataError("model field word_vectors.tokens holds a token that is not "
+                                f"lowercase: {excerpt(repr(token))}")
+        word_vectors = TrainableWordVectors(wv_index, wv_matrix)
     params = ModelParams(
         encoder=encoder,
         w1=w1,

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import conll_text
+from semrel import path_encoder
 from semrel.cli import main
 from semrel.corpus import build_path_index, iter_conll, load_index, parse_conll, save_index
 from semrel.embeddings import load_table
@@ -768,11 +770,12 @@ def test_relations_predict_requires_relation_model(micro, capsys):
     assert "relation-model" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["tune", "predict relations", "predict w_L"])
+@pytest.mark.parametrize("case", ["tune", "predict relations", "predict w_L", "evaluate"])
 def test_a_missing_flag_combination_is_reported_before_any_input_is_read(micro, capsys, case):
     """The pairs file is malformed and the other inputs missing or malformed,
     yet the usage error comes first; only the combiner is read before it, as
-    its w_L decides whether --relatedness-model is needed."""
+    its w_L decides whether --relatedness-model is needed. Two flags that
+    conflict are such a combination too."""
     d = micro["dir"]
     bad = d / "bad.tsv"
     bad.write_text("only-one-column\n")
@@ -787,6 +790,9 @@ def test_a_missing_flag_combination_is_reported_before_any_input_is_read(micro, 
         "predict w_L": (("predict", "--task", "relatedness", *data, "--index", bad,
                          "--combiner", d / "combiner.json", "--output", d / "out.tsv"),
                         "this combiner has w_L > 0; pass --relatedness-model"),
+        "evaluate": (("evaluate", "--pairs", bad, "--predictions", d / "missing.tsv",
+                      "--exclude", "RANDOM", "--no-auto-exclude"),
+                     "--exclude and --no-auto-exclude conflict: give one or neither"),
     }[case]
     assert run(*argv) == 1
     assert capsys.readouterr() == ("", f"usage error: {message}\n")
@@ -817,6 +823,30 @@ def test_a_bad_setting_is_reported_before_any_input_is_read(micro, capsys, comma
     }[name]
     assert run(*argv, *flags) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_running_out_of_memory_exits_two_with_one_line(micro, capsys, monkeypatch):
+    """An array too large for the machine is an error line, not numpy's
+    traceback. The failure is faked, as a real attempt could take the
+    machine's memory where it overcommits."""
+    real = path_encoder.init_uniform
+
+    def init_uniform(rng, *shape):
+        if math.prod(shape) > 10**8:
+            raise MemoryError(f"Unable to allocate 1013. GiB for an array with shape {shape}")
+        return real(rng, *shape)
+
+    monkeypatch.setattr(path_encoder, "init_uniform", init_uniform)
+    d = micro["dir"]
+    run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+        "--output", d / "index.tsv")
+    capsys.readouterr()
+    assert run("train", "--task", "relations", "--pairs", micro["pairs"], "--index", d / "index.tsv",
+               "--embeddings", micro["embeddings"], "--model", d / "model.json",
+               "--hidden-dim", "1000000000") == 2
+    assert capsys.readouterr().err == ("error: Unable to allocate 1013. GiB for an array with "
+                                       "shape (4000000000, 14)\n")
+    assert not (d / "model.json").exists()
 
 
 def test_predict_reports_a_malformed_combiner_before_a_malformed_pairs_file(micro, capsys):

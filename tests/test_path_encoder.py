@@ -273,6 +273,19 @@ def zero_grads(encoder):
     return SimpleNamespace(**{n: np.zeros(a.shape) for n, a in encoder.arrays().items()})
 
 
+def backprop_into(grads, d_out, cache, encoder):
+    """Add what ``backprop_average`` returns over every lemma row into the
+    dense record ``grads``, once it has checked the returned names and shapes."""
+    lemma_rows = np.arange(len(encoder.lemma.matrix))
+    got = backprop_average(d_out, cache, encoder, lemma_rows)
+    assert list(got) == list(encoder.arrays())
+    assert np.array_equal(got["lemma"].rows, lemma_rows)
+    got["lemma"] = got["lemma"].values
+    for name, array in encoder.arrays().items():
+        assert isinstance(got[name], np.ndarray) and got[name].shape == array.shape, name
+        getattr(grads, name)[...] += got[name]
+
+
 def _grad_arrays(encoder, grads):
     return [
         (encoder.lemma.matrix, grads.lemma),
@@ -296,7 +309,7 @@ def test_backprop_average_matches_finite_differences():
 
     vec, cache = average_paths_with_cache(paths, encoder)
     grads = zero_grads(encoder)
-    backprop_average(probe, cache, encoder, grads)
+    backprop_into(grads, probe, cache, encoder)
     for param, grad in _grad_arrays(encoder, grads):
         flat_p = param.reshape(-1)
         flat_g = grad.reshape(-1)
@@ -324,7 +337,7 @@ def test_grouped_paths_match_a_per_path_reference(paths, mode, rate, seed):
     probe = np.random.default_rng(seed).normal(size=encoder.hidden_size)
     got, cache = average_paths_with_cache(paths, encoder, mode, rate, np.random.default_rng(seed))
     grads = zero_grads(encoder)
-    backprop_average(probe, cache, encoder, grads)
+    backprop_into(grads, probe, cache, encoder)
 
     # The same draws, path by path: each path alone as a group of one.
     twin, solo = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -334,7 +347,7 @@ def test_grouped_paths_match_a_per_path_reference(paths, mode, rate, seed):
         dropped = np.flatnonzero(twin.random(len(path.edges)) < rate).tolist() if rate else ()
         expected += weight * reference_encoding(path, encoder, dropped)
         _, one = average_paths_with_cache({path: 1}, encoder, mode, rate, solo)
-        backprop_average(weight * probe, one, encoder, expected_grads)
+        backprop_into(expected_grads, weight * probe, one, encoder)
     assert np.allclose(got, expected, rtol=0, atol=1e-12)
     for name in encoder.arrays():
         assert np.allclose(getattr(grads, name), getattr(expected_grads, name), rtol=0, atol=1e-12)

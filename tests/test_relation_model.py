@@ -349,6 +349,7 @@ def test_a_step_on_a_large_lemma_matrix_writes_only_its_rows():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+    assert np.array_equal(grads.lemma.rows, example.lemma_rows)
     for name, array in trainable_arrays(params).items():
         assert array.tobytes() == trainable_arrays(expected)[name].tobytes(), name
 
@@ -791,6 +792,20 @@ def test_load_requires_a_list_of_distinct_string_tokens(tmp_path, field, edit):
         load_model(target)
     assert str(caught.value) == (
         f"{target}: model field {field}.tokens is not a list of distinct strings")
+
+
+def test_load_refuses_a_word_vector_token_that_no_lookup_reaches(tmp_path):
+    """Lookups fold case, so an uppercase token's row would never be read:
+    the table's vector would silently stand in for the trained one."""
+    doc = full_model_doc()
+    doc["word_vectors"]["tokens"][-1] = doc["word_vectors"]["tokens"][-1].upper()
+    target = tmp_path / "model.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        load_model(target)
+    token = doc["word_vectors"]["tokens"][-1]
+    assert str(caught.value) == (
+        f"{target}: model field word_vectors.tokens holds a token that is not lowercase: {token!r}")
 
 
 def train_to_divergence():
