@@ -15,6 +15,12 @@ count.
 ``average_paths_with_cache`` runs each group time-major as one (P, D) matrix
 per step and keeps one record of arrays per group, which ``backprop_average``
 walks back; it returns exact gradients for all encoder parameters.
+
+Both passes write every array with ``out=`` into a ``BufferPool``: flat
+buffers kept from call to call, each group working in their leading rows
+through views built once per group shape. So a training step that reuses a
+pool allocates no array of a group's size, and a call given no pool makes its
+own, so that no caller gets arrays that another call writes.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 from ._io import np
@@ -36,7 +43,7 @@ UNIFORM = "uniform"
 AVERAGE_MODES = (WEIGHTED, UNIFORM)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentEmbeddings:
     """Embedding rows for one step component; row 0 is the unknown row."""
 
@@ -161,10 +168,129 @@ def init_encoder(
                        bias=init_uniform(rng, rows))
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows: 1 / (1 + ez) where z >= 0, ez / (1 + ez) below.
-    ez = np.exp(np.copysign(z, -1.0))
-    return np.divide(np.where(z >= 0, 1.0, ez), 1.0 + ez, out=out)
+def _sigmoid(z: np.ndarray, out: np.ndarray, ez: np.ndarray) -> np.ndarray:
+    """The logistic function of ``z``, written into ``out``, with ``ez`` (of
+    z's shape) as scratch. exp(-|z|) never overflows: 1 / (1 + ez) where
+    z >= 0, ez / (1 + ez) below. As ez <= 1, the numerator max(z >= 0, ez) is
+    where(z >= 0, 1, ez)."""
+    np.exp(np.copysign(z, -1.0, out=ez), out=ez)
+    np.maximum(np.greater_equal(z, 0.0, out=out), ez, out=out)
+    ez += 1.0
+    return np.divide(out, ez, out=out)
+
+
+def _own_layout(steps: int, width: int, hidden: int) -> list[tuple[int, int]]:
+    """Rows per path and width of the arrays that a group of ``steps`` steps
+    keeps from its forward pass to its backward pass, xs, hs, cs, gates and
+    tanh_c, then of one step's scratch: z, ez and ig forward, dh, dc and d_ct
+    backward."""
+    gates = 4 * hidden
+    return [(steps, width), (steps + 1, hidden), (steps + 1, hidden), (steps, gates),
+            (steps, hidden), (1, gates), (1, gates), (1, hidden), (1, hidden), (1, hidden),
+            (1, hidden)]
+
+
+def _passing_widths(width: int, hidden: int) -> list[int]:
+    """The width of each array that lives through one pass of one group, one
+    row per path step: z_in forward; a, b, c, d_tanh_c, dz and dx backward."""
+    gates = 4 * hidden
+    return [gates, 3 * hidden, gates, gates, hidden, gates, width]
+
+
+class GroupViews:
+    """The arrays of a group of ``count`` paths of ``steps`` steps, and the
+    views that each step of its forward and backward pass reads and writes:
+    views of the leading rows of its step count's ``own`` buffers, laid out
+    by ``_own_layout``, and of the ``passing`` buffers that every step count
+    shares, laid out by ``_passing_widths``."""
+
+    def __init__(self, steps: int, spans: tuple[tuple[int, int], ...], hidden: int, count: int,
+                 own: list[np.ndarray], passing: list[np.ndarray]):
+        width = spans[-1][1]
+        self.passing = passing
+        xs, hs, cs, gates, tanh_c, z, ez, ig, dh, dc, d_ct = (
+            region[:rows * count * w].reshape(rows, count, w)
+            for region, (rows, w) in zip(own, _own_layout(steps, width, hidden)))
+        z_in, a, b, c, d_tanh_c, dz, dx = (
+            region[:steps * count * w].reshape(steps, count, w)
+            for region, w in zip(passing, _passing_widths(width, hidden)))
+        self.xs, self.hs, self.cs, self.gates, self.tanh_c = xs, hs, cs, gates, tanh_c
+        self.inputs = [xs[..., start:end] for start, end in spans]
+        self.xs_all, self.z_in_all = (x.reshape(steps * count, x.shape[2]) for x in (xs, z_in))
+        self.z, self.ez, self.ig, self.zg = z[0], ez[0], ig[0], z[0][:, 2 * hidden:3 * hidden]
+        gate = gates.reshape(steps, count, 4, hidden)  # input, forget, candidate, output
+        hs_t, cs_t = list(hs), list(cs)
+        slots = [[gate[t, :, k] for k in range(4)] for t in range(steps)]
+        self.forward_steps = [(z_in[t], hs_t[t], hs_t[t + 1], cs_t[t], cs_t[t + 1], gates[t],
+                               *slots[t], tanh_c[t]) for t in range(steps)]
+        # The backward pass: see backprop_average.
+        a = a.reshape(steps, count, 3, hidden)
+        b4, c4, dz4 = (x.reshape(steps, count, 4, hidden) for x in (b, c, dz))
+        self.a = list(zip((a[:, :, k] for k in range(3)), (gate[:, :, 2], cs[:-1], gate[:, :, 0])))
+        self.b, self.b_g, self.c, self.c_g = b, b4[:, :, 2], c, c4[:, :, 2]
+        self.gate_g = gate[:, :, 2]
+        self.d_tanh_c, self.dh, self.dc, self.d_ct = d_tanh_c, dh[0], dc[0], d_ct[0]
+        self.d_ct_col = self.d_ct[:, None]
+        self.dz_all = dz.reshape(steps * count, 4 * hidden)
+        self.hs_all = hs[:-1].reshape(steps * count, hidden)
+        self.dx = dx.reshape(steps * count, width)
+        self.dx_parts = [self.dx[:, start:end] for start, end in spans]
+        self.backward_steps = [(t, slots[t][3], slots[t][1], d_tanh_c[t], a[t], tanh_c[t],
+                                dz[t], dz4[t, :, :3], dz4[t, :, 3], b[t], c[t])
+                               for t in reversed(range(steps))]
+
+
+class BufferPool:
+    """Working memory for running groups of paths, reused from call to call.
+
+    What a group keeps from its forward pass to its backward pass is held
+    in one set of flat buffers per step count, grown to the most paths that
+    a group of that step count has held; a group of P paths works in their
+    leading rows. What lives through one pass of one group (the input
+    projection, and the backward pass's factors and products) is held in
+    one set that all step counts share, grown to the most path steps of a
+    group. A group's views of both are built once per (T, P) and again when
+    a set grows. So the next group of the same step count overwrites a
+    cache, and a caller that keeps one must give each call its own pool.
+    Sharing the one-pass buffers, and ``reserve``, which sizes them all
+    before the first group, keep a training run's peak memory near what
+    allocating each group's arrays afresh would take.
+    """
+
+    def __init__(self):
+        # (steps, spans, hidden) -> [capacity in paths, regions, views by path count]
+        self._own: dict[tuple, list] = {}
+        # (width, hidden) -> [capacity in path steps, regions]
+        self._passing: dict[tuple, list] = {}
+
+    def group(self, steps: int, count: int, encoder: PathEncoder) -> GroupViews:
+        spans, hidden = encoder.spans, encoder.hidden_size
+        width = spans[-1][1]
+        passing = self._passing.get((width, hidden))
+        if passing is None or steps * count > passing[0]:
+            passing = self._passing[width, hidden] = [
+                steps * count,
+                [np.empty(steps * count * w) for w in _passing_widths(width, hidden)]]
+        key = (steps, spans, hidden)
+        own = self._own.get(key)
+        if own is None or count > own[0]:
+            own = self._own[key] = [count, [np.empty(count * rows * w) for rows, w in
+                                            _own_layout(steps, width, hidden)], {}]
+        views = own[2].get(count)
+        if views is None or views.passing is not passing[1]:
+            views = own[2][count] = GroupViews(*key, count, own[1], passing[1])
+        return views
+
+    def reserve(self, compiled: Iterable[CompiledPaths], encoder: PathEncoder) -> None:
+        """Grow the buffers at once to what the groups of ``compiled`` need,
+        so that running them allocates nothing more."""
+        most: dict[int, int] = {}
+        for paths in compiled:
+            for rows, _ in paths.groups:
+                steps, count = rows.shape[:2]
+                most[steps] = max(most.get(steps, 0), count)
+        for steps, count in sorted(most.items(), key=lambda shape: -shape[0] * shape[1]):
+            self.group(steps, count, encoder)
 
 
 @dataclass(slots=True)
@@ -210,10 +336,10 @@ def compile_paths(paths: Mapping[DependencyPath, int], encoder: PathEncoder,
     return CompiledPaths(tuple(groups), tuple(slots))
 
 
-@dataclass
+@dataclass(slots=True)
 class PathCache:
     """The forward pass of a group of P paths of T steps each, time-major;
-    input width D, hidden size H."""
+    input width D, hidden size H. The arrays are views of ``views``' buffers."""
 
     rows: np.ndarray  # (T, P, 4) lemma, POS, deprel and direction row numbers
     xs: np.ndarray  # (T, P, D) step inputs
@@ -222,34 +348,30 @@ class PathCache:
     gates: np.ndarray  # (T, P, 4H) input, forget, candidate and output gates
     tanh_c: np.ndarray  # (T, P, H) tanh of the cell state that step t leaves
     weights: np.ndarray  # (P,) each path's weight in the average
+    views: GroupViews
 
 
-def _run_group(rows: np.ndarray, weights: np.ndarray, encoder: PathEncoder) -> PathCache:
+def _run_group(rows: np.ndarray, weights: np.ndarray, encoder: PathEncoder,
+               views: GroupViews) -> PathCache:
     """Run the unit over a group of same-length paths given their (T, P, 4)
-    component rows. Only the recurrent product stays inside the step loop.
-    Edgeless paths keep the zero state: they encode to zeros."""
-    steps, count = rows.shape[:2]
-    xs = np.concatenate([comp.matrix[rows[..., k]] for k, comp in enumerate(encoder.components())],
-                        axis=2)
-    hidden = encoder.hidden_size
-    i, f, g, o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    z_in = xs.reshape(steps * count, xs.shape[2]) @ encoder.w_in.T + encoder.bias
-    z_in = z_in.reshape(steps, count, 4 * hidden)
-    hs = np.zeros((steps + 1, count, hidden))
-    cs = np.zeros((steps + 1, count, hidden))
-    gates = np.empty((steps, count, 4 * hidden))
-    tanh_c = np.empty((steps, count, hidden))
-    w_rec_t = encoder.w_rec.T
-    for t in range(steps):
-        z = z_in[t] + hs[t] @ w_rec_t
-        gate, c = gates[t], cs[t + 1]
-        _sigmoid(z, gate)
-        np.tanh(z[:, g], out=gate[:, g])
-        np.multiply(gate[:, f], cs[t], out=c)
-        c += gate[:, i] * gate[:, g]
-        np.tanh(c, out=tanh_c[t])
-        np.multiply(gate[:, o], tanh_c[t], out=hs[t + 1])
-    return PathCache(rows, xs, hs, cs, gates, tanh_c, weights)
+    component rows, in ``views``. Only the recurrent product stays inside the
+    step loop. Edgeless paths keep the zero state: they encode to zeros."""
+    for k, (comp, inputs) in enumerate(zip(encoder.components(), views.inputs)):
+        comp.matrix.take(rows[..., k], axis=0, out=inputs)
+    np.matmul(views.xs_all, encoder.w_in.T, out=views.z_in_all)
+    views.z_in_all += encoder.bias
+    for start in (views.hs[0], views.cs[0]):  # a smaller group may follow a larger one
+        start.fill(0.0)
+    z, ez, ig, zg, w_rec_t = views.z, views.ez, views.ig, views.zg, encoder.w_rec.T
+    for z_in, h, h_next, c, c_next, gate, gi, gf, gg, go, tanh_c in views.forward_steps:
+        np.add(z_in, np.matmul(h, w_rec_t, out=z), out=z)
+        _sigmoid(z, gate, ez)
+        np.tanh(zg, out=gg)
+        np.multiply(gf, c, out=c_next)
+        c_next += np.multiply(gi, gg, out=ig)
+        np.tanh(c_next, out=tanh_c)
+        np.multiply(go, tanh_c, out=h_next)
+    return PathCache(rows, views.xs, views.hs, views.cs, views.gates, views.tanh_c, weights, views)
 
 
 def average_paths_with_cache(
@@ -258,6 +380,8 @@ def average_paths_with_cache(
     mode: str = WEIGHTED,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
+    *,
+    pool: BufferPool | None = None,
 ) -> tuple[np.ndarray, list[PathCache]]:
     """Average of the encoded paths, and one cache per group of paths that
     share a step count.
@@ -267,17 +391,20 @@ def average_paths_with_cache(
     The empty multiset gives the zero vector. When ``dropout_rate`` > 0 and
     an rng is given, each step's lemma component is replaced by the unknown
     row with that probability, independently, drawn path by path in the
-    multiset's order.
+    multiset's order. The caches are views of ``pool``, which the next call
+    with that pool overwrites; without one, the call makes its own.
     """
     if not isinstance(paths, CompiledPaths):
         paths = compile_paths(paths, encoder, mode)
+    pool = BufferPool() if pool is None else pool
     groups = paths.groups
     if dropout_rate > 0.0 and rng is not None:
         groups = [(rows.copy(), weights) for rows, weights in groups]
         for g, p in paths.slots:
             rows = groups[g][0]
             rows[rng.random(len(rows)) < dropout_rate, p, 0] = 0
-    caches = [_run_group(rows, weights, encoder) for rows, weights in groups]
+    caches = [_run_group(rows, weights, encoder, pool.group(*rows.shape[:2], encoder))
+              for rows, weights in groups]
     pooled = np.zeros(encoder.hidden_size)
     for g, p in paths.slots:
         pooled += caches[g].weights[p] * caches[g].hs[-1, p]
@@ -301,54 +428,67 @@ def backprop_average(
     cache: Sequence[PathCache],
     encoder: PathEncoder,
     lemma_rows: np.ndarray,
+    *,
+    out: Mapping[str, np.ndarray] | None = None,
+    products: Sequence[np.ndarray] | None = None,
 ) -> dict[str, np.ndarray | RowGradient]:
     """d(loss)/d(params) given d(loss)/d(averaged vector), by name in
     ``PathEncoder.arrays`` order: the lemma gradient is a ``RowGradient``
     over ``lemma_rows``, which must hold every lemma row the paths read, and
-    the others are dense arrays of their parameter's shape."""
-    hidden = encoder.hidden_size
+    the others are dense arrays of their parameter's shape.
+
+    The dense gradients are added into ``out``'s arrays, which must start at
+    zero, when it is given, and into new zero arrays otherwise. The walk
+    back writes in the caches' buffers, and each group's products for
+    ``w_in``, ``w_rec`` and ``bias`` go into ``products``, three arrays of
+    their shapes, before they are added; new ones without it.
+    """
     lemma = RowGradient(lemma_rows, np.zeros((len(lemma_rows), encoder.lemma.width)))
     # The zero start: each is a sum over the groups, or over repeated rows.
     dense = {name: np.zeros(array.shape) for name, array in encoder.arrays().items()
-             if name != "lemma"}
-    (lemma_start, lemma_end), *table_spans = encoder.spans
+             if name != "lemma"} if out is None else out
+    if products is None:
+        products = [np.empty(array.shape) for array in (encoder.w_in, encoder.w_rec, encoder.bias)]
     for group in cache:
-        steps, count = group.rows.shape[:2]
+        steps = len(group.rows)
         if steps == 0:
             continue
+        views = group.views
         # Each gate's dz is ((d * a) * b) * c, d being d_ct or, for the output
         # gate, dh: the products of its formula in their order. Input
         # d_ct·g_g·g_i·(1-g_i), forget d_ct·c_prev·g_f·(1-g_f), candidate
-        # d_ct·g_i·(1-g_g²)·1, output dh·tanh(c)·g_o·(1-g_o). a, b and c do
-        # not depend on the step before, so they are built once per group.
-        gates = group.gates.reshape(steps, count, 4, hidden)
-        gi, gf, gg, go = (gates[:, :, k] for k in range(4))
-        a = np.empty_like(gates)
-        a[:, :, 0], a[:, :, 1], a[:, :, 2], a[:, :, 3] = gg, group.cs[:-1], gi, group.tanh_c
-        b = gates.copy()
-        b[:, :, 2] = 1.0 - gg**2
-        c = 1.0 - gates
-        c[:, :, 2] = 1.0
-        d_tanh_c = 1.0 - group.tanh_c**2
-        dh = group.weights[:, None] * d_out
-        dc = np.zeros((count, hidden))
-        dzs = np.empty((steps, count, 4 * hidden))
-        for t in reversed(range(steps)):
-            d_ct = dh * go[t] * d_tanh_c[t] + dc
-            dz = dzs[t].reshape(count, 4, hidden)
-            np.multiply(d_ct[:, None], a[t, :, :3], out=dz[:, :3])
-            np.multiply(dh, a[t, :, 3], out=dz[:, 3])
-            dz *= b[t]
-            dz *= c[t]
-            dc = d_ct * gf[t]
-            dh = dzs[t] @ encoder.w_rec
-        dz_all = dzs.reshape(steps * count, -1)
-        dense["w_in"] += dz_all.T @ group.xs.reshape(steps * count, -1)
-        dense["w_rec"] += dz_all.T @ group.hs[:-1].reshape(steps * count, -1)
-        dense["bias"] += dz_all.sum(axis=0)
-        dx = dz_all @ encoder.w_in
-        rows = group.rows.reshape(steps * count, 4)
-        lemma.add_at(rows[:, 0], dx[:, lemma_start:lemma_end])
-        for k, (name, (start, end)) in enumerate(zip(STEP_COMPONENTS[1:], table_spans), start=1):
-            np.add.at(dense[name], rows[:, k], dx[:, start:end])
+        # d_ct·g_i·(1-g_g²)·1, output dh·tanh(c)·g_o·(1-g_o). a (but the
+        # output gate's, tanh(c)), b and c do not depend on the step before,
+        # so they are built once per group.
+        for slot, factor in views.a:
+            np.copyto(slot, factor)
+        np.copyto(views.b, group.gates)
+        np.subtract(1.0, np.square(views.gate_g, out=views.b_g), out=views.b_g)
+        np.subtract(1.0, group.gates, out=views.c)
+        views.c_g.fill(1.0)
+        np.subtract(1.0, np.square(group.tanh_c, out=views.d_tanh_c), out=views.d_tanh_c)
+        dh, dc, d_ct, d_ct_col = views.dh, views.dc, views.d_ct, views.d_ct_col
+        np.multiply(group.weights[:, None], d_out, out=dh)
+        dc.fill(0.0)
+        for t, go, gf, d_tanh_c, a_in, a_out, dz, dz_in, dz_out, b, c in views.backward_steps:
+            np.multiply(dh, go, out=d_ct)
+            d_ct *= d_tanh_c
+            d_ct += dc
+            np.multiply(d_ct_col, a_in, out=dz_in)
+            np.multiply(dh, a_out, out=dz_out)
+            dz *= b
+            dz *= c
+            if t:  # step 0 hands nothing on
+                np.multiply(d_ct, gf, out=dc)
+                np.matmul(dz, encoder.w_rec, out=dh)
+        dz_all = views.dz_all
+        for name, product, operand in zip(("w_in", "w_rec"), products,
+                                          (views.xs_all, views.hs_all)):
+            dense[name] += np.matmul(dz_all.T, operand, out=product)
+        dense["bias"] += dz_all.sum(axis=0, out=products[2])
+        np.matmul(dz_all, encoder.w_in, out=views.dx)
+        rows = group.rows.reshape(-1, 4)
+        lemma.add_at(rows[:, 0], views.dx_parts[0])
+        for k, name in enumerate(STEP_COMPONENTS[1:], start=1):
+            np.add.at(dense[name], rows[:, k], views.dx_parts[k])
     return {"lemma": lemma, **dense}

@@ -10,7 +10,9 @@ vectors for x and y are frozen table lookups unless ``train_word_vectors`` is
 switched on, in which case the model keeps its own trainable copies for the
 training-set terms. ``trainable_arrays`` is the one list of trainable arrays: gradients
 and updates follow its names and order. A step updates only the arrays, and
-the lemma and word-vector rows, that its compiled example used.
+the lemma and word-vector rows, that its compiled example used. The dense
+arrays are views of one flat buffer, and ``train`` keeps a step's working
+memory in ``StepBuffers``, so a step allocates nothing of a parameter's size.
 
 All randomness (initialization, example order, word dropout) flows from the
 single seed in TrainConfig, so a fixed seed reproduces parameters bit for bit.
@@ -19,7 +21,7 @@ single seed in TrainConfig, so a fixed seed reproduces parameters bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
@@ -32,6 +34,7 @@ from .path_encoder import (
     AVERAGE_MODES,
     STEP_COMPONENTS,
     WEIGHTED,
+    BufferPool,
     CompiledPaths,
     ComponentEmbeddings,
     PathEncoder,
@@ -102,8 +105,18 @@ class TrainableWordVectors:
         return self.index.get(token.lower())
 
 
-@dataclass
+# The trainable arrays that a step updates row by row; the others are dense.
+ROW_UPDATED = ("lemma", "word_vectors")
+
+
+@dataclass(frozen=True)
 class ModelParams:
+    """A relation model. Its dense arrays, the ``trainable_arrays`` other
+    than the lemma matrix and the word vectors, are views of ``flat``, laid
+    end to end in ``trainable_arrays`` order: the encoder's POS, deprel and
+    direction tables, ``w_in``, ``w_rec`` and ``bias``, then ``w1``, ``b1``,
+    ``w2`` and ``b2``. The model holds copies of the arrays it is given."""
+
     encoder: PathEncoder
     w1: np.ndarray
     b1: np.ndarray
@@ -114,6 +127,23 @@ class ModelParams:
     path_average: str = WEIGHTED
     word_vectors: TrainableWordVectors | None = None
     seed: int | None = None
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dense = _dense(trainable_arrays(self))
+        flat = np.concatenate([np.ravel(array) for array in dense.values()], dtype=float)
+        views = _carve(flat, dense)
+        encoder = self.encoder
+        tables = {name: ComponentEmbeddings(getattr(encoder, name).index, views.pop(name))
+                  for name in STEP_COMPONENTS[1:]}
+        unit = {name: views.pop(name) for name in ("w_in", "w_rec", "bias")}
+        for name, value in dict(encoder=replace(encoder, **tables, **unit), flat=flat,
+                                **views).items():
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # A copy or an unpickled model is built anew, so that it views a flat buffer of its own.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     @property
     def hidden_layers(self) -> int:
@@ -178,19 +208,20 @@ def pair_distribution(
     """Softmax rows, one per (x, y) pair and aligned with ``params.label_set``,
     each from the pair's paths in the index and the two word vectors."""
     out = np.empty((len(pairs), len(params.label_set)))
+    pool = BufferPool()
     for row, (x, y) in enumerate(pairs):
-        v, _ = _features(params, table, x, y, index.get(x, y), 0.0, None)
+        v, _ = _features(params, table, x, y, index.get(x, y), 0.0, None, pool)
         out[row] = forward(v, params)
     return out
 
 
 def _features(params: ModelParams, table: EmbeddingTable, x: str, y: str,
               paths: Mapping[DependencyPath, int] | CompiledPaths, dropout_rate: float,
-              rng: np.random.Generator | None) -> tuple[np.ndarray, list]:
+              rng: np.random.Generator | None, pool: BufferPool) -> tuple[np.ndarray, list]:
     """The feature vector [x ; averaged paths ; y] and the path caches that
-    ``backprop_average`` walks."""
+    ``backprop_average`` walks, views of ``pool``."""
     v_paths, caches = average_paths_with_cache(paths, params.encoder, params.path_average,
-                                               dropout_rate, rng)
+                                               dropout_rate, rng, pool=pool)
     v = np.concatenate([params.word_vector(x, table), v_paths, params.word_vector(y, table)])
     return v, caches
 
@@ -216,26 +247,78 @@ def trainable_arrays(params: ModelParams) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _dense(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {name: array for name, array in arrays.items() if name not in ROW_UPDATED}
+
+
+def _carve(buffer: np.ndarray, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of the flat ``buffer`` by name, of the shapes of ``arrays``, laid
+    end to end from its start."""
+    views, start = {}, 0
+    for name, array in arrays.items():
+        views[name] = buffer[start:start + array.size].reshape(array.shape)
+        start += array.size
+    return views
+
+
+class StepBuffers:
+    """The working memory of a training step on one model, kept from step to
+    step: the dense gradients in ``grad``, laid out as ``ModelParams.flat``
+    and viewed by name, the encoder's first; ``tail``, where the
+    classifier's start; ``scaled``, of the same layout, which holds the
+    encoder's per-group products in ``backprop_average`` and then the
+    gradients times the learning rate; and the path encoder's ``paths``."""
+
+    def __init__(self, params: ModelParams):
+        dense = _dense(trainable_arrays(params))
+        self.grad, self.scaled = np.empty(params.flat.size), np.empty(params.flat.size)
+        views = _carve(self.grad, dense)
+        self.encoder = {name: views.pop(name) for name in _dense(params.encoder.arrays())}
+        self.classifier = views
+        scaled = _carve(self.scaled, dense)
+        self.products = [scaled[name] for name in ("w_in", "w_rec", "bias")]
+        self.tail = self.grad.size - sum(view.size for view in views.values())
+        self.paths = BufferPool()
+
+
+class Gradients(SimpleNamespace):
+    """A step's gradients: one attribute per ``trainable_arrays`` name, and
+    ``vars`` lists no other. The dense ones are views of ``buffers.grad``, of
+    which the step wrote the values from ``start`` on."""
+
+    __slots__ = ("buffers", "start")
+
+    def __init__(self, buffers: StepBuffers, start: int, /, **grads):
+        super().__init__(**grads)
+        self.buffers, self.start = buffers, start
+
+
 def loss_and_gradients(
     example: Example,
     params: ModelParams,
     table: EmbeddingTable,
     config: TrainConfig | None = None,
     rng: np.random.Generator | None = None,
-) -> tuple[float, SimpleNamespace]:
+    *,
+    buffers: StepBuffers | None = None,
+) -> tuple[float, Gradients]:
     """The example's negative log-likelihood, with exact gradients: one
     attribute per ``trainable_arrays`` entry, under the same name.
 
     The encoder's are None when the example has no path step, and the lemma
     and word-vector gradients are ``RowGradient``s over the example's rows.
+    The dense gradients are views of ``buffers``, made for ``params``, which
+    the next call with them overwrites; without them, the call makes its own.
     Word dropout (config.word_dropout_rate > 0 with an rng supplied) replaces
     step lemmas by the unknown row, independently per step; with rate 0 the
     result is deterministic.
     """
+    buffers = StepBuffers(params) if buffers is None else buffers
     rate = config.word_dropout_rate if config is not None else 0.0
     hidden = params.encoder.hidden_size
     d = params.word_dim
-    v, cache = _features(params, table, example.x, example.y, example.paths, rate, rng)
+    v, cache = _features(params, table, example.x, example.y, example.paths, rate, rng,
+                         buffers.paths)
     hval, logits = _classify(v, params)
     shifted = logits - logits.max()
     log_z = np.log(np.exp(shifted).sum())
@@ -246,12 +329,19 @@ def loss_and_gradients(
     d_a = dlogits if hval is None else (params.w2.T @ dlogits) * (1.0 - hval**2)
     d_v = params.w1.T @ d_a
     if example.lemma_rows is None:
-        grads = dict.fromkeys(params.encoder.arrays())
+        grads, start = dict.fromkeys(params.encoder.arrays()), buffers.tail
     else:
-        grads = backprop_average(d_v[d : d + hidden], cache, params.encoder, example.lemma_rows)
-    grads.update(w1=d_a[:, None] * v, b1=d_a)
+        buffers.grad[:buffers.tail].fill(0.0)  # the encoder's gradients are sums
+        grads, start = backprop_average(d_v[d : d + hidden], cache, params.encoder,
+                                        example.lemma_rows, out=buffers.encoder,
+                                        products=buffers.products), 0
+    classifier = buffers.classifier
+    np.multiply(d_a[:, None], v, out=classifier["w1"])
+    np.copyto(classifier["b1"], d_a)
     if hval is not None:
-        grads.update(w2=dlogits[:, None] * hval, b2=dlogits)
+        np.multiply(dlogits[:, None], hval, out=classifier["w2"])
+        np.copyto(classifier["b2"], dlogits)
+    grads.update(classifier)
     if params.word_vectors is not None:
         words = RowGradient(example.word_rows, np.zeros((len(example.word_rows), d)))
         for word, d_word in ((example.x, d_v[:d]), (example.y, d_v[d + hidden :])):
@@ -259,19 +349,24 @@ def loss_and_gradients(
             if row is not None:
                 words.add_at(row, d_word)
         grads["word_vectors"] = words
-    return loss, SimpleNamespace(**grads)
+    return loss, Gradients(buffers, start, **grads)
 
 
-def apply_gradients(params: ModelParams, grads: SimpleNamespace, learning_rate: float) -> None:
-    """Step each trainable array against its gradient; a None gradient, or a
-    row a ``RowGradient`` lacks, leaves it as a zero gradient would."""
-    held = vars(grads)
-    for name, array in trainable_arrays(params).items():
-        grad = held[name]
-        if isinstance(grad, RowGradient):
+def apply_gradients(params: ModelParams, grads: Gradients, learning_rate: float) -> None:
+    """Step each trainable array against its gradient in ``grads``, which
+    ``loss_and_gradients`` gave for ``params``: the dense values that the
+    step wrote in one subtraction, and a ``RowGradient``'s rows. A None
+    gradient, or a row a ``RowGradient`` lacks, leaves its array as a zero
+    gradient would."""
+    start, buffers = grads.start, grads.buffers
+    params.flat[start:] -= np.multiply(buffers.grad[start:], learning_rate,
+                                       out=buffers.scaled[start:])
+    rows = [(grads.lemma, params.encoder.lemma.matrix)]
+    if params.word_vectors is not None:
+        rows.append((grads.word_vectors, params.word_vectors.matrix))
+    for grad, array in rows:
+        if grad is not None:
             array[grad.rows] -= learning_rate * grad.values
-        elif grad is not None:
-            array -= learning_rate * grad
 
 
 def init_params(
@@ -346,13 +441,16 @@ def train(
     params = init_params(config, [(r.x, r.y) for r in trainset], index, table, labels, rng)
     examples = [compile_example(params, r.x, r.y, index.get(r.x, r.y), r.label)
                 for r in trainset]
+    buffers = StepBuffers(params)
+    buffers.paths.reserve((ex.paths for ex in examples), params.encoder)
     # A diverging run overflows before its loss turns non-finite; the loss check
     # below is the guard, so numpy's warnings would only add lines to stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             for position in rng.permutation(len(examples)):
                 ex = examples[int(position)]
-                loss, grads = loss_and_gradients(ex, params, table, config=config, rng=rng)
+                loss, grads = loss_and_gradients(ex, params, table, config=config, rng=rng,
+                                                 buffers=buffers)
                 if not math.isfinite(loss):
                     raise DataError(f"training diverged: non-finite loss in epoch {epoch + 1}")
                 apply_gradients(params, grads, config.learning_rate)

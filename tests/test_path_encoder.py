@@ -13,6 +13,8 @@ from semrel.embeddings import load_table
 from semrel.path_encoder import (
     UNIFORM,
     WEIGHTED,
+    BufferPool,
+    _sigmoid,
     average_paths_with_cache,
     backprop_average,
     init_component,
@@ -34,6 +36,12 @@ P_LONG2 = DependencyPath((
 P_SHORT = DependencyPath((
     PathEdge("X", "NOUN", "nmod", "up"),
     PathEdge("Y", "NOUN", "root", "root"),
+))
+# A third path of P_LONG's step count.
+P_LONG3 = DependencyPath((
+    PathEdge("X", "NOUN", "nsubj", "up"),
+    PathEdge("chase", "VERB", "root", "root"),
+    PathEdge("Y", "NOUN", "nmod", "down"),
 ))
 
 
@@ -351,3 +359,46 @@ def test_grouped_paths_match_a_per_path_reference(paths, mode, rate, seed):
     assert np.allclose(got, expected, rtol=0, atol=1e-12)
     for name in encoder.arrays():
         assert np.allclose(getattr(grads, name), getattr(expected_grads, name), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------- buffer pool
+
+
+def test_sigmoid_gives_the_bits_of_the_where_form():
+    """max(z >= 0, ez) / (1 + ez) against where(z >= 0, 1, ez) / (1 + ez),
+    ez = exp(-|z|), on signed zeros, subnormals, tiny, large and overflowing
+    values and a million normal draws."""
+    edges = [0.0, 5e-324, 1e-300, 40.0, 800.0]
+    z = np.concatenate([edges, np.negative(edges),
+                        np.random.default_rng(5).normal(scale=4.0, size=1_000_000)])
+    ez = np.exp(np.copysign(z, -1.0))
+    expected = np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+    got = _sigmoid(z, np.empty_like(z), np.empty_like(z))
+    assert np.signbit(z[5])  # -0.0 is among the values
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_a_group_starts_from_the_zero_state_after_more_and_fewer_paths():
+    """One pool runs groups of one step count with 1, 2, 3, 1 and 2 paths: each
+    starts from a zero state and gives the bits of a pool of its own, though
+    a group of P paths works in the leading rows that the others wrote."""
+    encoder = small_setup()
+    pool = BufferPool()
+    longs = [P_LONG, P_LONG2, P_LONG3]
+    for count in (1, 2, 3, 1, 2):
+        paths = {path: n + 1 for n, path in enumerate(longs[:count])}
+        got, (cache,) = average_paths_with_cache(paths, encoder, pool=pool)
+        assert not cache.hs[0].any() and not cache.cs[0].any()
+        expected, (alone,) = average_paths_with_cache(paths, encoder)
+        assert got.tobytes() == expected.tobytes()
+        for name in ("xs", "hs", "cs", "gates", "tanh_c"):
+            assert getattr(cache, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+def test_calls_without_a_pool_share_no_array():
+    encoder = small_setup()
+    _, first = average_paths_with_cache({P_LONG: 1, P_SHORT: 1}, encoder)
+    _, second = average_paths_with_cache({P_LONG: 1, P_SHORT: 1}, encoder)
+    for a, b in zip(first, second):
+        for name in ("xs", "hs", "cs", "gates", "tanh_c"):
+            assert not np.shares_memory(getattr(a, name), getattr(b, name)), name

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import pickle
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -11,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import constant_model, dense_gradients, make_table, random_table
+from synthcorpus import generate_world
 from oracles import central_difference, reference_sgd_step, reference_train, rel_error
 import copy
 
-from semrel.corpus import DependencyPath, PathEdge, PathIndex, path_to_text
+from semrel.corpus import (DependencyPath, PathEdge, PathIndex, build_path_index, parse_conll,
+                           path_to_text)
+from semrel.embeddings import load_table
 from semrel.errors import DataError
-from semrel.pairs import PairRecord
+from semrel.pairs import RELATED_LABELS, PairRecord
 from semrel.path_encoder import (
     STEP_COMPONENTS,
     ComponentEmbeddings,
@@ -30,6 +34,7 @@ from semrel.relation_model import (
     MODEL_VERSION,
     RELATEDNESS_PRESET,
     RELATIONS_PRESET,
+    StepBuffers,
     TrainConfig,
     apply_gradients,
     compile_example,
@@ -366,6 +371,105 @@ def test_a_step_without_a_path_step_leaves_the_encoder_alone():
         apply_gradients(params, grads, 0.5)
         assert {name: trainable_arrays(params)[name].tobytes() for name in encoder} == before
         assert grads.w1.any() and grads.word_vectors.values.any()
+
+
+DENSE = ("pos", "deprel", "direction", "w_in", "w_rec", "bias", "w1", "b1", "w2", "b2")
+
+
+@pytest.mark.parametrize("hidden_layers", [0, 1])
+def test_the_dense_arrays_and_their_gradients_are_views_of_one_buffer_each(hidden_layers):
+    """The encoder's tables, w_in, w_rec and bias, then w1, b1, w2 and b2, end
+    to end in ``params.flat``; a step's gradients in the same places of one
+    buffer, and a step without a path step writes only the classifier's."""
+    table, _, examples, params = tiny_setup(hidden_layers=hidden_layers, train_word_vectors=True)
+    dense = [name for name in trainable_arrays(params) if name in DENSE]
+    assert dense == list(DENSE[:len(dense)]) and len(dense) == 8 + 2 * hidden_layers
+    buffers = StepBuffers(params)
+    _, grads = loss_and_gradients(examples[0], params, table, buffers=buffers)
+    _, no_path = loss_and_gradients(examples[2], params, table, buffers=StepBuffers(params))
+    start = 0
+    for name in dense:
+        array, grad = trainable_arrays(params)[name], getattr(grads, name)
+        span = slice(start, start + array.size)
+        assert np.shares_memory(array, params.flat[span]) and array.base is params.flat, name
+        assert np.shares_memory(grad, buffers.grad[span]) and grad.base is buffers.grad, name
+        assert (getattr(no_path, name) is None) == (start < no_path.buffers.tail), name
+        start += array.size
+    assert start == params.flat.size == buffers.grad.size
+    assert buffers.tail == params.flat.size - sum(getattr(params, n).size for n in dense[6:])
+    assert not np.shares_memory(params.encoder.lemma.matrix, params.flat)
+    assert not np.shares_memory(params.word_vectors.matrix, params.flat)
+
+
+def test_a_copied_model_views_a_flat_buffer_of_its_own():
+    """A deep copy and an unpickled model train the bytes that the model
+    itself trains, and a step on one leaves the other alone."""
+    table, _, examples, params = tiny_setup(hidden_layers=1, train_word_vectors=True)
+    copies = [copy.deepcopy(params), pickle.loads(pickle.dumps(params))]
+    for model in [params, *copies]:
+        for name, array in trainable_arrays(model).items():
+            assert array.base is model.flat or name in ("lemma", "word_vectors"), name
+    before = params.flat.copy()
+    for model in copies:
+        _, grads = loss_and_gradients(examples[0], model, table)
+        apply_gradients(model, grads, 0.5)
+    assert params.flat.tobytes() == before.tobytes()
+    _, grads = loss_and_gradients(examples[0], params, table)
+    apply_gradients(params, grads, 0.5)
+    for model in copies:
+        assert model.flat.tobytes() == params.flat.tobytes()
+
+
+def test_reused_buffers_carry_nothing_from_one_training_to_the_next():
+    """In one process: train a model, score pairs with it, train one with
+    another hidden size, then train the first again: the same bytes."""
+    index, records, table = oracle_world()
+    config = TrainConfig(epochs=3, seed=5, hidden_dim=4, mlp_hidden_dim=3, lemma_dim=2,
+                         pos_dim=2, deprel_dim=2, dir_dim=1, word_dropout_rate=0.3)
+
+    def model_bytes(model):
+        buf = io.StringIO()
+        save_model(model, buf)
+        return buf.getvalue()
+
+    first = train(records, [], config, index, table, LABELS)
+    expected = model_bytes(first)
+    pair_distribution(first, table, index, [(r.x, r.y) for r in records])
+    other = train(records, [], replace(config, hidden_dim=6), index, table, LABELS)
+    assert other.encoder.hidden_size == 6
+    assert model_bytes(train(records, [], config, index, table, LABELS)) == expected
+
+
+def test_a_warmed_up_training_step_allocates_nothing_the_size_of_a_dense_parameter():
+    """On the acceptance model (seed 1), a second step on one example, as
+    ``train`` takes it, traces a peak below the bytes of ``w_rec``, where a
+    step that allocated its gradients, their product with the learning rate
+    or the product dz.T @ hs would trace more."""
+    world = generate_world(seed=1)
+    table = load_table(world.embeddings.splitlines())
+    records = [r for r in world.pairs if r.label in RELATED_LABELS]
+    index = build_path_index(parse_conll(world.conll), [(r.x, r.y) for r in records])
+    config = replace(RELATIONS_PRESET, seed=7)
+    rng = np.random.default_rng(config.seed)
+    params = init_params(config, [(r.x, r.y) for r in records], index, table, RELATED_LABELS, rng)
+    example = next(ex for r in records
+                   for ex in [compile_example(params, r.x, r.y, index.get(r.x, r.y), r.label)]
+                   if [rows.shape[:2] for rows, _ in ex.paths.groups] == [(3, 1)])
+    buffers = StepBuffers(params)
+    buffers.paths.reserve([example.paths], params.encoder)
+    budget = params.encoder.w_rec.nbytes
+    assert budget == 115_200
+    for step in range(2):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, grads = loss_and_gradients(example, params, table, config=config, rng=rng,
+                                          buffers=buffers)
+            apply_gradients(params, grads, config.learning_rate)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak < budget, peak
 
 
 @pytest.mark.parametrize("overrides", [
@@ -838,11 +942,11 @@ def model_with_lemma_rows(rows, width):
     lemma matrix grown to ``rows`` tokens of ``width`` random values."""
     _, _, _, params = tiny_setup(hidden_layers=1, train_word_vectors=True)
     rng = np.random.default_rng(3)
-    params.encoder = replace(params.encoder, lemma=ComponentEmbeddings(
+    encoder = replace(params.encoder, lemma=ComponentEmbeddings(
         {f"lemma{i}": i for i in range(1, rows + 1)}, rng.normal(size=(rows + 1, width))))
-    params.encoder = replace(params.encoder, w_in=rng.normal(
-        size=(params.encoder.w_in.shape[0], input_width(params.encoder.components()))))
-    return params
+    encoder = replace(encoder, w_in=rng.normal(
+        size=(encoder.w_in.shape[0], input_width(encoder.components()))))
+    return replace(params, encoder=encoder)
 
 
 def test_save_refuses_a_non_finite_value(tmp_path):
