@@ -6,7 +6,8 @@ from a parsed corpus, ``train`` fits a relatedness or relation classifier,
 ``evaluate`` scores predictions against gold labels.
 
 Exit codes: 0 on success, 1 for usage problems (bad flags, bad --config
-entries, missing or conflicting combinations), 2 for data problems
+entries, missing or conflicting combinations, an output that names one of
+the command's inputs), 2 for data problems
 (unreadable or malformed files, inconsistent datasets, invalid
 hyperparameter values, sizes too large for memory).
 """
@@ -205,10 +206,16 @@ def _takes(action: argparse.Action, value: str) -> bool:
     return action.choices is None or converted in action.choices
 
 
-def _check_output(path: str | Path | None) -> None:
+# The options that name a file a command reads; tune's --model does too.
+_INPUT_OPTIONS = ("corpus", "pairs", "index", "embeddings", "val", "combiner",
+                  "relatedness_model", "relation_model", "predictions", "config")
+
+
+def _check_output(path: str | Path | None, args, inputs=_INPUT_OPTIONS) -> None:
     """Raise, before any input is read, the OSError that writing ``path``
     would raise for want of its directory or because ``path`` is a
-    directory; nothing is created or opened."""
+    directory, and a usage error if ``path`` is a file that one of the
+    ``inputs`` options of ``args`` names; nothing is created or opened."""
     if path is None:
         return
     if path == "":  # as open("") fails; os.stat would take "" for the current directory
@@ -219,6 +226,12 @@ def _check_output(path: str | Path | None) -> None:
         os.stat(os.path.join(os.path.dirname(path) or ".", ""))
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
+    if not os.path.exists(path):
+        return  # a new file overwrites no input
+    for dest in inputs:  # samefile sees through links and spellings
+        given = getattr(args, dest, None)
+        if given is not None and os.path.exists(given) and os.path.samefile(path, given):
+            raise _UsageError(f"output {path} would overwrite the --{dest.replace('_', '-')} input")
 
 
 def _pair_words(records) -> set[str]:
@@ -227,7 +240,7 @@ def _pair_words(records) -> set[str]:
 
 
 def _cmd_extract_paths(args) -> int:
-    _check_output(args.output)
+    _check_output(args.output, args)
     records = read_pairs(args.pairs, require_label=False)
     n_sentences = 0
 
@@ -270,9 +283,9 @@ def _print_validation_accuracy(epoch: int, accuracy: float) -> None:
 
 
 def _cmd_train(args) -> int:
-    _check_output(args.model)
+    _check_output(args.model, args)
     manifest_path = Path(args.model).with_suffix(".manifest.json")
-    _check_output(manifest_path)
+    _check_output(manifest_path, args)
     folding, label_set, preset = _TASKS[args.task]
     config = _resolved_config(args, preset)
     read = read_labelled(args.pairs, folding, "training set")
@@ -312,7 +325,7 @@ def _cmd_train(args) -> int:
 def _cmd_tune(args) -> int:
     if (args.model is None) != (args.index is None):
         raise _UsageError("--model and --index go together: give both or neither")
-    _check_output(args.output)
+    _check_output(args.output, args, (*_INPUT_OPTIONS, "model"))
     records = read_labelled(args.pairs, TO_RELATEDNESS, "tuning set")
     table = load_table(args.embeddings, _pair_words(records))
     params = index = None
@@ -329,7 +342,7 @@ def _cmd_tune(args) -> int:
 def _cmd_predict(args) -> int:
     if args.task == "relations" and args.relation_model is None:
         raise _UsageError("--task relations requires --relation-model")
-    _check_output(args.output)
+    _check_output(args.output, args)
     combiner = load_combiner(args.combiner)
     if combiner.w_l != 0.0 and args.relatedness_model is None:
         raise _UsageError("this combiner has w_L > 0; pass --relatedness-model")
@@ -358,7 +371,7 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     if args.exclude and args.no_auto_exclude:
         raise _UsageError("--exclude and --no-auto-exclude conflict: give one or neither")
-    _check_output(args.output)
+    _check_output(args.output, args)
     pred = read_pairs(args.predictions)
     relatedness = {r.label in RELATEDNESS_LABELS for r in pred}
     if relatedness == {True, False}:

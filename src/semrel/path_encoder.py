@@ -13,14 +13,14 @@ A ``PathEncoder`` holds the four component embeddings and the unit's weights;
 ``compile_paths`` stacks a multiset's row numbers in groups of equal step
 count.
 ``average_paths_with_cache`` runs each group time-major as one (P, D) matrix
-per step and keeps one record of arrays per group, which ``backprop_average``
+per step and returns each group's ``GroupViews``, which ``backprop_average``
 walks back; it returns exact gradients for all encoder parameters.
 
-Both passes write every array with ``out=`` into a ``BufferPool``: flat
-buffers kept from call to call, each group working in their leading rows
-through views built once per group shape. So a training step that reuses a
-pool allocates no array of a group's size, and a call given no pool makes its
-own, so that no caller gets arrays that another call writes.
+Both passes write every array with ``out=`` into a ``BufferPool``, made for
+one encoder: flat buffers kept from call to call, each group working in their
+leading rows through views built once per group shape. So a training step
+that reuses a pool allocates no array of a group's size, and a call given no
+pool makes its own, so that no caller gets arrays that another call writes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 from ._io import np
@@ -202,7 +201,18 @@ class GroupViews:
     views that each step of its forward and backward pass reads and writes:
     views of the leading rows of its step count's ``own`` buffers, laid out
     by ``_own_layout``, and of the ``passing`` buffers that every step count
-    shares, laid out by ``_passing_widths``."""
+    shares, laid out by ``_passing_widths``.
+
+    After a forward pass it records that pass, time-major, input width D and
+    hidden size H: ``rows`` (T, P, 4), the lemma, POS, deprel and direction
+    row numbers it read; ``weights`` (P,), each path's weight in the average;
+    ``xs`` (T, P, D), the step inputs; ``hs`` and ``cs`` (T+1, P, H), where
+    row t is the state step t starts from and ``hs[-1]`` encodes the paths;
+    ``gates`` (T, P, 4H); and ``tanh_c`` (T, P, H), tanh of the cell state
+    that step t leaves."""
+
+    rows: np.ndarray
+    weights: np.ndarray
 
     def __init__(self, steps: int, spans: tuple[tuple[int, int], ...], hidden: int, count: int,
                  own: list[np.ndarray], passing: list[np.ndarray]):
@@ -241,7 +251,8 @@ class GroupViews:
 
 
 class BufferPool:
-    """Working memory for running groups of paths, reused from call to call.
+    """Working memory for running groups of paths through one encoder,
+    reused from call to call.
 
     What a group keeps from its forward pass to its backward pass is held
     in one set of flat buffers per step count, grown to the most paths that
@@ -251,37 +262,37 @@ class BufferPool:
     one set that all step counts share, grown to the most path steps of a
     group. A group's views of both are built once per (T, P) and again when
     a set grows. So the next group of the same step count overwrites a
-    cache, and a caller that keeps one must give each call its own pool.
-    Sharing the one-pass buffers, and ``reserve``, which sizes them all
+    group's record, and a caller that keeps one must give each call its own
+    pool. Sharing the one-pass buffers, and ``reserve``, which sizes them all
     before the first group, keep a training run's peak memory near what
     allocating each group's arrays afresh would take.
     """
 
-    def __init__(self):
-        # (steps, spans, hidden) -> [capacity in paths, regions, views by path count]
-        self._own: dict[tuple, list] = {}
-        # (width, hidden) -> [capacity in path steps, regions]
-        self._passing: dict[tuple, list] = {}
+    def __init__(self, encoder: PathEncoder):
+        self.encoder = encoder
+        # steps -> [capacity in paths, regions, views by path count]
+        self._own: dict[int, list] = {}
+        # [capacity in path steps, regions]; a group of 0-step paths allocates it empty
+        self._passing: list | None = None
 
-    def group(self, steps: int, count: int, encoder: PathEncoder) -> GroupViews:
-        spans, hidden = encoder.spans, encoder.hidden_size
+    def group(self, steps: int, count: int) -> GroupViews:
+        spans, hidden = self.encoder.spans, self.encoder.hidden_size
         width = spans[-1][1]
-        passing = self._passing.get((width, hidden))
+        passing = self._passing
         if passing is None or steps * count > passing[0]:
-            passing = self._passing[width, hidden] = [
+            passing = self._passing = [
                 steps * count,
                 [np.empty(steps * count * w) for w in _passing_widths(width, hidden)]]
-        key = (steps, spans, hidden)
-        own = self._own.get(key)
+        own = self._own.get(steps)
         if own is None or count > own[0]:
-            own = self._own[key] = [count, [np.empty(count * rows * w) for rows, w in
-                                            _own_layout(steps, width, hidden)], {}]
+            own = self._own[steps] = [count, [np.empty(count * rows * w) for rows, w in
+                                              _own_layout(steps, width, hidden)], {}]
         views = own[2].get(count)
         if views is None or views.passing is not passing[1]:
-            views = own[2][count] = GroupViews(*key, count, own[1], passing[1])
+            views = own[2][count] = GroupViews(steps, spans, hidden, count, own[1], passing[1])
         return views
 
-    def reserve(self, compiled: Iterable[CompiledPaths], encoder: PathEncoder) -> None:
+    def reserve(self, compiled: Iterable[CompiledPaths]) -> None:
         """Grow the buffers at once to what the groups of ``compiled`` need,
         so that running them allocates nothing more."""
         most: dict[int, int] = {}
@@ -290,7 +301,7 @@ class BufferPool:
                 steps, count = rows.shape[:2]
                 most[steps] = max(most.get(steps, 0), count)
         for steps, count in sorted(most.items(), key=lambda shape: -shape[0] * shape[1]):
-            self.group(steps, count, encoder)
+            self.group(steps, count)
 
 
 @dataclass(slots=True)
@@ -336,26 +347,12 @@ def compile_paths(paths: Mapping[DependencyPath, int], encoder: PathEncoder,
     return CompiledPaths(tuple(groups), tuple(slots))
 
 
-@dataclass(slots=True)
-class PathCache:
-    """The forward pass of a group of P paths of T steps each, time-major;
-    input width D, hidden size H. The arrays are views of ``views``' buffers."""
-
-    rows: np.ndarray  # (T, P, 4) lemma, POS, deprel and direction row numbers
-    xs: np.ndarray  # (T, P, D) step inputs
-    hs: np.ndarray  # (T+1, P, H) row t is the state step t starts from; hs[-1] encodes the paths
-    cs: np.ndarray  # (T+1, P, H) cell states, in the same rows
-    gates: np.ndarray  # (T, P, 4H) input, forget, candidate and output gates
-    tanh_c: np.ndarray  # (T, P, H) tanh of the cell state that step t leaves
-    weights: np.ndarray  # (P,) each path's weight in the average
-    views: GroupViews
-
-
 def _run_group(rows: np.ndarray, weights: np.ndarray, encoder: PathEncoder,
-               views: GroupViews) -> PathCache:
+               views: GroupViews) -> GroupViews:
     """Run the unit over a group of same-length paths given their (T, P, 4)
-    component rows, in ``views``. Only the recurrent product stays inside the
-    step loop. Edgeless paths keep the zero state: they encode to zeros."""
+    component rows and (P,) weights, in ``views``, which record the pass.
+    Only the recurrent product stays inside the step loop. Edgeless paths
+    keep the zero state: they encode to zeros."""
     for k, (comp, inputs) in enumerate(zip(encoder.components(), views.inputs)):
         comp.matrix.take(rows[..., k], axis=0, out=inputs)
     np.matmul(views.xs_all, encoder.w_in.T, out=views.z_in_all)
@@ -371,7 +368,8 @@ def _run_group(rows: np.ndarray, weights: np.ndarray, encoder: PathEncoder,
         c_next += np.multiply(gi, gg, out=ig)
         np.tanh(c_next, out=tanh_c)
         np.multiply(go, tanh_c, out=h_next)
-    return PathCache(rows, views.xs, views.hs, views.cs, views.gates, views.tanh_c, weights, views)
+    views.rows, views.weights = rows, weights
+    return views
 
 
 def average_paths_with_cache(
@@ -382,33 +380,34 @@ def average_paths_with_cache(
     rng: np.random.Generator | None = None,
     *,
     pool: BufferPool | None = None,
-) -> tuple[np.ndarray, list[PathCache]]:
-    """Average of the encoded paths, and one cache per group of paths that
-    share a step count.
+) -> tuple[np.ndarray, list[GroupViews]]:
+    """Average of the encoded paths, and the record of each group of paths
+    that share a step count.
 
     ``paths`` is a multiset, or one that ``compile_paths`` compiled with this
     encoder, in which case its weights stand and ``mode`` is not read.
     The empty multiset gives the zero vector. When ``dropout_rate`` > 0 and
     an rng is given, each step's lemma component is replaced by the unknown
     row with that probability, independently, drawn path by path in the
-    multiset's order. The caches are views of ``pool``, which the next call
-    with that pool overwrites; without one, the call makes its own.
+    multiset's order. The records are views of ``pool``, made for
+    ``encoder``, which the next call with that pool overwrites; without one,
+    the call makes its own.
     """
     if not isinstance(paths, CompiledPaths):
         paths = compile_paths(paths, encoder, mode)
-    pool = BufferPool() if pool is None else pool
+    pool = BufferPool(encoder) if pool is None else pool
     groups = paths.groups
     if dropout_rate > 0.0 and rng is not None:
         groups = [(rows.copy(), weights) for rows, weights in groups]
         for g, p in paths.slots:
             rows = groups[g][0]
             rows[rng.random(len(rows)) < dropout_rate, p, 0] = 0
-    caches = [_run_group(rows, weights, encoder, pool.group(*rows.shape[:2], encoder))
-              for rows, weights in groups]
+    records = [_run_group(rows, weights, encoder, pool.group(*rows.shape[:2]))
+               for rows, weights in groups]
     pooled = np.zeros(encoder.hidden_size)
     for g, p in paths.slots:
-        pooled += caches[g].weights[p] * caches[g].hs[-1, p]
-    return pooled, caches
+        pooled += records[g].weights[p] * records[g].hs[-1, p]
+    return pooled, records
 
 
 @dataclass
@@ -425,35 +424,29 @@ class RowGradient:
 
 def backprop_average(
     d_out: np.ndarray,
-    cache: Sequence[PathCache],
+    groups: Sequence[GroupViews],
     encoder: PathEncoder,
     lemma_rows: np.ndarray,
     *,
-    out: Mapping[str, np.ndarray] | None = None,
-    products: Sequence[np.ndarray] | None = None,
+    out: Mapping[str, np.ndarray],
+    products: Sequence[np.ndarray],
 ) -> dict[str, np.ndarray | RowGradient]:
     """d(loss)/d(params) given d(loss)/d(averaged vector), by name in
     ``PathEncoder.arrays`` order: the lemma gradient is a ``RowGradient``
     over ``lemma_rows``, which must hold every lemma row the paths read, and
-    the others are dense arrays of their parameter's shape.
+    the others are ``out``'s arrays, one per other name, of their
+    parameter's shape.
 
     The dense gradients are added into ``out``'s arrays, which must start at
-    zero, when it is given, and into new zero arrays otherwise. The walk
-    back writes in the caches' buffers, and each group's products for
-    ``w_in``, ``w_rec`` and ``bias`` go into ``products``, three arrays of
-    their shapes, before they are added; new ones without it.
+    zero: each is a sum over the groups, or over repeated rows. The walk back
+    writes in the groups' buffers, and each group's products for ``w_in``,
+    ``w_rec`` and ``bias`` go into ``products``, three arrays of their
+    shapes, before they are added.
     """
     lemma = RowGradient(lemma_rows, np.zeros((len(lemma_rows), encoder.lemma.width)))
-    # The zero start: each is a sum over the groups, or over repeated rows.
-    dense = {name: np.zeros(array.shape) for name, array in encoder.arrays().items()
-             if name != "lemma"} if out is None else out
-    if products is None:
-        products = [np.empty(array.shape) for array in (encoder.w_in, encoder.w_rec, encoder.bias)]
-    for group in cache:
-        steps = len(group.rows)
-        if steps == 0:
+    for views in groups:
+        if len(views.rows) == 0:
             continue
-        views = group.views
         # Each gate's dz is ((d * a) * b) * c, d being d_ct or, for the output
         # gate, dh: the products of its formula in their order. Input
         # d_ct·g_g·g_i·(1-g_i), forget d_ct·c_prev·g_f·(1-g_f), candidate
@@ -462,13 +455,13 @@ def backprop_average(
         # so they are built once per group.
         for slot, factor in views.a:
             np.copyto(slot, factor)
-        np.copyto(views.b, group.gates)
+        np.copyto(views.b, views.gates)
         np.subtract(1.0, np.square(views.gate_g, out=views.b_g), out=views.b_g)
-        np.subtract(1.0, group.gates, out=views.c)
+        np.subtract(1.0, views.gates, out=views.c)
         views.c_g.fill(1.0)
-        np.subtract(1.0, np.square(group.tanh_c, out=views.d_tanh_c), out=views.d_tanh_c)
+        np.subtract(1.0, np.square(views.tanh_c, out=views.d_tanh_c), out=views.d_tanh_c)
         dh, dc, d_ct, d_ct_col = views.dh, views.dc, views.d_ct, views.d_ct_col
-        np.multiply(group.weights[:, None], d_out, out=dh)
+        np.multiply(views.weights[:, None], d_out, out=dh)
         dc.fill(0.0)
         for t, go, gf, d_tanh_c, a_in, a_out, dz, dz_in, dz_out, b, c in views.backward_steps:
             np.multiply(dh, go, out=d_ct)
@@ -484,11 +477,11 @@ def backprop_average(
         dz_all = views.dz_all
         for name, product, operand in zip(("w_in", "w_rec"), products,
                                           (views.xs_all, views.hs_all)):
-            dense[name] += np.matmul(dz_all.T, operand, out=product)
-        dense["bias"] += dz_all.sum(axis=0, out=products[2])
+            out[name] += np.matmul(dz_all.T, operand, out=product)
+        out["bias"] += dz_all.sum(axis=0, out=products[2])
         np.matmul(dz_all, encoder.w_in, out=views.dx)
-        rows = group.rows.reshape(-1, 4)
+        rows = views.rows.reshape(-1, 4)
         lemma.add_at(rows[:, 0], views.dx_parts[0])
         for k, name in enumerate(STEP_COMPONENTS[1:], start=1):
-            np.add.at(dense[name], rows[:, k], views.dx_parts[k])
-    return {"lemma": lemma, **dense}
+            np.add.at(out[name], rows[:, k], views.dx_parts[k])
+    return {"lemma": lemma, **out}

@@ -208,7 +208,7 @@ def pair_distribution(
     """Softmax rows, one per (x, y) pair and aligned with ``params.label_set``,
     each from the pair's paths in the index and the two word vectors."""
     out = np.empty((len(pairs), len(params.label_set)))
-    pool = BufferPool()
+    pool = BufferPool(params.encoder)
     for row, (x, y) in enumerate(pairs):
         v, _ = _features(params, table, x, y, index.get(x, y), 0.0, None, pool)
         out[row] = forward(v, params)
@@ -218,12 +218,12 @@ def pair_distribution(
 def _features(params: ModelParams, table: EmbeddingTable, x: str, y: str,
               paths: Mapping[DependencyPath, int] | CompiledPaths, dropout_rate: float,
               rng: np.random.Generator | None, pool: BufferPool) -> tuple[np.ndarray, list]:
-    """The feature vector [x ; averaged paths ; y] and the path caches that
+    """The feature vector [x ; averaged paths ; y] and the path groups that
     ``backprop_average`` walks, views of ``pool``."""
-    v_paths, caches = average_paths_with_cache(paths, params.encoder, params.path_average,
+    v_paths, groups = average_paths_with_cache(paths, params.encoder, params.path_average,
                                                dropout_rate, rng, pool=pool)
     v = np.concatenate([params.word_vector(x, table), v_paths, params.word_vector(y, table)])
-    return v, caches
+    return v, groups
 
 
 def _classify(v: np.ndarray, params: ModelParams) -> tuple[np.ndarray | None, np.ndarray]:
@@ -267,7 +267,7 @@ class StepBuffers:
     and viewed by name, the encoder's first; ``tail``, where the
     classifier's start; ``scaled``, of the same layout, which holds the
     encoder's per-group products in ``backprop_average`` and then the
-    gradients times the learning rate; and the path encoder's ``paths``."""
+    gradients times the learning rate; and ``paths``, the encoder's pool."""
 
     def __init__(self, params: ModelParams):
         dense = _dense(trainable_arrays(params))
@@ -278,7 +278,7 @@ class StepBuffers:
         scaled = _carve(self.scaled, dense)
         self.products = [scaled[name] for name in ("w_in", "w_rec", "bias")]
         self.tail = self.grad.size - sum(view.size for view in views.values())
-        self.paths = BufferPool()
+        self.paths = BufferPool(params.encoder)
 
 
 class Gradients(SimpleNamespace):
@@ -317,7 +317,7 @@ def loss_and_gradients(
     rate = config.word_dropout_rate if config is not None else 0.0
     hidden = params.encoder.hidden_size
     d = params.word_dim
-    v, cache = _features(params, table, example.x, example.y, example.paths, rate, rng,
+    v, groups = _features(params, table, example.x, example.y, example.paths, rate, rng,
                          buffers.paths)
     hval, logits = _classify(v, params)
     shifted = logits - logits.max()
@@ -332,7 +332,7 @@ def loss_and_gradients(
         grads, start = dict.fromkeys(params.encoder.arrays()), buffers.tail
     else:
         buffers.grad[:buffers.tail].fill(0.0)  # the encoder's gradients are sums
-        grads, start = backprop_average(d_v[d : d + hidden], cache, params.encoder,
+        grads, start = backprop_average(d_v[d : d + hidden], groups, params.encoder,
                                         example.lemma_rows, out=buffers.encoder,
                                         products=buffers.products), 0
     classifier = buffers.classifier
@@ -442,7 +442,7 @@ def train(
     examples = [compile_example(params, r.x, r.y, index.get(r.x, r.y), r.label)
                 for r in trainset]
     buffers = StepBuffers(params)
-    buffers.paths.reserve((ex.paths for ex in examples), params.encoder)
+    buffers.paths.reserve(ex.paths for ex in examples)
     # A diverging run overflows before its loss turns non-finite; the loss check
     # below is the guard, so numpy's warnings would only add lines to stderr.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -929,6 +930,67 @@ def test_every_file_a_command_is_given_is_opened(reader_world, capsys, command, 
     out.unlink(missing_ok=True)
     assert (run(*argv), capsys.readouterr().err) == expected
     assert not out.exists()
+
+
+# Each command and the options that name the files it reads.
+OUTPUT_INPUTS = {
+    "extract-paths": ("--corpus", "--pairs"),
+    "train": ("--pairs", "--index", "--embeddings", "--val", "--config"),
+    "tune": ("--pairs", "--index", "--embeddings", "--model"),
+    "predict": ("--pairs", "--index", "--embeddings", "--combiner", "--relatedness-model",
+                "--relation-model", "--config"),
+    "evaluate": ("--pairs", "--predictions"),
+}
+
+
+@pytest.mark.parametrize("command, option, spelling", [
+    *((command, option, "same") for command, options in OUTPUT_INPUTS.items()
+      for option in options),
+    ("evaluate", "--pairs", "symlink"), ("extract-paths", "--pairs", "dot"),
+    ("train", "--pairs", "manifest")])
+def test_an_output_that_is_an_input_is_a_usage_error_and_no_file_changes(
+        reader_world, tmp_path, capsys, command, option, spelling):
+    """The output names the file of one input option, each input a file of
+    its own: by the same name, through a symlink, with a ./ inside, or as the
+    manifest beside train's --model."""
+    d = tmp_path / "world"
+    shutil.copytree(reader_world["dir"], d)
+    for name in ("val.tsv", "predictions.tsv", "gold.manifest.json"):
+        shutil.copyfile(d / "pairs.tsv", d / name)
+    (d / "settings.cfg").write_text("# the defaults\n")
+    f = {"--corpus": d / "corpus.conll", "--pairs": d / "pairs.tsv", "--index": d / "index.tsv",
+         "--embeddings": d / "embeddings.txt", "--val": d / "val.tsv",
+         "--config": d / "settings.cfg", "--model": d / "rel.json",
+         "--combiner": d / "combiner.json", "--relatedness-model": d / "rel.json",
+         "--relation-model": d / "four.json", "--predictions": d / "predictions.tsv"}
+    out = written = f[option]
+    if spelling == "symlink":
+        out = written = d / "link.tsv"
+        out.symlink_to(f[option])
+    elif spelling == "dot":
+        out = written = f"{d}/./{f[option].name}"
+    elif spelling == "manifest":
+        f["--pairs"] = written = d / "gold.manifest.json"
+        out = d / "gold.json"
+    data = ("--pairs", f["--pairs"], "--index", f["--index"], "--embeddings", f["--embeddings"])
+    argv = {
+        "extract-paths": ("extract-paths", "--corpus", f["--corpus"], "--pairs", f["--pairs"],
+                          "--output", out),
+        "train": ("train", "--task", "relations", *data, "--val", f["--val"],
+                  "--config", f["--config"], "--model", out, "--epochs", "1"),
+        "tune": ("tune", *data, "--model", f["--model"], "--output", out),
+        "predict": ("predict", "--task", "relations", *data, "--combiner", f["--combiner"],
+                    "--relatedness-model", f["--relatedness-model"],
+                    "--relation-model", f["--relation-model"], "--config", f["--config"],
+                    "--output", out),
+        "evaluate": ("evaluate", "--pairs", f["--pairs"], "--predictions", f["--predictions"],
+                     "--output", out),
+    }[command]
+    before = {p: p.is_dir() or p.read_bytes() for p in d.rglob("*")}
+    assert run(*argv) == 1
+    assert capsys.readouterr() == (
+        "", f"usage error: output {written} would overwrite the {option} input\n")
+    assert {p: p.is_dir() or p.read_bytes() for p in d.rglob("*")} == before
 
 
 def test_an_unwritable_output_file_is_named_with_the_reason(micro, capsys):

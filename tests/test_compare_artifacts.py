@@ -1,7 +1,8 @@
 """tools/compare_artifacts.py: the comparison of two JSON documents behind its
 "0 differ" and its largest numeric difference, the masking of each side's
 output directory in what the commands print, the --help texts it compares,
-and the count of each side's source lines."""
+the count of each side's source lines, the median peak memory of a side's
+runs, and the check that a later run repeats its side's first."""
 
 import importlib.util
 from pathlib import Path
@@ -18,6 +19,8 @@ largest_difference = compare_artifacts.largest_difference
 masked_output = compare_artifacts.masked_output
 line_count = compare_artifacts.line_count
 help_texts = compare_artifacts.help_texts
+median_peaks = compare_artifacts.median_peaks
+rerun_differences = compare_artifacts.rerun_differences
 
 MODEL = {"format": "m", "w": [[0.5, -1.0], [2.0, 3.0]], "meta": {"seed": 7, "tokens": ["a"]},
          "w2": None, "flag": True}
@@ -78,3 +81,35 @@ def test_the_help_texts_compared_are_those_of_semrel_and_of_every_command():
     for line, (code, out, err) in texts.items():
         assert (code, err) == (0, ""), line
         assert out.startswith("usage: " + line.removesuffix(" --help")), line
+
+
+def test_a_command_peak_is_the_median_of_the_runs_that_reached_it():
+    runs = [{"extract": 30.0, "train_relations": 45.2, "predict": 40.0},
+            {"extract": 31.0, "train_relations": 44.2},  # stopped after train_relations
+            {"extract": 29.5, "train_relations": 45.5, "predict": 41.0}]
+    assert list(median_peaks(runs)) == ["extract", "train_relations", "predict"]
+    assert median_peaks(runs) == {"extract": 30.0, "train_relations": 45.2, "predict": 40.5}
+    assert median_peaks(runs[:1]) == runs[0]
+
+
+def _write_run(out, index=b"x\ty\tX/NOUN/nsubj/^\n"):
+    out.mkdir()
+    for name in compare_artifacts.ARTIFACTS:
+        (out / name).write_bytes(index if name == "index.tsv" else name.encode())
+    for stage in compare_artifacts.STAGES:
+        (out / f"{stage}.stdout").write_text(f"{stage} -> {out / 'pred.tsv'}\n")
+    return out
+
+
+def test_a_rerun_must_repeat_each_artifact_and_output_of_its_sides_first_run(tmp_path):
+    """Only the bytes count, and the run's own directory in what it printed
+    is masked; an artifact or output that one run lacks differs too."""
+    first = _write_run(tmp_path / "parent-0")
+    assert rerun_differences(first, _write_run(tmp_path / "parent-1")) == []
+    later = _write_run(tmp_path / "parent-2", index=b"x\ty\tX/NOUN/nsubj/^ \n")
+    (later / "report.tsv").unlink()
+    (later / "tune.stdout").write_text("tune -> elsewhere\n")
+    (later / "evaluate.stdout").unlink()
+    assert rerun_differences(first, later) == ["index.tsv", "report.tsv", "output of tune",
+                                               "output of evaluate"]
+    assert rerun_differences(later, first) == rerun_differences(first, later)

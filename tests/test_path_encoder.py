@@ -17,6 +17,7 @@ from semrel.path_encoder import (
     _sigmoid,
     average_paths_with_cache,
     backprop_average,
+    compile_paths,
     init_component,
     init_encoder,
     input_width,
@@ -282,10 +283,14 @@ def zero_grads(encoder):
 
 
 def backprop_into(grads, d_out, cache, encoder):
-    """Add what ``backprop_average`` returns over every lemma row into the
-    dense record ``grads``, once it has checked the returned names and shapes."""
+    """Add what ``backprop_average`` returns over every lemma row, given
+    zeroed ``out`` and ``products``, into the dense record ``grads``, once it
+    has checked the returned names and shapes."""
     lemma_rows = np.arange(len(encoder.lemma.matrix))
-    got = backprop_average(d_out, cache, encoder, lemma_rows)
+    out = {name: np.zeros(array.shape) for name, array in encoder.arrays().items()
+           if name != "lemma"}
+    products = [np.zeros(array.shape) for array in (encoder.w_in, encoder.w_rec, encoder.bias)]
+    got = backprop_average(d_out, cache, encoder, lemma_rows, out=out, products=products)
     assert list(got) == list(encoder.arrays())
     assert np.array_equal(got["lemma"].rows, lemma_rows)
     got["lemma"] = got["lemma"].values
@@ -383,7 +388,7 @@ def test_a_group_starts_from_the_zero_state_after_more_and_fewer_paths():
     starts from a zero state and gives the bits of a pool of its own, though
     a group of P paths works in the leading rows that the others wrote."""
     encoder = small_setup()
-    pool = BufferPool()
+    pool = BufferPool(encoder)
     longs = [P_LONG, P_LONG2, P_LONG3]
     for count in (1, 2, 3, 1, 2):
         paths = {path: n + 1 for n, path in enumerate(longs[:count])}
@@ -393,6 +398,44 @@ def test_a_group_starts_from_the_zero_state_after_more_and_fewer_paths():
         assert got.tobytes() == expected.tobytes()
         for name in ("xs", "hs", "cs", "gates", "tanh_c"):
             assert getattr(cache, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+def test_a_pooled_call_returns_groups_that_record_its_rows_and_weights():
+    """One pool runs three paths of three steps and one of two, then a call
+    with word dropout whose paths span the same two step counts. Each group
+    that the second call returns holds that call's rows, the dropout copies,
+    and weights; the walk back through them gives the bits of a fresh pool's;
+    and the groups kept from the first call have been overwritten."""
+    encoder = small_setup()
+    pool = BufferPool(encoder)
+    other_short = DependencyPath((PathEdge("X", "NOUN", "nsubj", "up"),
+                                  PathEdge("Y", "NOUN", "root", "root")))
+    _, kept = average_paths_with_cache({P_LONG: 1, P_LONG2: 1, P_LONG3: 1, other_short: 1},
+                                       encoder, pool=pool)
+    kept_hs = kept[0].hs.copy()
+    compiled = compile_paths({P_LONG: 2, P_SHORT: 1, P_LONG2: 1}, encoder)
+    dropped = [rows.copy() for rows, _ in compiled.groups]
+    twin = np.random.default_rng(4)
+    for g, p in compiled.slots:
+        dropped[g][twin.random(len(dropped[g])) < 0.5, p, 0] = 0
+    assert not all(np.array_equal(d, rows) for d, (rows, _) in zip(dropped, compiled.groups))
+    got, groups = average_paths_with_cache(compiled, encoder, dropout_rate=0.5,
+                                           rng=np.random.default_rng(4), pool=pool)
+    assert [group.rows.shape for group in groups] == [(3, 2, 4), (2, 1, 4)]
+    for group, rows, (_, weights) in zip(groups, dropped, compiled.groups):
+        assert np.array_equal(group.rows, rows) and group.weights is weights
+
+    expected, fresh = average_paths_with_cache(compiled, encoder, dropout_rate=0.5,
+                                               rng=np.random.default_rng(4))
+    probe = np.random.default_rng(5).normal(size=encoder.hidden_size)
+    pooled_grads, fresh_grads = zero_grads(encoder), zero_grads(encoder)
+    backprop_into(pooled_grads, probe, groups, encoder)
+    backprop_into(fresh_grads, probe, fresh, encoder)
+    assert got.tobytes() == expected.tobytes()
+    for name in encoder.arrays():
+        assert getattr(pooled_grads, name).tobytes() == getattr(fresh_grads, name).tobytes(), name
+    assert np.shares_memory(kept[0].hs, groups[0].hs) and not np.array_equal(kept[0].hs, kept_hs)
+    assert kept[1] is groups[1]  # one (T, P) shape, one record: the second call's
 
 
 def test_calls_without_a_pool_share_no_array():

@@ -456,7 +456,7 @@ def test_a_warmed_up_training_step_allocates_nothing_the_size_of_a_dense_paramet
                    for ex in [compile_example(params, r.x, r.y, index.get(r.x, r.y), r.label)]
                    if [rows.shape[:2] for rows, _ in ex.paths.groups] == [(3, 1)])
     buffers = StepBuffers(params)
-    buffers.paths.reserve([example.paths], params.encoder)
+    buffers.paths.reserve([example.paths])
     budget = params.encoder.w_rec.nbytes
     assert budget == 115_200
     for step in range(2):

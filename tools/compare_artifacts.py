@@ -21,13 +21,20 @@ strings and nulls) and differ only in numbers, the line gives the largest
 absolute numeric difference, as for a model retrained with other rounding;
 it also sets exit code 1.
 ``--train-args`` adds flags to both ``train`` commands, to compare settings
-that no workload trains. For each workload and seed, one line also gives
-each command's peak resident memory on both sides, read from the command's
-own rusage as bench/run.py reads it, so one run shows both whether the
-artifacts match and where memory moved. All commands run before any artifact
+that no workload trains.
+
+Each side's workflow runs RUNS times per workload and seed, the sides
+alternating. The artifacts and outputs of the first runs are compared as
+above, and each later run must repeat its side's first run byte for byte
+(rerun determinism): every artifact or output that does not gets a line and
+sets exit code 1. For each workload and seed, one line also gives each
+command's median peak resident memory over the runs on both sides, read from
+the command's own rusage as bench/run.py reads it, since one run's peak is
+bimodal by about 1 MB on some commands. All commands run before any artifact
 is compared, so that this process stays as lean as bench/run.py's runner.
-Before the summary, one line gives the physical lines of each side's
-semrel/*.py as ``wc -l`` counts them.
+Before the summary, one line counts the rerun comparisons and the ones that
+differ, and one gives the physical lines of each side's semrel/*.py as
+``wc -l`` counts them.
 
 Nothing under bench/ is written; worlds and outputs go to a temporary
 directory that is removed at the end.
@@ -40,6 +47,7 @@ import filecmp
 import json
 import os
 import shlex
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -53,6 +61,8 @@ from workloads import WORKLOADS  # noqa: E402
 
 # The commands whose --help texts are compared, after that of semrel itself.
 COMMANDS = ("extract-paths", "train", "tune", "predict", "evaluate")
+# Workflow runs per side, workload and seed.
+RUNS = 3
 
 
 def run_workflow(src: Path, workload: str, world: Path, out: Path,
@@ -78,6 +88,27 @@ def run_workflow(src: Path, workload: str, world: Path, out: Path,
                 print(f"{src}: {stage} exited with {proc.returncode}: {err.read().strip()}")
                 break
     return peaks
+
+
+def median_peaks(runs: list[dict[str, float]]) -> dict[str, float]:
+    """Each command's median peak over one side's ``runs``, in the first
+    run's command order; a run that stopped before a command is left out of
+    that command's median."""
+    return {stage: statistics.median(run[stage] for run in runs if stage in run)
+            for stage in runs[0]}
+
+
+def rerun_differences(first: Path, later: Path) -> list[str]:
+    """The artifacts and printed outputs that the run in ``later`` wrote
+    otherwise than the run in ``first``, or that only one of them wrote."""
+    names = []
+    for name in ARTIFACTS:
+        a, b = first / name, later / name
+        if a.is_file() != b.is_file() or a.is_file() and not filecmp.cmp(a, b, shallow=False):
+            names.append(name)
+    names.extend(f"output of {stage}" for stage in STAGES
+                 if _read_output(first, stage) != _read_output(later, stage))
+    return names
 
 
 def help_texts(src: Path) -> dict[str, tuple[int, str, str]]:
@@ -152,6 +183,7 @@ def main() -> int:
             parser.error(f"{src} holds no semrel package")
     train_args = shlex.split(args.train_args)
     compared = differ = same_content = outputs_compared = outputs_differ = 0
+    reruns_compared = reruns_differ = 0
     with tempfile.TemporaryDirectory(prefix="compare-artifacts-") as tmp:
         cases = [(workload, seed, Path(tmp) / f"{workload}-{seed}")
                  for workload in args.workloads for seed in args.seeds]
@@ -161,16 +193,21 @@ def main() -> int:
             world = case / "world"
             subprocess.run([sys.executable, str(ROOT / "bench" / "world.py"), "--workload",
                             workload, "--seed", str(seed), "--out", str(world)], check=True)
-            peaks = {side: run_workflow(src, workload, world, case / side, train_args)
-                     for side, src in sides.items()}
-            print(f"{workload} seed {seed}: peak RSS in MB, parent -> change: " + ", ".join(
-                f"{stage} {mb:.1f} -> {peaks['change'][stage]:.1f}"
-                for stage, mb in peaks["parent"].items() if stage in peaks["change"]))
+            runs = {side: [] for side in sides}
+            for n in range(RUNS):
+                for side, src in sides.items():
+                    runs[side].append(run_workflow(src, workload, world, case / f"{side}-{n}",
+                                                   train_args))
+            peaks = {side: median_peaks(side_runs) for side, side_runs in runs.items()}
+            print(f"{workload} seed {seed}: median peak RSS of {RUNS} runs in MB, "
+                  f"parent -> change: " + ", ".join(
+                      f"{stage} {mb:.1f} -> {peaks['change'][stage]:.1f}"
+                      for stage, mb in peaks["parent"].items() if stage in peaks["change"]))
         helps = {side: help_texts(src) for side, src in sides.items()}
         for workload, seed, case in cases:
             for name in ARTIFACTS:
                 compared += 1
-                a, b = case / "parent" / name, case / "change" / name
+                a, b = case / "parent-0" / name, case / "change-0" / name
                 if a.is_file() and b.is_file() and filecmp.cmp(a, b, shallow=False):
                     continue
                 differ += 1
@@ -191,23 +228,32 @@ def main() -> int:
                 print(f"{workload} seed {seed}: {name} {state}")
             for stage in STAGES:
                 outputs_compared += 1
-                a, b = (_read_output(case / side, stage) for side in sides)
+                a, b = (_read_output(case / f"{side}-0", stage) for side in sides)
                 if a is not None and a == b:
                     continue
                 outputs_differ += 1
                 state = "missing" if a is None or b is None else "differs"
                 print(f"{workload} seed {seed}: output of {stage} {state}")
+            for side in sides:
+                for n in range(1, RUNS):
+                    reruns_compared += len(ARTIFACTS) + len(STAGES)
+                    for name in rerun_differences(case / f"{side}-0", case / f"{side}-{n}"):
+                        reruns_differ += 1
+                        print(f"{workload} seed {seed}: {side} run {n + 1}: {name} differs "
+                              f"from run 1")
     for line, text in helps["parent"].items():
         outputs_compared += 1
         if text != helps["change"][line]:
             outputs_differ += 1
             print(f"output of {line} differs")
+    print(f"{reruns_compared} rerun artifacts and outputs compared with their side's first run, "
+          f"{reruns_differ} differ")
     print(f"src/semrel lines: parent {line_count(sides['parent'])} -> "
           f"change {line_count(sides['change'])}")
     print(f"{compared} artifacts compared, {differ} differ, "
           f"{same_content} of them with the same JSON content; "
           f"{outputs_compared} command outputs compared, {outputs_differ} differ")
-    return 1 if differ or outputs_differ else 0
+    return 1 if differ or outputs_differ or reruns_differ else 0
 
 
 if __name__ == "__main__":
