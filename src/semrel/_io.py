@@ -6,6 +6,12 @@ package finds numpy but does not run it, and the first attribute looked up
 on ``np`` does. ``extract-paths`` computes nothing with numpy, so it never
 pays numpy's import, which would be about a third of its time on a small
 corpus. The other commands load numpy at their first array.
+
+Before that, each of ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` that is not set is set to 1. A BLAS library splits a
+large product's sum between its threads, and the split changes the last bits
+of the result, so its default of one thread per CPU would make a model's
+bytes depend on the machine. A variable the user set is left as it is.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -42,6 +49,8 @@ def lazy_import(name: str) -> ModuleType:
     return module
 
 
+for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_threads, "1")
 np = lazy_import("numpy")
 
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._io import excerpt, np
+from ._random import Generator
 from .errors import DataError
 from .pairs import PairRecord
 
@@ -132,8 +133,7 @@ def lexical_split(
     words = sorted({r.x.lower() for r in records})
     if len(words) < 2:
         raise DataError("need at least two distinct x words for a lexical split")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(words))
+    order = Generator(seed).permutation(len(words))
     n_val = int(round(val_fraction * len(words)))
     n_val = min(max(n_val, 1), len(words) - 1)
     val_words = {words[int(i)] for i in order[:n_val]}

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from ._io import np
+from ._random import Generator
 from .corpus import DOWN, ROOT, UP, DependencyPath, PathEdge, X_PLACEHOLDER, Y_PLACEHOLDER
 from .embeddings import EmbeddingTable
 
@@ -107,7 +109,7 @@ def input_width(components: Iterable[ComponentEmbeddings]) -> int:
     return sum(c.width for c in components)
 
 
-def init_uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
+def init_uniform(rng: Generator, *shape: int) -> np.ndarray:
     """A new array of ``shape``, drawn uniformly from [-INIT_SCALE, INIT_SCALE]."""
     return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
 
@@ -115,19 +117,32 @@ def init_uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
 def init_component(
     tokens: Iterable[str],
     width: int,
-    rng: np.random.Generator,
+    rng: Generator,
     seed_table: EmbeddingTable | None = None,
 ) -> ComponentEmbeddings:
     """Rows drawn uniformly from [-0.1, 0.1]; a token that ``seed_table``
-    holds takes its table row instead when the widths agree."""
+    holds takes its table row instead when the widths agree.
+
+    A taken row is not drawn: the stream advances past the values it would
+    have had, so every drawn row keeps the value a full draw gives it.
+    """
     ordered = sorted(set(tokens))
-    matrix = init_uniform(rng, len(ordered) + 1, width)
     index = {token: row for row, token in enumerate(ordered, start=1)}
+    table_rows = {}
     if seed_table is not None and seed_table.dimension == width:
-        for token, row in index.items():
-            seed_row = seed_table.rows.get(token)
-            if seed_row is not None:
-                matrix[row] = seed_table.matrix[seed_row]
+        table_rows = {row: seed_table.rows[token] for token, row in index.items()
+                      if token in seed_table.rows}
+    matrix = np.empty((len(ordered) + 1, width))
+    start = 0
+    for taken, run in groupby(range(len(matrix)), table_rows.__contains__):
+        end = start + len(list(run))
+        if taken:
+            rng.advance((end - start) * width)
+        else:
+            matrix[start:end] = init_uniform(rng, end - start, width)
+        start = end
+    if table_rows:
+        matrix[list(table_rows)] = seed_table.matrix[list(table_rows.values())]
     return ComponentEmbeddings(index, matrix)
 
 
@@ -139,7 +154,7 @@ def init_encoder(
     deprel_dim: int,
     dir_dim: int,
     hidden_size: int,
-    rng: np.random.Generator,
+    rng: Generator,
     table: EmbeddingTable | None = None,
 ) -> PathEncoder:
     """An encoder for the components of ``paths``: their rows are drawn
@@ -377,7 +392,7 @@ def average_paths_with_cache(
     encoder: PathEncoder,
     mode: str = WEIGHTED,
     dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     *,
     pool: BufferPool | None = None,
 ) -> tuple[np.ndarray, list[GroupViews]]:

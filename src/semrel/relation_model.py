@@ -16,6 +16,8 @@ memory in ``StepBuffers``, so a step allocates nothing of a parameter's size.
 
 All randomness (initialization, example order, word dropout) flows from the
 single seed in TrainConfig, so a fixed seed reproduces parameters bit for bit.
+It is drawn by ``_random.Generator``, which gives the stream of
+``numpy.random.default_rng(seed)`` without loading ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 from ._io import excerpt, np, read_document, write_document
+from ._random import Generator
 from .corpus import DependencyPath, PathIndex
 from .embeddings import EmbeddingTable
 from .errors import DataError
@@ -217,7 +220,7 @@ def pair_distribution(
 
 def _features(params: ModelParams, table: EmbeddingTable, x: str, y: str,
               paths: Mapping[DependencyPath, int] | CompiledPaths, dropout_rate: float,
-              rng: np.random.Generator | None, pool: BufferPool) -> tuple[np.ndarray, list]:
+              rng: Generator | None, pool: BufferPool) -> tuple[np.ndarray, list]:
     """The feature vector [x ; averaged paths ; y] and the path groups that
     ``backprop_average`` walks, views of ``pool``."""
     v_paths, groups = average_paths_with_cache(paths, params.encoder, params.path_average,
@@ -298,7 +301,7 @@ def loss_and_gradients(
     params: ModelParams,
     table: EmbeddingTable,
     config: TrainConfig | None = None,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
     *,
     buffers: StepBuffers | None = None,
 ) -> tuple[float, Gradients]:
@@ -375,7 +378,7 @@ def init_params(
     index: PathIndex,
     table: EmbeddingTable,
     label_set: Sequence[str],
-    rng: np.random.Generator,
+    rng: Generator,
 ) -> ModelParams:
     """A new model for the (x, y) training pairs: a path encoder for their
     paths in ``index``, and word vectors for their terms when trained."""
@@ -437,7 +440,7 @@ def train(
     the epoch number and the validation accuracy.
     """
     labels = checked_label_set(trainset, label_set, "training set")
-    rng = np.random.default_rng(config.seed)
+    rng = Generator(config.seed)
     params = init_params(config, [(r.x, r.y) for r in trainset], index, table, labels, rng)
     examples = [compile_example(params, r.x, r.y, index.get(r.x, r.y), r.label)
                 for r in trainset]

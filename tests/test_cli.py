@@ -1541,8 +1541,9 @@ def test_the_benchmark_tracer_finds_every_function_it_wraps(micro, tmp_path, com
 
 def test_trained_models_do_not_depend_on_the_openblas_thread_count(tmp_path):
     """Both train tasks write the same bytes with one OpenBLAS thread as with
-    the default count, on the vocab world of bench/world.py, seed 1, with the
-    epochs that the benchmark trains there."""
+    two, set by the user, on the vocab world of bench/world.py, seed 1, with
+    the epochs that the benchmark trains there: its products are too small
+    for OpenBLAS to split. (semrel's own default is one thread.)"""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     world = tmp_path / "world"
@@ -1555,7 +1556,7 @@ def test_trained_models_do_not_depend_on_the_openblas_thread_count(tmp_path):
     default = {k: v for k, v in env.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     runs = {}
     for threads, run_env in (("one", dict(default, OPENBLAS_NUM_THREADS="1")),
-                             ("default", default)):
+                             ("two", dict(default, OPENBLAS_NUM_THREADS="2"))):
         for task, epochs in (("relatedness", "1"), ("relations", "2")):
             model = tmp_path / f"{task}-{threads}.json"
             runs[model] = subprocess.Popen(
@@ -1565,7 +1566,7 @@ def test_trained_models_do_not_depend_on_the_openblas_thread_count(tmp_path):
                  "--epochs", epochs], env=run_env, stdout=subprocess.DEVNULL)
     assert [proc.wait() for proc in runs.values()] == [0] * 4
     for task in ("relatedness", "relations"):
-        single, multi = (tmp_path / f"{task}-{t}.json" for t in ("one", "default"))
+        single, multi = (tmp_path / f"{task}-{t}.json" for t in ("one", "two"))
         assert single.read_bytes() == multi.read_bytes(), task
 
 
@@ -1673,3 +1674,94 @@ def test_the_workflow_loads_every_module_that_the_package_ships(micro):
     shipped = {"semrel" if p.stem == "__init__" else f"semrel.{p.stem}"
                for p in (ROOT / "src" / "semrel").glob("*.py") if p.stem != "__main__"}
     assert sorted(shipped - loaded) == []
+
+
+def test_no_command_loads_numpy_random(micro):
+    """semrel draws numpy's seeded stream itself, so no command, word dropout
+    included, loads numpy.random, whose import costs about 6 MB."""
+    d = micro["dir"]
+    data = ["--pairs", micro["pairs"], "--index", d / "index.tsv",
+            "--embeddings", micro["embeddings"]]
+    dropout = ["--epochs", 2, "--word-dropout", 0.3]
+    workflow = [
+        ["extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
+         "--output", d / "index.tsv"],
+        ["train", "--task", "relatedness", *data, "--model", d / "rel.json", *dropout],
+        ["tune", *data, "--model", d / "rel.json", "--output", d / "combiner.json"],
+        ["train", "--task", "relations", *data, "--model", d / "four.json", *dropout],
+        ["predict", "--task", "relations", *data, "--combiner", d / "combiner.json",
+         "--relatedness-model", d / "rel.json", "--relation-model", d / "four.json",
+         "--output", d / "pred.tsv"],
+        ["evaluate", "--pairs", micro["pairs"], "--predictions", d / "pred.tsv"],
+    ]
+    script = ("import json, sys\nfrom semrel.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0, argv\n"
+              "print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([[str(a) for a in argv] for argv in workflow])],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert "numpy._core" in loaded
+    assert [name for name in loaded if name.split(".")[:2] == ["numpy", "random"]] == []
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _dense_world(d):
+    """One pair with 100 distinct five-step paths: a weight gradient sums
+    over 500 path steps, enough for a BLAS library to split the sum between
+    threads."""
+    (d / "pairs.tsv").write_text("cat\tanimal\tHYPER\n")
+    (d / "embeddings.txt").write_text("cat 0.1 0.2 0.3\nanimal -0.2 0.1 0.05\n")
+    lines = ["# semrel path index v1\n"]
+    for k in range(100):
+        a, b, c = k // 20, k // 4 % 5, k % 4
+        steps = ["X/NOUN/nsubj/<", f"m{a}/VERB/dep{b}/<", f"n{c}/VERB/root/^",
+                 f"p{a}/ADP/obl/>", "Y/NOUN/dobj/>"]
+        lines.append(f"cat\tanimal\t{'::'.join(steps)}\t{1 + k % 3}\n")
+    (d / "index.tsv").write_text("".join(lines))
+
+
+# The CPUs this process may run on; a child is given the first one or two.
+CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+@pytest.mark.skipif(len(CPUS) < 2, reason="needs two CPUs")
+def test_a_models_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    """Trained on one CPU and on two, with no thread count set by the user,
+    the model has the same bytes: BLAS runs one thread by default. (A BLAS
+    library's own default is a thread per CPU, and the two-thread sum of a
+    weight gradient here differs in its last bits.)"""
+    _dense_world(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    models = []
+    for n in (1, 2):
+        model = tmp_path / f"model-{n}.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "semrel", "train", "--task", "relations",
+             "--pairs", tmp_path / "pairs.tsv", "--index", tmp_path / "index.tsv",
+             "--embeddings", tmp_path / "embeddings.txt", "--model", model,
+             "--epochs", "2", "--seed", "3"],
+            capture_output=True, text=True, env=env,
+            preexec_fn=lambda n=n: os.sched_setaffinity(0, CPUS[:n]))
+        assert result.returncode == 0, result.stderr
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
+
+
+def test_a_thread_count_the_user_set_is_kept():
+    """Importing semrel sets each BLAS thread count to 1 only where the
+    environment has none, so a user's own setting decides."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env.update(PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="2")
+    script = "import os, sys, semrel\nprint(*(os.environ[name] for name in sys.argv[1:]))"
+    result = subprocess.run([sys.executable, "-c", script, *BLAS_THREADS],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "2", "1"]

@@ -1,8 +1,8 @@
 """tools/compare_artifacts.py: the comparison of two JSON documents behind its
 "0 differ" and its largest numeric difference, the masking of each side's
 output directory in what the commands print, the --help texts it compares,
-the count of each side's source lines, the median peak memory of a side's
-runs, and the check that a later run repeats its side's first."""
+the count of each side's source lines, the median and range of the peak
+memory of a side's runs, and the check that a later run repeats its side's first."""
 
 import importlib.util
 from pathlib import Path
@@ -19,7 +19,7 @@ largest_difference = compare_artifacts.largest_difference
 masked_output = compare_artifacts.masked_output
 line_count = compare_artifacts.line_count
 help_texts = compare_artifacts.help_texts
-median_peaks = compare_artifacts.median_peaks
+peak_summary = compare_artifacts.peak_summary
 rerun_differences = compare_artifacts.rerun_differences
 
 MODEL = {"format": "m", "w": [[0.5, -1.0], [2.0, 3.0]], "meta": {"seed": 7, "tokens": ["a"]},
@@ -83,13 +83,15 @@ def test_the_help_texts_compared_are_those_of_semrel_and_of_every_command():
         assert out.startswith("usage: " + line.removesuffix(" --help")), line
 
 
-def test_a_command_peak_is_the_median_of_the_runs_that_reached_it():
+def test_a_command_peak_is_the_median_and_range_of_the_runs_that_reached_it():
     runs = [{"extract": 30.0, "train_relations": 45.2, "predict": 40.0},
             {"extract": 31.0, "train_relations": 44.2},  # stopped after train_relations
             {"extract": 29.5, "train_relations": 45.5, "predict": 41.0}]
-    assert list(median_peaks(runs)) == ["extract", "train_relations", "predict"]
-    assert median_peaks(runs) == {"extract": 30.0, "train_relations": 45.2, "predict": 40.5}
-    assert median_peaks(runs[:1]) == runs[0]
+    assert list(peak_summary(runs)) == ["extract", "train_relations", "predict"]
+    assert peak_summary(runs) == {"extract": (29.5, 30.0, 31.0),
+                                  "train_relations": (44.2, 45.2, 45.5),
+                                  "predict": (40.0, 40.5, 41.0)}
+    assert peak_summary(runs[:1]) == {stage: (mb, mb, mb) for stage, mb in runs[0].items()}
 
 
 def _write_run(out, index=b"x\ty\tX/NOUN/nsubj/^\n"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import conll_text, random_table
 from oracles import central_difference, reference_lstm, rel_error
+from semrel._random import Generator
 from semrel.corpus import DependencyPath, PathEdge, extract_paths, parse_conll
 from semrel.embeddings import load_table
 from semrel.path_encoder import (
@@ -47,7 +48,7 @@ P_LONG3 = DependencyPath((
 
 
 def small_setup(seed=3, lemma_dim=3, hidden=4, table=None):
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     return init_encoder([P_LONG, P_LONG2, P_SHORT], lemma_dim=lemma_dim, pos_dim=2, deprel_dim=2,
                         dir_dim=1, hidden_size=hidden, rng=rng, table=table)
 
@@ -104,7 +105,7 @@ def test_corpus_lemma_takes_the_table_row_of_its_lowercase_form():
     assert [e.lemma for path in paths for e in path.edges] == ["X", "chase", "Y"]
     table = load_table(["chase 0.5 -0.25 0.125\n"])
     encoder = init_encoder(paths, lemma_dim=3, pos_dim=2, deprel_dim=2, dir_dim=1, hidden_size=2,
-                           rng=np.random.default_rng(0), table=table)
+                           rng=Generator(0), table=table)
     assert encoder.lemma.row("Chase") == 0
     assert np.array_equal(encoder.lemma.matrix[encoder.lemma.row("chase")], [0.5, -0.25, 0.125])
 

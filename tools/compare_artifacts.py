@@ -28,9 +28,11 @@ alternating. The artifacts and outputs of the first runs are compared as
 above, and each later run must repeat its side's first run byte for byte
 (rerun determinism): every artifact or output that does not gets a line and
 sets exit code 1. For each workload and seed, one line also gives each
-command's median peak resident memory over the runs on both sides, read from
-the command's own rusage as bench/run.py reads it, since one run's peak is
-bimodal by about 1 MB on some commands. All commands run before any artifact
+command's median peak resident memory over the runs on both sides, with the
+lowest and highest run beside it, read from the command's own rusage as
+bench/run.py reads it. One run's peak is bimodal by about 1 MB on some
+commands, and so can the median of three be, so the range shows whether two
+sides' medians are apart by more than that noise. All commands run before any artifact
 is compared, so that this process stays as lean as bench/run.py's runner.
 Before the summary, one line counts the rerun comparisons and the ones that
 differ, and one gives the physical lines of each side's semrel/*.py as
@@ -90,12 +92,19 @@ def run_workflow(src: Path, workload: str, world: Path, out: Path,
     return peaks
 
 
-def median_peaks(runs: list[dict[str, float]]) -> dict[str, float]:
-    """Each command's median peak over one side's ``runs``, in the first
-    run's command order; a run that stopped before a command is left out of
-    that command's median."""
-    return {stage: statistics.median(run[stage] for run in runs if stage in run)
-            for stage in runs[0]}
+def peak_summary(runs: list[dict[str, float]]) -> dict[str, tuple[float, float, float]]:
+    """Each command's lowest, median and highest peak over one side's
+    ``runs``, in the first run's command order; a run that stopped before a
+    command is left out of that command's figures."""
+    summary = {}
+    for stage in runs[0]:
+        peaks = [run[stage] for run in runs if stage in run]
+        summary[stage] = (min(peaks), statistics.median(peaks), max(peaks))
+    return summary
+
+
+def _peak_text(low: float, median: float, high: float) -> str:
+    return f"{median:.1f} ({low:.1f}-{high:.1f})"
 
 
 def rerun_differences(first: Path, later: Path) -> list[str]:
@@ -198,10 +207,10 @@ def main() -> int:
                 for side, src in sides.items():
                     runs[side].append(run_workflow(src, workload, world, case / f"{side}-{n}",
                                                    train_args))
-            peaks = {side: median_peaks(side_runs) for side, side_runs in runs.items()}
-            print(f"{workload} seed {seed}: median peak RSS of {RUNS} runs in MB, "
-                  f"parent -> change: " + ", ".join(
-                      f"{stage} {mb:.1f} -> {peaks['change'][stage]:.1f}"
+            peaks = {side: peak_summary(side_runs) for side, side_runs in runs.items()}
+            print(f"{workload} seed {seed}: median (lowest-highest) peak RSS of {RUNS} runs "
+                  f"in MB, parent -> change: " + ", ".join(
+                      f"{stage} {_peak_text(*mb)} -> {_peak_text(*peaks['change'][stage])}"
                       for stage, mb in peaks["parent"].items() if stage in peaks["change"]))
         helps = {side: help_texts(src) for side, src in sides.items()}
         for workload, seed, case in cases:
