@@ -208,12 +208,14 @@ class Generator:
 
     def _next32(self) -> int:
         """The next 32 bits: a buffered upper half, or the lower half of a
-        new output, whose upper half is buffered."""
+        new output (as ``_outputs`` makes it), whose upper half is buffered."""
         half = self._half
         if half is not None:
             self._half = None
             return half
-        value = self._outputs(1)[0]
+        self._state = state = (self._state * _MULTIPLIER + self._inc) & _MASK128
+        mixed = (state ^ state >> 64) & _MASK64
+        value = ((mixed << 64 | mixed) >> (state >> 122)) & _MASK64
         self._half = value >> 32
         return value & _MASK32
 

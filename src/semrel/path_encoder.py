@@ -16,15 +16,16 @@ count.
 per step and returns each group's ``GroupViews``, which ``backprop_average``
 walks back; it returns exact gradients for all encoder parameters.
 
-Both passes write every array with ``out=`` into a ``BufferPool``, made for
-one encoder: flat buffers kept from call to call, each group working in their
-leading rows through views built once per group shape. So a training step
-that reuses a pool allocates no array of a group's size, and a call given no
-pool makes its own, so that no caller gets arrays that another call writes.
+Both passes write every array with ``out=`` into a ``BufferPool``: flat
+buffers for one encoder, sized once from the (steps, paths) of the groups
+that its caller will run (``group_shapes``, ``CompiledPaths.shapes``), each
+group working in their leading rows. A step that reuses a pool allocates no
+array of a group's size; a call given no pool makes its own.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -232,7 +233,6 @@ class GroupViews:
     def __init__(self, steps: int, spans: tuple[tuple[int, int], ...], hidden: int, count: int,
                  own: list[np.ndarray], passing: list[np.ndarray]):
         width = spans[-1][1]
-        self.passing = passing
         xs, hs, cs, gates, tanh_c, z, ez, ig, dh, dc, d_ct = (
             region[:rows * count * w].reshape(rows, count, w)
             for region, (rows, w) in zip(own, _own_layout(steps, width, hidden)))
@@ -267,56 +267,47 @@ class GroupViews:
 
 class BufferPool:
     """Working memory for running groups of paths through one encoder,
-    reused from call to call.
+    allocated once for the (steps, paths) ``shapes`` of the groups it runs.
 
     What a group keeps from its forward pass to its backward pass is held
-    in one set of flat buffers per step count, grown to the most paths that
-    a group of that step count has held; a group of P paths works in their
-    leading rows. What lives through one pass of one group (the input
-    projection, and the backward pass's factors and products) is held in
-    one set that all step counts share, grown to the most path steps of a
-    group. A group's views of both are built once per (T, P) and again when
-    a set grows. So the next group of the same step count overwrites a
-    group's record, and a caller that keeps one must give each call its own
-    pool. Sharing the one-pass buffers, and ``reserve``, which sizes them all
-    before the first group, keep a training run's peak memory near what
-    allocating each group's arrays afresh would take.
+    in one set of flat buffers per step count, sized for its largest group;
+    a group of P paths works in their leading rows. What lives through one
+    pass of one group (the input projection, and the backward pass's
+    factors and products) is held in one set that all step counts share,
+    sized for the most path steps of a group. Sharing that set, and
+    allocating the largest sets first, keep a training run's peak memory
+    near what fresh arrays for each group would take. ``group`` builds a
+    shape's views once and allocates no buffer; a step count, or a group
+    larger than the pool was sized for, raises KeyError or ValueError. The
+    next group of a step count overwrites the record of the one before, so
+    a caller that keeps one must give each call its own pool.
     """
 
-    def __init__(self, encoder: PathEncoder):
+    def __init__(self, encoder: PathEncoder, shapes: Iterable[tuple[int, int]]):
         self.encoder = encoder
-        # steps -> [capacity in paths, regions, views by path count]
-        self._own: dict[int, list] = {}
-        # [capacity in path steps, regions]; a group of 0-step paths allocates it empty
-        self._passing: list | None = None
+        width, hidden = encoder.spans[-1][1], encoder.hidden_size
+        most: dict[int, int] = {}  # steps -> most paths, read from a stream of shapes
+        for steps, count in shapes:
+            most[steps] = max(most.get(steps, 0), count)
+        self._passing = [np.empty(max((s * c for s, c in most.items()), default=0) * w)
+                         for w in _passing_widths(width, hidden)]
+        self._own = {steps: [np.empty(count * rows * w)
+                             for rows, w in _own_layout(steps, width, hidden)]
+                     for steps, count in sorted(most.items(), key=lambda s: -s[0] * s[1])}
+        self._views: dict[tuple[int, int], GroupViews] = {}
 
     def group(self, steps: int, count: int) -> GroupViews:
-        spans, hidden = self.encoder.spans, self.encoder.hidden_size
-        width = spans[-1][1]
-        passing = self._passing
-        if passing is None or steps * count > passing[0]:
-            passing = self._passing = [
-                steps * count,
-                [np.empty(steps * count * w) for w in _passing_widths(width, hidden)]]
-        own = self._own.get(steps)
-        if own is None or count > own[0]:
-            own = self._own[steps] = [count, [np.empty(count * rows * w) for rows, w in
-                                              _own_layout(steps, width, hidden)], {}]
-        views = own[2].get(count)
-        if views is None or views.passing is not passing[1]:
-            views = own[2][count] = GroupViews(steps, spans, hidden, count, own[1], passing[1])
-        return views
+        if (steps, count) not in self._views:
+            self._views[steps, count] = GroupViews(steps, self.encoder.spans,
+                                                   self.encoder.hidden_size, count,
+                                                   self._own[steps], self._passing)
+        return self._views[steps, count]
 
-    def reserve(self, compiled: Iterable[CompiledPaths]) -> None:
-        """Grow the buffers at once to what the groups of ``compiled`` need,
-        so that running them allocates nothing more."""
-        most: dict[int, int] = {}
-        for paths in compiled:
-            for rows, _ in paths.groups:
-                steps, count = rows.shape[:2]
-                most[steps] = max(most.get(steps, 0), count)
-        for steps, count in sorted(most.items(), key=lambda shape: -shape[0] * shape[1]):
-            self.group(steps, count)
+
+def group_shapes(paths: Iterable[DependencyPath]) -> Iterable[tuple[int, int]]:
+    """The (steps, paths) of each group that ``compile_paths`` makes of the
+    distinct ``paths``, which ``BufferPool`` is sized from."""
+    return Counter(len(path.edges) for path in paths).items()
 
 
 @dataclass(slots=True)
@@ -325,6 +316,11 @@ class CompiledPaths:
 
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]  # per step count: (T, P, 4) rows, (P,) weights
     slots: tuple[tuple[int, int], ...]  # each path's group and position, in the multiset's order
+
+    @property
+    def shapes(self) -> tuple[tuple[int, int], ...]:
+        """Each group's (steps, paths), as ``BufferPool`` is sized."""
+        return tuple(rows.shape[:2] for rows, _ in self.groups)
 
     def lemma_rows(self) -> np.ndarray | None:
         """The sorted lemma rows that the paths' steps read, with the unknown
@@ -405,12 +401,12 @@ def average_paths_with_cache(
     an rng is given, each step's lemma component is replaced by the unknown
     row with that probability, independently, drawn path by path in the
     multiset's order. The records are views of ``pool``, made for
-    ``encoder``, which the next call with that pool overwrites; without one,
-    the call makes its own.
+    ``encoder`` and sized for these groups, which the next call with that
+    pool overwrites; without one, the call makes its own.
     """
     if not isinstance(paths, CompiledPaths):
         paths = compile_paths(paths, encoder, mode)
-    pool = BufferPool(encoder) if pool is None else pool
+    pool = BufferPool(encoder, paths.shapes) if pool is None else pool
     groups = paths.groups
     if dropout_rate > 0.0 and rng is not None:
         groups = [(rows.copy(), weights) for rows, weights in groups]

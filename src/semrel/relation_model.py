@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._io import excerpt, np, read_document, write_document
 from ._random import Generator
@@ -45,6 +45,7 @@ from .path_encoder import (
     average_paths_with_cache,
     backprop_average,
     compile_paths,
+    group_shapes,
     init_encoder,
     init_uniform,
     input_width,
@@ -211,9 +212,10 @@ def pair_distribution(
     """Softmax rows, one per (x, y) pair and aligned with ``params.label_set``,
     each from the pair's paths in the index and the two word vectors."""
     out = np.empty((len(pairs), len(params.label_set)))
-    pool = BufferPool(params.encoder)
-    for row, (x, y) in enumerate(pairs):
-        v, _ = _features(params, table, x, y, index.get(x, y), 0.0, None, pool)
+    multisets = [index.get(x, y) for x, y in pairs]
+    pool = BufferPool(params.encoder, (s for paths in multisets for s in group_shapes(paths)))
+    for row, ((x, y), paths) in enumerate(zip(pairs, multisets)):
+        v, _ = _features(params, table, x, y, paths, 0.0, None, pool)
         out[row] = forward(v, params)
     return out
 
@@ -270,9 +272,10 @@ class StepBuffers:
     and viewed by name, the encoder's first; ``tail``, where the
     classifier's start; ``scaled``, of the same layout, which holds the
     encoder's per-group products in ``backprop_average`` and then the
-    gradients times the learning rate; and ``paths``, the encoder's pool."""
+    gradients times the learning rate; and ``paths``, the encoder's pool,
+    sized for ``shapes``, the ``CompiledPaths.shapes`` of the examples served."""
 
-    def __init__(self, params: ModelParams):
+    def __init__(self, params: ModelParams, shapes: Iterable[tuple[int, int]]):
         dense = _dense(trainable_arrays(params))
         self.grad, self.scaled = np.empty(params.flat.size), np.empty(params.flat.size)
         views = _carve(self.grad, dense)
@@ -281,7 +284,7 @@ class StepBuffers:
         scaled = _carve(self.scaled, dense)
         self.products = [scaled[name] for name in ("w_in", "w_rec", "bias")]
         self.tail = self.grad.size - sum(view.size for view in views.values())
-        self.paths = BufferPool(params.encoder)
+        self.paths = BufferPool(params.encoder, shapes)
 
 
 class Gradients(SimpleNamespace):
@@ -316,7 +319,7 @@ def loss_and_gradients(
     step lemmas by the unknown row, independently per step; with rate 0 the
     result is deterministic.
     """
-    buffers = StepBuffers(params) if buffers is None else buffers
+    buffers = StepBuffers(params, example.paths.shapes) if buffers is None else buffers
     rate = config.word_dropout_rate if config is not None else 0.0
     hidden = params.encoder.hidden_size
     d = params.word_dim
@@ -444,8 +447,7 @@ def train(
     params = init_params(config, [(r.x, r.y) for r in trainset], index, table, labels, rng)
     examples = [compile_example(params, r.x, r.y, index.get(r.x, r.y), r.label)
                 for r in trainset]
-    buffers = StepBuffers(params)
-    buffers.paths.reserve(ex.paths for ex in examples)
+    buffers = StepBuffers(params, (shape for ex in examples for shape in ex.paths.shapes))
     # A diverging run overflows before its loss turns non-finite; the loss check
     # below is the guard, so numpy's warnings would only add lines to stderr.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -2,9 +2,12 @@
 "0 differ" and its largest numeric difference, the masking of each side's
 output directory in what the commands print, the --help texts it compares,
 the count of each side's source lines, the median and range of the peak
-memory of a side's runs, and the check that a later run repeats its side's first."""
+memory of a side's runs, the check that a later run repeats its side's first,
+and the commands that the CI workflow runs it with."""
 
 import importlib.util
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ line_count = compare_artifacts.line_count
 help_texts = compare_artifacts.help_texts
 peak_summary = compare_artifacts.peak_summary
 rerun_differences = compare_artifacts.rerun_differences
+WORKFLOW = _PATH.parent.parent / ".github" / "workflows" / "tier1.yml"
 
 MODEL = {"format": "m", "w": [[0.5, -1.0], [2.0, 3.0]], "meta": {"seed": 7, "tokens": ["a"]},
          "w2": None, "flag": True}
@@ -115,3 +119,53 @@ def test_a_rerun_must_repeat_each_artifact_and_output_of_its_sides_first_run(tmp
     assert rerun_differences(first, later) == ["index.tsv", "report.tsv", "output of tune",
                                                "output of evaluate"]
     assert rerun_differences(later, first) == rerun_differences(first, later)
+
+
+def run_commands(text):
+    """The command of each ``run:`` step of a GitHub workflow, a folded
+    ``>-`` block's lines joined by spaces, read without a YAML parser."""
+    lines, commands = text.splitlines(), []
+    for n, line in enumerate(lines):
+        found = re.match(r"( *)(?:- )?run: *(.*)$", line)
+        if not found:
+            continue
+        indent, value = len(found.group(1)), found.group(2)
+        if value in (">-", ">"):
+            block = []
+            for more in lines[n + 1:]:
+                if more.strip() and len(more) - len(more.lstrip()) <= indent:
+                    break
+                block.append(more.strip())
+            value = " ".join(part for part in block if part)
+        commands.append(value)
+    return commands
+
+
+def test_the_folded_block_of_a_workflow_step_is_one_command():
+    text = ("steps:\n  - name: a\n    run: echo one\n  - run: >-\n      echo two\n"
+            "      --three \"4 5\"\n\n  - name: b\n")
+    assert run_commands(text) == ["echo one", 'echo two --three "4 5"']
+
+
+def test_the_ci_workflow_runs_the_comparison_with_flags_that_parse():
+    """Each tools/compare_artifacts.py command of the CI workflow parses with
+    the tool's parser, names workloads that exist, and gives --train-args
+    that are options of ``semrel train``, with which each workload's train
+    commands parse."""
+    commands = [shlex.split(command) for command in run_commands(WORKFLOW.read_text("utf-8"))
+                if "tools/compare_artifacts.py" in command]
+    assert len(commands) == 2
+    semrel, subcommands = build_parser()
+    train_options = subcommands["train"]._option_string_actions
+    for argv in commands:
+        args = compare_artifacts.build_parser().parse_args(
+            argv[argv.index("tools/compare_artifacts.py") + 1:])
+        assert set(args.workloads) <= set(compare_artifacts.WORKLOADS)
+        train_args = shlex.split(args.train_args)
+        assert {arg for arg in train_args if arg.startswith("-")} <= set(train_options)
+        for workload in args.workloads:
+            steps = compare_artifacts.workflow(compare_artifacts.WORKLOADS[workload],
+                                               Path("world"), Path("out"))
+            for stage, step in steps:
+                if stage.startswith("train"):
+                    semrel.parse_args(step + train_args)

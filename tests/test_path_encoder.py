@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,10 +17,13 @@ from semrel.path_encoder import (
     UNIFORM,
     WEIGHTED,
     BufferPool,
+    _own_layout,
+    _passing_widths,
     _sigmoid,
     average_paths_with_cache,
     backprop_average,
     compile_paths,
+    group_shapes,
     init_component,
     init_encoder,
     input_width,
@@ -90,6 +95,44 @@ def test_lemma_rows_seeded_from_table():
     plain = small_setup(table=None)
     row = encoder.lemma.row("X")
     assert np.array_equal(encoder.lemma.matrix[row], plain.lemma.matrix[plain.lemma.row("X")])
+
+
+class SpyGenerator:
+    """A ``Generator`` that counts the values it draws and skips."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn, self.advanced = Generator(seed), 0, 0
+
+    def uniform(self, low, high, size):
+        values = self.rng.uniform(low, high, size)
+        self.drawn += values.size
+        return values
+
+    def advance(self, n):
+        self.rng.advance(n)
+        self.advanced += n
+
+
+def test_a_row_taken_from_the_table_is_skipped_not_drawn():
+    """Seeding k of n lemma rows from the table draws the (n + 1 - k) other
+    rows, the unknown row among them, and advances past the k taken ones,
+    runs of taken and drawn rows alternating; the matrix is the full draw's
+    with the taken rows replaced, and the stream ends where the full draw's
+    does. A draw of the whole matrix gives the same bytes but draws the
+    taken rows too, which on a large lemma table is most of ``init_params``."""
+    tokens = [f"t{n:02d}" for n in range(12)]
+    taken = ["t00", "t01", "t04", "t05", "t06", "t09", "t11"]
+    table = random_table(taken + ["elsewhere"], 3, seed=2)
+    spy = SpyGenerator(8)
+    comp = init_component(tokens, 3, spy, table)
+    n, k = len(tokens), len(taken)
+    assert (spy.drawn, spy.advanced) == ((n + 1 - k) * 3, k * 3)
+    full = Generator(8)
+    expected = full.uniform(-0.1, 0.1, size=(n + 1, 3))
+    for token in taken:
+        expected[comp.row(token)] = table.lookup(token)
+    assert comp.matrix.tobytes() == expected.tobytes()
+    assert spy.rng.random(4).tobytes() == full.random(4).tobytes()
 
 
 def encode(path, encoder):
@@ -389,8 +432,8 @@ def test_a_group_starts_from_the_zero_state_after_more_and_fewer_paths():
     starts from a zero state and gives the bits of a pool of its own, though
     a group of P paths works in the leading rows that the others wrote."""
     encoder = small_setup()
-    pool = BufferPool(encoder)
     longs = [P_LONG, P_LONG2, P_LONG3]
+    pool = BufferPool(encoder, group_shapes(longs))
     for count in (1, 2, 3, 1, 2):
         paths = {path: n + 1 for n, path in enumerate(longs[:count])}
         got, (cache,) = average_paths_with_cache(paths, encoder, pool=pool)
@@ -408,9 +451,9 @@ def test_a_pooled_call_returns_groups_that_record_its_rows_and_weights():
     and weights; the walk back through them gives the bits of a fresh pool's;
     and the groups kept from the first call have been overwritten."""
     encoder = small_setup()
-    pool = BufferPool(encoder)
     other_short = DependencyPath((PathEdge("X", "NOUN", "nsubj", "up"),
                                   PathEdge("Y", "NOUN", "root", "root")))
+    pool = BufferPool(encoder, group_shapes([P_LONG, P_LONG2, P_LONG3, other_short]))
     _, kept = average_paths_with_cache({P_LONG: 1, P_LONG2: 1, P_LONG3: 1, other_short: 1},
                                        encoder, pool=pool)
     kept_hs = kept[0].hs.copy()
@@ -446,3 +489,101 @@ def test_calls_without_a_pool_share_no_array():
     for a, b in zip(first, second):
         for name in ("xs", "hs", "cs", "gates", "tanh_c"):
             assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
+
+
+def chain(steps, n):
+    """The n-th distinct path of ``steps`` steps, at least two."""
+    inner = [PathEdge("w", "VERB", "dep", "up") for _ in range(steps - 2)]
+    return DependencyPath((PathEdge("X", "NOUN", f"d{n}", "up"), *inner,
+                           PathEdge("Y", "NOUN", "dobj", "down")))
+
+
+@contextmanager
+def numpy_bytes():
+    """A function that gives the bytes of numpy array data allocated inside
+    the block and still held, as tracemalloc traces them."""
+    only_numpy = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        yield lambda: sum(trace.size for trace in
+                          tracemalloc.take_snapshot().filter_traces(only_numpy).traces)
+    finally:
+        tracemalloc.stop()
+
+
+def pool_bytes(encoder, most):
+    """The bytes of one record set per step count, for ``most[steps]`` paths,
+    and of one one-pass set for the most path steps of a group."""
+    width, hidden = input_width(encoder.components()), encoder.hidden_size
+    records = sum(paths * rows * w for steps, paths in most.items()
+                  for rows, w in _own_layout(steps, width, hidden))
+    passing = max(steps * paths for steps, paths in most.items()) * sum(_passing_widths(width,
+                                                                                        hidden))
+    return 8 * (records + passing)
+
+
+def test_a_pool_for_groups_of_1_to_n_paths_holds_one_record_set_sized_for_n():
+    """Sized for groups of 1 to 12 three-step paths, a pool holds the buffers
+    of one group of 12, where buffers per (T, P) would hold 78 paths'
+    records; running each group adds no buffer, only the average."""
+    encoder = small_setup(lemma_dim=40, hidden=30)
+    paths = [chain(3, n) for n in range(12)]
+    compiled = [compile_paths(dict.fromkeys(paths[:count], 1), encoder) for count in range(1, 13)]
+    with numpy_bytes() as held:
+        pool = BufferPool(encoder, [shape for c in compiled for shape in c.shapes])
+        built = held()
+        assert built == pool_bytes(encoder, {3: 12})
+        for count, paths_of_count in enumerate(compiled, start=1):
+            got, _ = average_paths_with_cache(paths_of_count, encoder, pool=pool)
+            assert held() - built <= got.nbytes, count
+    expected, _ = average_paths_with_cache(compiled[-1], encoder)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_groups_of_several_step_counts_share_one_one_pass_set():
+    """Groups of 6 two-step, 4 three-step, 3 five-step and 2 four-step paths:
+    one record set per step count, and one one-pass set for 15 path steps,
+    where a set per step count would add sets for 12, 12 and 8."""
+    encoder = small_setup(lemma_dim=40, hidden=30)
+    multisets = [dict.fromkeys([chain(steps, n) for n in range(count)], 1)
+                 for steps, count in ((2, 6), (3, 4), (5, 3), (4, 2))]
+    multisets.append({**multisets[0], **multisets[2]})
+    compiled = [compile_paths(paths, encoder) for paths in multisets]
+    with numpy_bytes() as held:
+        pool = BufferPool(encoder, [shape for paths in multisets for shape in group_shapes(paths)])
+        built = held()
+        assert built == pool_bytes(encoder, {2: 6, 3: 4, 5: 3, 4: 2})
+        for paths in compiled:
+            got, _ = average_paths_with_cache(paths, encoder, pool=pool)
+            assert held() - built <= got.nbytes
+
+
+def test_a_built_pool_allocates_no_buffer_for_a_group():
+    """``group`` of every shape that a pool holds, the smaller groups of
+    each step count too, builds views and allocates no array data."""
+    encoder = small_setup(lemma_dim=40, hidden=30)
+    pool = BufferPool(encoder, [(2, 5), (4, 3), (2, 1)])
+    with numpy_bytes() as held:
+        for steps, most in ((2, 5), (4, 3)):
+            for count in range(1, most + 1):
+                views = pool.group(steps, count)
+                assert views.hs.shape == (steps + 1, count, encoder.hidden_size)
+        assert held() == 0
+
+
+def test_a_group_the_pool_was_not_sized_for_raises_and_writes_nothing():
+    """A pool sized for two three-step paths refuses a two-step group and a
+    group of three three-step paths, allocating nothing, and the record of
+    the group it ran keeps its bytes."""
+    encoder = small_setup()
+    pool = BufferPool(encoder, group_shapes([P_LONG, P_LONG2]))
+    _, (kept,) = average_paths_with_cache({P_LONG: 1, P_LONG2: 2}, encoder, pool=pool)
+    names = ("xs", "hs", "cs", "gates", "tanh_c")
+    before = [getattr(kept, name).tobytes() for name in names]
+    with numpy_bytes() as held:
+        with pytest.raises(KeyError):
+            average_paths_with_cache({P_SHORT: 1}, encoder, pool=pool)
+        with pytest.raises(ValueError):
+            average_paths_with_cache({P_LONG: 1, P_LONG2: 1, P_LONG3: 1}, encoder, pool=pool)
+        assert held() == 0
+    assert [getattr(kept, name).tobytes() for name in names] == before

@@ -384,9 +384,10 @@ def test_the_dense_arrays_and_their_gradients_are_views_of_one_buffer_each(hidde
     table, _, examples, params = tiny_setup(hidden_layers=hidden_layers, train_word_vectors=True)
     dense = [name for name in trainable_arrays(params) if name in DENSE]
     assert dense == list(DENSE[:len(dense)]) and len(dense) == 8 + 2 * hidden_layers
-    buffers = StepBuffers(params)
+    buffers = StepBuffers(params, examples[0].paths.shapes)
     _, grads = loss_and_gradients(examples[0], params, table, buffers=buffers)
-    _, no_path = loss_and_gradients(examples[2], params, table, buffers=StepBuffers(params))
+    _, no_path = loss_and_gradients(examples[2], params, table,
+                                    buffers=StepBuffers(params, examples[2].paths.shapes))
     start = 0
     for name in dense:
         array, grad = trainable_arrays(params)[name], getattr(grads, name)
@@ -455,8 +456,7 @@ def test_a_warmed_up_training_step_allocates_nothing_the_size_of_a_dense_paramet
     example = next(ex for r in records
                    for ex in [compile_example(params, r.x, r.y, index.get(r.x, r.y), r.label)]
                    if [rows.shape[:2] for rows, _ in ex.paths.groups] == [(3, 1)])
-    buffers = StepBuffers(params)
-    buffers.paths.reserve([example.paths])
+    buffers = StepBuffers(params, example.paths.shapes)
     budget = params.encoder.w_rec.nbytes
     assert budget == 115_200
     for step in range(2):

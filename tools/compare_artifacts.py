@@ -177,7 +177,7 @@ def largest_difference(a, b) -> float | None:
     return largest
 
 
-def main() -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
@@ -185,6 +185,11 @@ def main() -> int:
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 5])
     parser.add_argument("--train-args", default="",
                         help='extra flags for both train commands, e.g. "--hidden-layers 1"')
+    return parser
+
+
+def main() -> int:
+    parser = build_parser()
     args = parser.parse_args()
     sides = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
     for src in sides.values():
