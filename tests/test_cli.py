@@ -723,28 +723,69 @@ def test_a_message_quotes_at_most_40_characters_of_a_long_value(reader_world, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "tune", "predict"])
-def test_a_bad_value_in_a_row_no_command_uses_exits_two_naming_its_line(micro, capsys, command):
+@pytest.fixture
+def table_argv(micro):
+    """With the index and combiner written, the argv of a command that loads
+    the table and writes ``out``."""
     d = micro["dir"]
-    data = ["--index", d / "index.tsv", "--embeddings", micro["embeddings"]]
     run("extract-paths", "--corpus", micro["corpus"], "--pairs", micro["pairs"],
         "--output", d / "index.tsv")
     run("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
         "--output", d / "combiner.json")
+    data = ["--index", d / "index.tsv", "--embeddings", micro["embeddings"]]
+
+    def argv(command, out):
+        return {
+            "train": ("train", "--task", "relations", "--pairs", micro["pairs"], *data,
+                      "--model", out, "--epochs", "1"),
+            "tune": ("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
+                     "--output", out),
+            "predict": ("predict", "--task", "relatedness", "--pairs", micro["pairs"], *data,
+                        "--combiner", d / "combiner.json", "--output", out),
+        }[command]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "predict"])
+def test_a_bad_value_in_a_row_no_command_uses_is_not_read(micro, table_argv, capsys, command):
+    """Only the rows a command uses have their values parsed, so a nan in
+    another row changes nothing that the command writes."""
+    d = micro["dir"]
+    (d / "clean").mkdir()
+    (d / "zebra").mkdir()
+    assert run(*table_argv(command, d / "clean" / "out")) == 0
     micro["embeddings"].write_text(EMBEDDINGS + "zebra 0.0 nan 0.0 0.0\n")
+    assert run(*table_argv(command, d / "zebra" / "out")) == 0
     capsys.readouterr()
-    argv = {
-        "train": ("train", "--task", "relations", "--pairs", micro["pairs"], *data,
-                  "--model", d / "out", "--epochs", "1"),
-        "tune": ("tune", "--pairs", micro["pairs"], "--embeddings", micro["embeddings"],
-                 "--output", d / "out"),
-        "predict": ("predict", "--task", "relatedness", "--pairs", micro["pairs"], *data,
-                    "--combiner", d / "combiner.json", "--output", d / "out"),
-    }[command]
-    code = run(*argv)
-    assert code == 2
+    written = {side: {f.name: f.read_bytes() for f in (d / side).iterdir()}
+               for side in ("clean", "zebra")}
+    assert written["clean"] and written["clean"] == written["zebra"]
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "predict"])
+def test_a_bad_value_in_a_row_a_command_uses_exits_two_naming_its_line(
+        micro, table_argv, capsys, command):
+    d = micro["dir"]
+    micro["embeddings"].write_text(EMBEDDINGS.replace("hot 0.0 0.0 1.0", "hot 0.0 0.0 1.x"))
+    capsys.readouterr()
+    assert run(*table_argv(command, d / "out")) == 2
     assert capsys.readouterr().err == (
-        f"error: {micro['embeddings']}: non-finite or overflowing value at line 11\n")
+        f"error: {micro['embeddings']}: unparsable value at line 5\n")
+    assert not (d / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "predict"])
+@pytest.mark.parametrize("rows, message", [
+    ("zebra 0 0 0 0\nZebra 1 1 1 1\n", "duplicate token 'Zebra' at line 12"),
+    ("zebra\n", "no vector values at line 11"),
+])
+def test_a_duplicate_or_bare_row_no_command_uses_exits_two_naming_its_line(
+        micro, table_argv, capsys, command, rows, message):
+    d = micro["dir"]
+    micro["embeddings"].write_text(EMBEDDINGS + rows)
+    capsys.readouterr()
+    assert run(*table_argv(command, d / "out")) == 2
+    assert capsys.readouterr().err == f"error: {micro['embeddings']}: {message}\n"
     assert not (d / "out").exists()
 
 

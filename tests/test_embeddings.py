@@ -249,17 +249,36 @@ def table_and_tokens(draw):
     return lines, tokens + draw(st.lists(st.sampled_from(["w0", "nope", UNK_TOKEN]), max_size=2))
 
 
+def zeroed_unkept(lines, tokens):
+    """The lines with each data row after the first that ``tokens`` does not
+    keep rewritten as its token and as many 0 values as the first row has:
+    what a kept-rows load checks of the file. Bare rows stay bare."""
+    keep = {t.lower() for t in tokens} | {UNK_TOKEN}
+    out, width = [], None
+    for line in lines:
+        parts = line.split()
+        if len(parts) > 1 and width is not None and parts[0].lower() not in keep:
+            line = " ".join([parts[0]] + ["0"] * width) + "\n"
+        if parts and width is None:
+            width = len(parts) - 1
+        out.append(line)
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(drawn=table_and_tokens(), chunk=st.sampled_from([1, 2, 3, 5, 8]),
        kind=st.sampled_from(SOURCES), unk=st.booleans())
-def test_a_kept_rows_load_is_the_full_load_restricted_to_its_tokens(drawn, chunk, kind, unk):
+def test_a_kept_rows_load_is_the_line_loop_with_unkept_values_zeroed(drawn, chunk, kind, unk):
     lines, tokens = drawn
     widths = [len(line.split()) - 1 for line in lines if line.split()]
     if unk and widths:
         lines = [*lines, f"{UNK_TOKEN} " + " ".join(["0.5"] * widths[0]) + "\n"]
+    # The rewrite works on the lines as the source yields them: a lone "\r"
+    # ends a line in a list but not in a StringIO.
+    oracle = zeroed_unkept(list(make_source(kind, lines)), tokens)
     with mock.patch.object(embeddings, "CHUNK_LINES", chunk):
         try:
-            full = load_table(make_source(kind, lines))
+            entries, unk_vector = reference_load_table(oracle)
         except ParseError as exc:
             with pytest.raises(ParseError) as caught:
                 load_table(make_source(kind, lines), tokens)
@@ -267,8 +286,70 @@ def test_a_kept_rows_load_is_the_full_load_restricted_to_its_tokens(drawn, chunk
             return
         kept = load_table(make_source(kind, lines), tokens)
     keep = {t.lower() for t in tokens} | {UNK_TOKEN}
-    expected = [t for t in full.rows if t in keep]
+    expected = [t for t in entries if t in keep]
+    dimension = len(unk_vector)
     assert list(kept.rows) == expected and list(kept.rows.values()) == list(range(len(expected)))
-    assert kept.matrix.shape == (len(expected), full.dimension) and not kept.matrix.flags.writeable
-    assert kept.matrix.tobytes() == full.matrix[[full.rows[t] for t in expected]].tobytes()
-    assert kept.unk_vector.tobytes() == full.unk_vector.tobytes()
+    assert kept.matrix.shape == (len(expected), dimension) and not kept.matrix.flags.writeable
+    assert kept.matrix.tobytes() == b"".join(entries[t].tobytes() for t in expected)
+    assert kept.unk_vector.tobytes() == unk_vector.tobytes()
+
+
+@pytest.mark.parametrize("kind", SOURCES)
+@pytest.mark.parametrize("kept_at, dup_at, message", [
+    (5, 2100, "unparsable value at line 5"),
+    (2100, 5, "duplicate token 'F0' at line 5"),
+])
+def test_a_kept_rows_load_names_the_first_fault_in_file_order(kind, kept_at, dup_at, message):
+    """A bad value in a kept row and a duplicate in an unkept row: the error
+    names whichever comes first, though only the kept row's value is parsed."""
+    lines = filler(0, 2200)
+    lines[kept_at - 1] = "kept 1 x 3\n"
+    lines[dup_at - 1] = "F0 1 2 3\n"
+    with pytest.raises(ParseError) as caught:
+        load_table(make_source(kind, lines), ["kept", "f7"])
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("tokens, message", [
+    (None, "dimension mismatch at line 8"),
+    (["f5"], "dimension mismatch at line 8"),
+    (["f6"], "duplicate token 'F5' at line 8"),
+])
+def test_a_duplicate_of_the_wrong_width_is_a_width_fault_where_its_row_is_kept(tokens, message):
+    """A kept row's width is checked before its token, as the line loop
+    checks them; the width of a row that is not kept is not checked."""
+    lines = filler(0, 7) + ["F5 1 2\n"]
+    with pytest.raises(ParseError) as caught:
+        load_table(lines, tokens)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("first, message", [
+    ("first 1 x 3\n", "unparsable value at line 1"),
+    ("first nan 0 0\n", "non-finite or overflowing value at line 1"),
+    ("first\n", "no vector values at line 1"),
+])
+def test_the_first_row_is_checked_when_no_row_is_kept(first, message):
+    with pytest.raises(ParseError) as caught:
+        load_table([first, *filler(0, 10)], ["nope"])
+    assert str(caught.value) == message
+
+
+def test_a_kept_rows_load_parses_the_values_of_only_the_rows_it_needs():
+    """3,000 rows, 3 kept: the value parsers see the kept rows, <unk> and the
+    first row, which fixes the width, and no other."""
+    lines = filler(0, 1500) + [f"{UNK_TOKEN} 0 0 0\n"] + filler(1500, 2999)
+    parsed = []
+
+    def spy(parser):
+        def counting(batch, *args):
+            batch = list(batch)
+            parsed.append(len(batch))
+            return parser(batch, *args)
+        return counting
+
+    with mock.patch.object(embeddings, "_parse_chunk", spy(embeddings._parse_chunk)), \
+            mock.patch.object(embeddings, "_read_lines", spy(embeddings._read_lines)):
+        table = load_table(lines, ["f7", "F1234", "f2998"])
+    assert list(table.rows) == ["f7", "f1234", UNK_TOKEN, "f2998"]
+    assert 0 < sum(parsed) <= 5
